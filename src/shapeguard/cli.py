@@ -13,7 +13,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
@@ -317,12 +316,6 @@ def _add_common(p, data=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file overriding algorithm defaults")
     p.add_argument("--out", help="JSON report destination")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SHAPEGUARD_THREADS", "1")),
-        help="worker threads (reserved; execution is deterministic)",
-    )
     if data:
         p.add_argument("--data", required=True, help="input CSV")
 

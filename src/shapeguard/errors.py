@@ -27,7 +27,12 @@ class DataError(ShapeguardError):
 
 
 class SolverError(ShapeguardError):
-    """The optimizer failed to converge within its iteration budget."""
+    """The optimizer stopped short of its tolerance.
+
+    Either the solver ran out of its iteration budget, or a constrained fit
+    still violates its constraints by more than solver_tol after its
+    refinement rounds.
+    """
 
     def __init__(self, message, last_iterate=None, residual=None):
         super().__init__(message)
@@ -37,10 +42,6 @@ class SolverError(ShapeguardError):
 
 class InfeasibleError(ShapeguardError):
     """The compiled constraint system admits no solution."""
-
-    def __init__(self, message, row_pair=None):
-        super().__init__(message)
-        self.row_pair = row_pair
 
 
 class BudgetError(ShapeguardError):

@@ -153,14 +153,6 @@ class Interval:
         lo = 0.0 if self.contains(0.0) else min(a, b) ** n
         return Interval(lo, hi)
 
-    def min_with(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(min(self.lo, o.lo), min(self.hi, o.hi))
-
-    def max_with(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(max(self.lo, o.lo), max(self.hi, o.hi))
-
     def hull(self, other) -> "Interval":
         o = self._coerce(other)
         return Interval(min(self.lo, o.lo), max(self.hi, o.hi))

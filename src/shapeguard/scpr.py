@@ -3,7 +3,7 @@
 The model is an elastic-net penalized least-squares polynomial; shape
 constraints (bounds on the value or partial derivatives over a box) are
 discretized on tensor grids into linear inequalities on the coefficient
-vector.  The resulting problem
+vector, compiled straight into one array system.  The resulting problem
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
@@ -15,22 +15,22 @@ inequalities reduced to least distance programming and NNLS (Lawson & Hanson
 1974, ch. 23).  With a 1-norm term, or a constrained design of deficient
 rank, an augmented-Lagrangian outer loop with a monotone accelerated
 proximal-gradient inner loop solves it (soft-thresholding handles the
-1-norm; the intercept is never penalized).  After the grid fit, violating
-points found by dense sampling are appended as cutting planes and the fit is
-repeated, which drives the true worst-case violation down to solver
-tolerance; a fit that does not get there within its refinement rounds raises
-SolverError.
+1-norm; the intercept is never penalized).  Both paths detect an
+inconsistent system in the same way: the least-distance problem on the rows
+has no solution, and InfeasibleError is raised.  After the grid fit,
+violating points found by dense sampling are appended as cutting planes and
+the fit is repeated, which drives the true worst-case violation down to
+solver tolerance; a fit that does not get there within its refinement rounds
+raises SolverError.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ShapeConstraint
 from .datasets import Dataset
 from .errors import (
     BudgetError,
@@ -45,7 +45,6 @@ __all__ = [
     "SCPRConfig",
     "FitReport",
     "LinearConstraintSystem",
-    "ConstraintRow",
     "build_design_matrix",
     "compile_constraints",
     "fit_unconstrained",
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 MAX_COMPILED_ROWS = 10**6
+# iterative solver: growth of the penalty rho while the violation stalls, and
+# the relative coefficient step at which an inner phase has converged
+PENALTY_GROWTH = 10.0
+INNER_TOL = 1e-10
 
 
 @dataclass
@@ -64,10 +67,9 @@ class SCPRConfig:
     grid_points_per_dim: int = 8
     solver_tol: float = 1e-8
     max_iter: int = 50000
-    penalty_growth: float = 10.0
     # cutting-plane refinement after the grid fit
     refine_rounds: int = 20
-    refine_points_per_dim: int = 0  # 0 = auto from a 2e5-point budget
+    refine_points_per_dim: int = 0  # 0 = auto from a 2e4-point budget
 
     def __post_init__(self):
         if self.degree < 1:
@@ -96,62 +98,12 @@ class FitReport:
         }
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    coefficients: tuple
-    relation: str  # ">=" or "<="
-    rhs: float
-    provenance: tuple  # (constraint label, grid point as sorted item tuple)
-
-
 @dataclass
 class LinearConstraintSystem:
-    n_basis: int
-    rows: list = field(default_factory=list)
+    """Compiled shape constraints as rows @ theta >= rhs (k x m and k)."""
 
-    def add(self, coefficients, relation, rhs, provenance):
-        self.rows.append(
-            ConstraintRow(tuple(float(c) for c in coefficients), relation, float(rhs), provenance)
-        )
-
-    def geq_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """All rows as A theta >= b."""
-        if not self.rows:
-            return np.zeros((0, self.n_basis)), np.zeros(0)
-        A = np.empty((len(self.rows), self.n_basis))
-        b = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            coef = np.array(row.coefficients)
-            if row.relation == ">=":
-                A[i] = coef
-                b[i] = row.rhs
-            else:
-                A[i] = -coef
-                b[i] = -row.rhs
-        return A, b
-
-    def check_trivially_infeasible(self, tol: float = 1e-9) -> None:
-        """Detect opposite rows a.theta >= b1 and -a.theta >= b2 with b1 + b2 > tol."""
-        A, b = self.geq_form()
-        seen: dict = {}
-        for i in range(A.shape[0]):
-            norm = np.linalg.norm(A[i])
-            if norm == 0.0:
-                if b[i] > tol:
-                    raise InfeasibleError(
-                        f"row {i} requires 0 >= {b[i]}", row_pair=(self.rows[i], self.rows[i])
-                    )
-                continue
-            key = tuple(np.round(A[i] / norm, 12))
-            neg_key = tuple(-k + 0.0 for k in key)
-            if neg_key in seen:
-                for j in seen[neg_key]:
-                    if b[i] / norm + b[j] / np.linalg.norm(A[j]) > tol:
-                        raise InfeasibleError(
-                            f"rows {j} and {i} are contradictory",
-                            row_pair=(self.rows[j], self.rows[i]),
-                        )
-            seen.setdefault(key, []).append(i)
+    rows: np.ndarray
+    rhs: np.ndarray
 
 
 def build_design_matrix(data: Dataset, variables, target: str, d: int):
@@ -204,8 +156,13 @@ def _grid_points(region, variables, points_per_dim):
     return axes
 
 
-def _rows_for_points(constraint, variables, basis, points: dict, system: LinearConstraintSystem):
-    """Append constraint rows for explicit points (dict of coordinate arrays)."""
+def _rows_for_points(constraint, variables, basis, points: dict):
+    """Rows (A, b) of A theta >= b for a constraint at explicit points.
+
+    points maps each variable to a coordinate array.  Per point, the
+    lower-bound row (M, lo) comes first, then the upper-bound row (-M, -hi),
+    each only where that side of the bound is finite.
+    """
     dtuple = constraint.derivative_tuple(variables)
     factors = _derivative_row_factors(basis, dtuple)
     n_pts = len(next(iter(points.values())))
@@ -220,13 +177,14 @@ def _rows_for_points(constraint, variables, basis, points: dict, system: LinearC
             if e:
                 col = col * x**e
         M[:, j] = col
-    lo, hi = constraint.bound.lo, constraint.bound.hi
-    for i in range(n_pts):
-        point = tuple((v, float(points[v][i])) for v in variables)
-        if np.isfinite(lo):
-            system.add(M[i], ">=", lo, (constraint.describe(), point))
-        if np.isfinite(hi):
-            system.add(M[i], "<=", hi, (constraint.describe(), point))
+    sides = []
+    if np.isfinite(constraint.bound.lo):
+        sides.append((M, constraint.bound.lo))
+    if np.isfinite(constraint.bound.hi):
+        sides.append((-M, -constraint.bound.hi))
+    A = np.stack([S for S, _ in sides], axis=1).reshape(-1, len(basis))
+    b = np.tile(np.array([r for _, r in sides], dtype=float), n_pts)
+    return A, b
 
 
 def compile_constraints(
@@ -234,7 +192,7 @@ def compile_constraints(
 ) -> LinearConstraintSystem:
     """Discretize shape constraints on tensor grids (corners included)."""
     basis = monomial_basis(len(variables), degree)
-    system = LinearConstraintSystem(n_basis=len(basis))
+    rows, rhs = [np.zeros((0, len(basis)))], [np.zeros(0)]
     total = 0
     for c in constraints:
         axes = _grid_points(c.region, variables, grid_points_per_dim)
@@ -248,8 +206,10 @@ def compile_constraints(
             )
         mesh = np.meshgrid(*axes, indexing="ij")
         points = {v: m.reshape(-1) for v, m in zip(variables, mesh)}
-        _rows_for_points(c, variables, basis, points, system)
-    return system
+        A, b = _rows_for_points(c, variables, basis, points)
+        rows.append(A)
+        rhs.append(b)
+    return LinearConstraintSystem(np.vstack(rows), np.concatenate(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +223,6 @@ class SolveResult:
     iterations: int
     max_violation: float
     objective: float
-    objective_trace: list  # one list of objective values per inner phase
     converged: bool
 
 
@@ -387,7 +346,6 @@ def _solve_least_squares(X, y, lam, alpha, A, b, max_iter) -> SolveResult | None
         iterations=iterations,
         max_violation=float(max((b - A @ theta).max(initial=-np.inf), 0.0)),
         objective=_objective(X, y, theta, lam, alpha),
-        objective_trace=[],
         converged=finished,
     )
 
@@ -402,9 +360,7 @@ def solve_elastic_net(
     *,
     solver_tol: float = 1e-8,
     max_iter: int = 50000,
-    penalty_growth: float = 10.0,
     theta0: np.ndarray | None = None,
-    inner_tol: float = 1e-10,
     rho0: float = 10.0,
 ) -> SolveResult:
     """Elastic-net QP solver.
@@ -416,7 +372,7 @@ def solve_elastic_net(
     augmented-Lagrangian / proximal-gradient loop handles the 1-norm term
     and a rank-deficient constrained design.  SolverError means the
     iteration budget ran out or the rows are left violated by more than
-    solver_tol.
+    solver_tol; InfeasibleError means the rows admit no solution.
     """
     n, m = X.shape
     if A is None or A.shape[0] == 0:
@@ -475,6 +431,8 @@ def solve_elastic_net(
             bs = bs[keep]
             row_norm = row_norm[keep]
             k = len(keep)
+        # the exact consistency test: inconsistent rows raise InfeasibleError
+        _least_distance(As, bs, max_iter)
     else:
         row_norm = np.ones(0)
 
@@ -521,7 +479,6 @@ def solve_elastic_net(
         return out
 
     total_iter = 0
-    traces: list = []
     max_outer = 100 if k else 1
     prev_viol = np.inf
     converged = False
@@ -530,7 +487,6 @@ def solve_elastic_net(
         L = 1.01 * (eig_G + rho * inv_k * eig_A) + 1e-12
         step = 1.0 / L
         f_cur = full_obj(phi)
-        trace = [f_cur]
         z = phi.copy()
         t = 1.0
         inner_converged = False
@@ -556,11 +512,9 @@ def solve_elastic_net(
             stall = stall + 1 if f_cur - f_new <= 1e-15 * (1.0 + abs(f_cur)) else 0
             phi = new_phi
             f_cur = f_new
-            trace.append(f_cur)
-            if delta <= inner_tol * (1.0 + float(np.max(np.abs(phi)))) or stall >= 200:
+            if delta <= INNER_TOL * (1.0 + float(np.max(np.abs(phi)))) or stall >= 200:
                 inner_converged = True
                 break
-        traces.append(trace)
 
         if not k:
             converged = inner_converged
@@ -580,7 +534,7 @@ def solve_elastic_net(
             # must close the gap, and a stalled large violation means the
             # constraint system has no solution.
             if rho < 1e9:
-                rho *= penalty_growth
+                rho *= PENALTY_GROWTH
             elif viol > max(1e6 * solver_tol, 1e-4) and viol > 0.9 * prev_viol:
                 raise InfeasibleError(
                     f"constraint violation stalled at {viol:.3e} with penalty {rho:.1e}; "
@@ -608,7 +562,6 @@ def solve_elastic_net(
         iterations=total_iter,
         max_violation=max_violation,
         objective=_objective(X, y, theta, lam, alpha),
-        objective_trace=traces,
         converged=converged,
     )
 
@@ -625,7 +578,7 @@ def _resolve_columns(data: Dataset, variables, target):
     return list(variables), target
 
 
-def _report(X, y, result: SolveResult, lam, alpha, t0) -> FitReport:
+def _report(X, y, result: SolveResult, t0) -> FitReport:
     resid = X @ result.theta - y
     return FitReport(
         train_rmse=float(np.sqrt(np.mean(resid**2))),
@@ -650,10 +603,9 @@ def fit_unconstrained(
         config.alpha,
         solver_tol=config.solver_tol,
         max_iter=config.max_iter,
-        penalty_growth=config.penalty_growth,
     )
     model = PolyModel.from_coefficient_vector(variables, config.degree, result.theta)
-    return model, _report(X, y, result, config.lam, config.alpha, t0)
+    return model, _report(X, y, result, t0)
 
 
 def _auto_refine_points(n_vars: int, requested: int) -> int:
@@ -787,7 +739,7 @@ def fit_constrained(
     system = compile_constraints(
         constraints, variables, config.degree, config.grid_points_per_dim
     )
-    system.check_trivially_infeasible()
+    rows, rhs = system.rows, system.rhs
 
     refine_pts = _auto_refine_points(len(variables), config.refine_points_per_dim)
     # Rounds stop at a tenth of solver_tol, and the solver enforces the
@@ -809,11 +761,10 @@ def fit_constrained(
     theta0 = warm.theta
     best = None  # (violation, result, model)
     for _round in range(config.refine_rounds + 1):
-        A, b = system.geq_form()
-        norms = np.linalg.norm(A, axis=1)
+        norms = np.linalg.norm(rows, axis=1)
         norms = np.where(norms > 0, norms, 1.0)
-        near_active = (A @ theta0 - b) / norms <= 1e-2
-        A, b = A[near_active], b[near_active]
+        near_active = (rows @ theta0 - rhs) / norms <= 1e-2
+        A, b = rows[near_active], rhs[near_active]
         try:
             result = solve_elastic_net(
                 X,
@@ -824,7 +775,6 @@ def fit_constrained(
                 b,
                 solver_tol=inner_solver_tol,
                 max_iter=config.max_iter,
-                penalty_growth=config.penalty_growth,
                 theta0=theta0,
                 # refits after the first start near the constrained solution, so
                 # skip the penalty ramp-up that a colder start needs
@@ -840,7 +790,6 @@ def fit_constrained(
                 iterations=config.max_iter,
                 max_violation=exc.residual,
                 objective=_objective(X, y, exc.last_iterate, config.lam, config.alpha),
-                objective_trace=[],
                 converged=False,
             )
         theta0 = result.theta
@@ -852,9 +801,11 @@ def fit_constrained(
         if violation <= refine_target:
             break
         for c, entries in zip(constraints, found):
-            for breach, point in entries:
-                pts = {v: np.array([point[v]]) for v in variables}
-                _rows_for_points(c, variables, basis, pts, system)
+            if entries:
+                pts = {v: np.array([point[v] for _, point in entries]) for v in variables}
+                new_rows, new_rhs = _rows_for_points(c, variables, basis, pts)
+                rows = np.vstack([rows, new_rows])
+                rhs = np.concatenate([rhs, new_rhs])
 
     violation, result, model = best
     if violation > config.solver_tol:
@@ -864,7 +815,7 @@ def fit_constrained(
             last_iterate=result.theta,
             residual=violation,
         )
-    report = _report(X, y, result, config.lam, config.alpha, t0)
+    report = _report(X, y, result, t0)
     # report the dense-sample violation, which is the stronger quantity
     report.max_sampled_violation = violation
     return model, report

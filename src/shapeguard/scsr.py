@@ -45,7 +45,6 @@ __all__ = [
     "check_constraints",
     "evolve",
     "select_stopping_generation",
-    "history_to_csv",
 ]
 
 _BINARY = ("add", "sub", "mul", "div")
@@ -503,13 +502,3 @@ def select_stopping_generation(history) -> int:
         if rec.best_test_rmse < history[best].best_test_rmse:
             best = i
     return best
-
-
-def history_to_csv(history) -> str:
-    lines = ["generation,train_rmse,test_rmse,feasible_fraction"]
-    for rec in history:
-        lines.append(
-            f"{rec.generation},{rec.best_train_rmse!r},{rec.best_test_rmse!r},"
-            f"{rec.feasible_fraction!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -83,8 +83,6 @@ def test_set_operations():
         a.intersect(Interval(5.0, 6.0))
     assert a.encloses(Interval(0.5, 1.5))
     assert not a.encloses(b)
-    assert a.min_with(b) == Interval(0.0, 2.0)
-    assert a.max_with(b) == Interval(1.0, 3.0)
 
 
 @given(interval_st, interval_st)

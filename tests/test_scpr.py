@@ -122,32 +122,41 @@ def test_compile_constraints_row_count():
     ]
     system = compile_constraints(cons, ("x", "z"), 2, grid_points_per_dim=4)
     # two-sided value constraint: 2 rows per grid point; one-sided: 1 row
-    assert len(system.rows) == 16 * 2 + 16
-    assert system.n_basis == len(monomial_basis(2, 2))
-    A, b = system.geq_form()
-    assert A.shape == (48, 6) and b.shape == (48,)
+    assert system.rows.shape == (16 * 2 + 16, len(monomial_basis(2, 2)))
+    assert system.rhs.shape == (48,)
 
 
 def test_compiled_rows_encode_derivative_values():
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 2.0)})]
     system = compile_constraints(cons, ("x",), 2, grid_points_per_dim=3)
-    A, b = system.geq_form()
     # d/dx (t0 + t1 x + t2 x^2) = t1 + 2 t2 x at x in {0, 1, 2}
-    got = sorted(map(tuple, A))
+    got = sorted(map(tuple, system.rows))
     assert got == sorted([(0.0, 1.0, 0.0), (0.0, 1.0, 2.0), (0.0, 1.0, 4.0)])
-    np.testing.assert_array_equal(b, np.zeros(3))
+    np.testing.assert_array_equal(system.rhs, np.zeros(3))
+    # a two-sided bound lo <= f <= hi gives, per grid point, the row (M, lo)
+    # and then (-M, -hi), both in the >= form
+    cons = [ShapeConstraint({}, Interval(-1.0, 2.0), {"x": Interval(0.0, 2.0)})]
+    system = compile_constraints(cons, ("x",), 1, grid_points_per_dim=3)
+    np.testing.assert_array_equal(
+        system.rows, [[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 2.0], [-1.0, -2.0]]
+    )
+    np.testing.assert_array_equal(system.rhs, [-1.0, -2.0] * 3)
 
 
-def test_infeasible_constraints_raise():
+@pytest.mark.parametrize("lam, alpha", [(0.0, 0.0), (0.1, 0.5)])
+def test_infeasible_constraints_raise(lam, alpha):
+    # alpha > 0 adds a 1-norm term, so the iterative solver runs.  The gap
+    # between the bounds is too small for its stalled-penalty exit to call
+    # the system infeasible, so only the exact consistency test catches it.
     rng = np.random.default_rng(5)
     d = dataset_1d(rng, n=20, noise=0.1, lo=0.0, hi=1.0)
     region = {"x": Interval(0.0, 1.0)}
     cons = [
-        ShapeConstraint({}, Interval(1.0, math.inf), region),
+        ShapeConstraint({}, Interval(1e-4, math.inf), region),
         ShapeConstraint({}, Interval(-math.inf, 0.0), region),
     ]
     with pytest.raises(InfeasibleError):
-        fit_constrained(d, SCPRConfig(degree=1, lam=0.0), cons)
+        fit_constrained(d, SCPRConfig(degree=1, lam=lam, alpha=alpha), cons)
 
 
 def test_constrained_rmse_never_beats_unconstrained():
