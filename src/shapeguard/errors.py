@@ -29,9 +29,9 @@ class DataError(ShapeguardError):
 class SolverError(ShapeguardError):
     """The optimizer stopped short of its tolerance.
 
-    Either the solver ran out of its iteration budget, or a constrained fit
-    still violates its constraints by more than solver_tol after its
-    refinement rounds.
+    The solver ran out of its iteration budget, or its constraint violation
+    stalled with the penalty at its cap, or a constrained fit still violates
+    its constraints by more than solver_tol after its refinement rounds.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

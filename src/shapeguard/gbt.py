@@ -1,10 +1,19 @@
 """Gradient-boosted regression trees with per-feature monotonicity.
 
-Squared-error boosting with exact greedy splits on sorted unique values.
-Monotone directions apply to the whole input space of a feature: candidate
-splits whose child weights would be mis-ordered are rejected, and accepted
-splits clamp each child's weight range to the parent midpoint, which makes
-every individual tree (and hence the ensemble) monotone by construction.
+Squared-error boosting with exact greedy splits on sorted unique values
+(Chen & Guestrin 2016).  At each node every candidate threshold of a feature
+is scored at once: the prefix sums of the gradients sorted by that feature
+give each split's child gradient sums and counts, and array operations turn
+them into soft-thresholded child weights and gains.  Monotone directions
+apply to the whole input space of a feature: candidate splits whose child
+weights would be mis-ordered are rejected, and accepted splits clamp each
+child's weight range to the parent midpoint, which makes every individual
+tree (and hence the ensemble) monotone by construction.
+
+Ties go to the earliest candidate: features are taken in column order and
+thresholds in ascending order, and a candidate replaces the best split only
+if its gain exceeds the best by more than 1e-15.  Prediction routes arrays of
+row indices down each tree.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ class GBTConfig:
     alpha: float = 0.0
     min_samples_leaf: int = 5
     monotone: dict = field(default_factory=dict)  # variable -> +1 | -1 | 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 0 or self.max_depth < 0 or self.min_samples_leaf < 1:
@@ -110,107 +118,105 @@ class GBTEnsemble:
         )
 
 
-def _leaf_weight(G: float, H: float, lam: float, alpha: float) -> float:
-    """XGBoost-style weight: -soft_threshold(G, alpha) / (H + lam)."""
-    g = math.copysign(max(abs(G) - alpha, 0.0), G)
+def _leaf_weight(G, H, lam: float, alpha: float):
+    """XGBoost-style weight: -soft_threshold(G, alpha) / (H + lam), elementwise."""
+    g = np.copysign(np.maximum(np.abs(G) - alpha, 0.0), G)
     return -g / (H + lam)
 
 
-def _objective(G: float, H: float, w: float, lam: float, alpha: float) -> float:
-    return G * w + 0.5 * (H + lam) * w * w + alpha * abs(w)
+def _objective(G, H, w, lam: float, alpha: float):
+    return G * w + 0.5 * (H + lam) * w * w + alpha * np.abs(w)
 
 
-def _clamp(w: float, lo: float, hi: float) -> float:
-    return min(max(w, lo), hi)
+def _clamp(w, lo: float, hi: float):
+    """min(max(w, lo), hi) elementwise; a tie keeps w, as Python's min and max do."""
+    w = np.where(lo > w, lo, w)
+    return np.where(hi < w, hi, w)
 
 
-def _build_tree(cols, grad, idx, depth, bounds, config: GBTConfig) -> RegTreeNode:
-    G = float(grad[idx].sum())
+def _build_tree(X, names, grad, idx, depth, bounds, config: GBTConfig) -> RegTreeNode:
+    """Grow a subtree on rows idx; X holds one row per feature, in names order."""
+    lam, alpha = config.lam, config.alpha
+    g_node = grad[idx]
+    G = float(g_node.sum())
     H = float(len(idx))
     lo, hi = bounds
-    w = _clamp(_leaf_weight(G, H, config.lam, config.alpha), lo, hi)
+    w = float(_clamp(_leaf_weight(G, H, lam, alpha), lo, hi))
     if depth >= config.max_depth or len(idx) < 2 * config.min_samples_leaf:
         return RegTreeNode(weight=w)
 
-    parent_obj = _objective(G, H, w, config.lam, config.alpha)
-    best = None  # (gain, feature_pos, threshold, wl, wr, mask)
-    for f_pos, name in enumerate(cols.keys()):
-        x = cols[name][idx]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gs = grad[idx][order]
-        csum = np.cumsum(gs)
-        direction = config.monotone.get(name, 0)
-        n = len(idx)
-        # candidate split after position i (left = first i+1 sorted rows)
-        distinct = np.flatnonzero(xs[:-1] < xs[1:])
-        for i in distinct:
-            n_l = i + 1
-            n_r = n - n_l
-            if n_l < config.min_samples_leaf or n_r < config.min_samples_leaf:
-                continue
-            GL = float(csum[i])
-            GR = G - GL
-            wl = _leaf_weight(GL, n_l, config.lam, config.alpha)
-            wr = _leaf_weight(GR, n_r, config.lam, config.alpha)
-            if direction == 1 and wl > wr:
-                continue
-            if direction == -1 and wl < wr:
-                continue
-            wl = _clamp(wl, lo, hi)
-            wr = _clamp(wr, lo, hi)
-            gain = (
-                parent_obj
-                - _objective(GL, n_l, wl, config.lam, config.alpha)
-                - _objective(GR, n_r, wr, config.lam, config.alpha)
-            )
-            threshold = 0.5 * (xs[i] + xs[i + 1])
-            if best is None or gain > best[0] + 1e-15:
-                best = (gain, f_pos, threshold, name)
+    # Row f of each array below is feature f.  The candidate split after
+    # sorted position i gives the left child the first i + 1 rows; only
+    # i in [m - 1, n - m - 1] leaves both children min_samples_leaf rows.
+    n, m = len(idx), config.min_samples_leaf
+    x = X[:, idx]
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = x[np.arange(len(names))[:, None], order]
+    n_l = np.arange(m, n - m + 1)
+    n_r = n - n_l
+    GL = np.cumsum(g_node[order], axis=1)[:, m - 1 : n - m]
+    GR = G - GL
+    wl = _leaf_weight(GL, n_l, lam, alpha)
+    wr = _leaf_weight(GR, n_r, lam, alpha)
+    direction = np.array([[config.monotone.get(name, 0)] for name in names])
+    # a split between equal values is no split; an increasing feature forbids
+    # wl > wr and a decreasing one wl < wr (checked before clamping)
+    legal = (xs[:, m - 1 : n - m] < xs[:, m : n - m + 1]) & (direction * (wl - wr) <= 0)
+    gain = (
+        _objective(G, H, w, lam, alpha)
+        - _objective(GL, n_l, _clamp(wl, lo, hi), lam, alpha)
+        - _objective(GR, n_r, _clamp(wr, lo, hi), lam, alpha)
+    )
+    gain[~legal] = -np.inf
+    # Only a gain above every earlier gain of its feature can beat the running
+    # best by the 1e-15 margin; scan those records feature by feature.
+    running_max = np.maximum.accumulate(gain, axis=1)
+    records = gain > np.column_stack([np.full(len(names), -np.inf), running_max[:, :-1]])
+    best = None
+    for f, j in zip(*np.nonzero(records)):
+        if best is None or gain[f, j] > best[0] + 1e-15:
+            best = (gain[f, j], f, j + m - 1)
     if best is None or best[0] <= 1e-12:
         return RegTreeNode(weight=w)
 
-    _, _, threshold, name = best
-    mask = cols[name][idx] < threshold
+    _, f, i = best
+    name = names[f]
+    threshold = float(0.5 * (xs[f, i] + xs[f, i + 1]))
+    mask = X[f, idx] < threshold
     left_idx = idx[mask]
     right_idx = idx[~mask]
-    direction = config.monotone.get(name, 0)
     # recompute child weights for midpoint propagation
-    wl = _clamp(
-        _leaf_weight(float(grad[left_idx].sum()), float(len(left_idx)), config.lam, config.alpha),
-        lo,
-        hi,
-    )
-    wr = _clamp(
-        _leaf_weight(float(grad[right_idx].sum()), float(len(right_idx)), config.lam, config.alpha),
-        lo,
-        hi,
-    )
-    if direction == 1:
-        mid = 0.5 * (wl + wr)
+    Gc = np.array([grad[left_idx].sum(), grad[right_idx].sum()])
+    Hc = np.array([len(left_idx), len(right_idx)], dtype=float)
+    wl, wr = _clamp(_leaf_weight(Gc, Hc, lam, alpha), lo, hi)
+    if direction[f, 0] == 1:
+        mid = float(0.5 * (wl + wr))
         left_bounds, right_bounds = (lo, mid), (mid, hi)
-    elif direction == -1:
-        mid = 0.5 * (wl + wr)
+    elif direction[f, 0] == -1:
+        mid = float(0.5 * (wl + wr))
         left_bounds, right_bounds = (mid, hi), (lo, mid)
     else:
         left_bounds = right_bounds = (lo, hi)
     return RegTreeNode(
         variable=name,
-        threshold=float(threshold),
-        left=_build_tree(cols, grad, left_idx, depth + 1, left_bounds, config),
-        right=_build_tree(cols, grad, right_idx, depth + 1, right_bounds, config),
+        threshold=threshold,
+        left=_build_tree(X, names, grad, left_idx, depth + 1, left_bounds, config),
+        right=_build_tree(X, names, grad, right_idx, depth + 1, right_bounds, config),
     )
 
 
 def _predict_tree(node: RegTreeNode, cols, n: int) -> np.ndarray:
-    if node.is_leaf:
-        return np.full(n, node.weight)
+    """One tree's leaf weights for n rows, routing row-index arrays down the tree."""
     out = np.empty(n)
-    mask = np.asarray(cols[node.variable], dtype=float) < node.threshold
-    left_cols = {k: np.asarray(v, dtype=float)[mask] for k, v in cols.items()}
-    right_cols = {k: np.asarray(v, dtype=float)[~mask] for k, v in cols.items()}
-    out[mask] = _predict_tree(node.left, left_cols, int(mask.sum()))
-    out[~mask] = _predict_tree(node.right, right_cols, int(n - mask.sum()))
+    stack = [(node, np.arange(n))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.weight
+            continue
+        go_left = cols[node.variable][rows] < node.threshold
+        stack.append((node.left, rows[go_left]))
+        stack.append((node.right, rows[~go_left]))
     return out
 
 
@@ -229,6 +235,7 @@ def fit_gbt(data: Dataset, config: GBTConfig, features=None, target=None) -> GBT
         raise ConfigError(f"monotone constraints on unknown features {sorted(unknown)}")
 
     cols = {f: data.columns[f] for f in features}
+    X = np.array(list(cols.values())).reshape(len(cols), data.n_rows)
     y = data.y
     base = float(y.mean())
     pred = np.full(data.n_rows, base)
@@ -243,7 +250,7 @@ def fit_gbt(data: Dataset, config: GBTConfig, features=None, target=None) -> GBT
     stumped = False
     for _ in range(config.n_trees):
         grad = pred - y  # gradient of 0.5 * (pred - y)^2
-        tree = _build_tree(cols, grad, idx, 0, bounds, config)
+        tree = _build_tree(X, ensemble.features, grad, idx, 0, bounds, config)
         if tree.is_leaf and abs(tree.weight) < 1e-15:
             stumped = True
             break
@@ -256,6 +263,11 @@ def fit_gbt(data: Dataset, config: GBTConfig, features=None, target=None) -> GBT
 
 def predict_gbt(ensemble: GBTEnsemble, columns) -> np.ndarray:
     """Base score plus learning-rate-scaled tree contributions."""
+    missing = [f for f in ensemble.features if f not in columns]
+    if missing:
+        raise SchemaError(f"input columns missing for features {missing}")
+    if not columns:
+        raise SchemaError("no input columns")
     first = next(iter(columns.values()))
     n = len(np.atleast_1d(np.asarray(first, dtype=float)))
     cols = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in columns.items()}

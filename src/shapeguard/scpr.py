@@ -371,8 +371,9 @@ def solve_elastic_net(
     squares, or least squares with inequalities through NNLS.  The
     augmented-Lagrangian / proximal-gradient loop handles the 1-norm term
     and a rank-deficient constrained design.  SolverError means the
-    iteration budget ran out or the rows are left violated by more than
-    solver_tol; InfeasibleError means the rows admit no solution.
+    iteration budget ran out, the violation stalled with the penalty at its
+    cap, or the rows are left violated by more than solver_tol;
+    InfeasibleError means the rows admit no solution.
     """
     n, m = X.shape
     if A is None or A.shape[0] == 0:
@@ -531,14 +532,16 @@ def solve_elastic_net(
             break
         if viol > 0.25 * prev_viol:
             # Cap the penalty: past this point the multiplier updates alone
-            # must close the gap, and a stalled large violation means the
-            # constraint system has no solution.
+            # must close the gap.  The rows passed the exact consistency test
+            # above, so a stall here is the solver's failure, not infeasibility.
             if rho < 1e9:
                 rho *= PENALTY_GROWTH
             elif viol > max(1e6 * solver_tol, 1e-4) and viol > 0.9 * prev_viol:
-                raise InfeasibleError(
-                    f"constraint violation stalled at {viol:.3e} with penalty {rho:.1e}; "
-                    "the compiled system appears infeasible"
+                raise SolverError(
+                    f"constraint violation stalled at {viol:.3e} with the penalty at its "
+                    f"cap {rho:.1e}",
+                    last_iterate=T @ phi,
+                    residual=viol,
                 )
         prev_viol = viol
 

@@ -8,13 +8,14 @@ import pytest
 from shapeguard import (
     ConfigError,
     Dataset,
+    SchemaError,
     GBTConfig,
     GBTEnsemble,
     fit_gbt,
     monotonicity_audit,
     predict_gbt,
 )
-from shapeguard.gbt import _leaf_weight
+from shapeguard.gbt import _build_tree, _leaf_weight
 
 
 def make_data(n=300, seed=0, monotone=True):
@@ -120,3 +121,107 @@ def test_config_validation():
         GBTConfig(monotone={"a": 2})
     with pytest.raises(ConfigError):
         GBTConfig(min_samples_leaf=0)
+
+
+def test_predict_names_missing_feature():
+    d = make_data(50)
+    ens = fit_gbt(d, GBTConfig(n_trees=5))
+    with pytest.raises(SchemaError, match="'b'"):
+        predict_gbt(ens, {"a": d.columns["a"]})
+
+
+def test_predict_rejects_empty_columns():
+    d = make_data(50)
+    ens = fit_gbt(d, GBTConfig(n_trees=5))
+    with pytest.raises(SchemaError):
+        predict_gbt(ens, {})
+
+
+def reference_split(cols, grad, idx, bounds, config):
+    """The per-threshold scalar split search, kept as the oracle for _build_tree."""
+
+    def leaf_weight(G, H):
+        g = math.copysign(max(abs(G) - config.alpha, 0.0), G)
+        return -g / (H + config.lam)
+
+    def objective(G, H, w):
+        return G * w + 0.5 * (H + config.lam) * w * w + config.alpha * abs(w)
+
+    def clamp(w):
+        return min(max(w, lo), hi)
+
+    lo, hi = bounds
+    G = float(grad[idx].sum())
+    n = len(idx)
+    parent_obj = objective(G, float(n), clamp(leaf_weight(G, float(n))))
+    best = None
+    for name in cols:
+        x = cols[name][idx]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        csum = np.cumsum(grad[idx][order])
+        direction = config.monotone.get(name, 0)
+        for i in np.flatnonzero(xs[:-1] < xs[1:]):
+            n_l = i + 1
+            n_r = n - n_l
+            if n_l < config.min_samples_leaf or n_r < config.min_samples_leaf:
+                continue
+            GL = float(csum[i])
+            GR = G - GL
+            wl = leaf_weight(GL, n_l)
+            wr = leaf_weight(GR, n_r)
+            if direction == 1 and wl > wr:
+                continue
+            if direction == -1 and wl < wr:
+                continue
+            gain = parent_obj - objective(GL, n_l, clamp(wl)) - objective(GR, n_r, clamp(wr))
+            if best is None or gain > best[0] + 1e-15:
+                best = (gain, name, float(0.5 * (xs[i] + xs[i + 1])))
+    if best is None or best[0] <= 1e-12:
+        return None
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_matches_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 80))
+    cols = {
+        "p": rng.choice([0.0, 1 / 3, 2 / 3, 1.0], n),
+        "v": rng.choice([0.1, 0.4, 0.7, 0.9], n),
+        "c": np.round(rng.uniform(0, 1, n), 1),
+    }
+    grad = rng.normal(size=n) + 0.5 * cols["p"] - 0.8 * cols["v"]
+    idx = np.sort(rng.choice(n, size=int(rng.integers(n // 2, n + 1)), replace=False))
+    # min_samples_leaf at the edge: a split is legal only near the middle
+    msl = int(rng.integers(1, max(2, len(idx) // 2 + 1)))
+    config = GBTConfig(
+        max_depth=1,
+        lam=float(rng.choice([0.0, 1.0])),
+        alpha=float(rng.choice([0.0, 0.3])),
+        min_samples_leaf=msl,
+        monotone={"p": int(rng.choice([-1, 0, 1])), "v": int(rng.choice([-1, 1]))},
+    )
+    bounds = (-math.inf, math.inf)
+    if seed % 3:
+        bounds = (float(rng.uniform(-0.3, 0)), float(rng.uniform(0, 0.3)))
+    node = _build_tree(np.stack(list(cols.values())), list(cols), grad, idx, 0, bounds, config)
+    expect = reference_split(cols, grad, idx, bounds, config)
+    got = None if node.is_leaf else (node.variable, node.threshold)
+    assert got == expect
+
+
+def test_identical_columns_split_on_the_first():
+    rng = np.random.default_rng(7)
+    x = rng.choice([0.0, 0.25, 0.5, 1.0], 200)
+    y = 3.0 * x + rng.normal(0, 0.05, 200)
+    d = Dataset("d", {"a": x, "b": x.copy(), "y": y}, "y")
+    for first, second in (("a", "b"), ("b", "a")):
+        ens = fit_gbt(d, GBTConfig(n_trees=5), features=[first, second])
+        stack = list(ens.trees)
+        assert not stack[0].is_leaf
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                assert node.variable == first
+                stack += [node.left, node.right]
