@@ -43,6 +43,9 @@ DEFAULT_GRID = {
     "alpha": [0.0, 0.5, 1.0],
 }
 
+# --config keys read by the subcommands themselves rather than by a config class
+_CLI_CONFIG_KEYS = {"grid", "cert_grid", "cert_tol"}
+
 
 def _jsonable(obj):
     """Recursively convert report values; non-finite floats become strings."""
@@ -90,6 +93,9 @@ def _algo_config(algorithm: str, overrides: dict, seed):
     }
     cls = classes[algorithm]
     names = {f.name for f in dc_fields(cls)}
+    unknown = sorted(set(overrides) - names - _CLI_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown --config keys for {algorithm!r}: {', '.join(unknown)}")
     kwargs = {k: v for k, v in overrides.items() if k in names}
     if seed is not None and "seed" in names:
         kwargs.setdefault("seed", seed)

@@ -8,6 +8,11 @@ differentiation, and any violating (or NaN-producing) individual is assigned
 the error of the worst feasible individual, which preserves its genetic
 material without ever letting it win.
 
+Scoring is a pure function of the tree, so each distinct tree is scored once
+per ``evolve`` call and its result reused by every copy of it.  Constraints
+are checked with one interval walk per differentiated variable and region,
+at the highest derivative order the constraints on it need.
+
 Trees are immutable nested tuples::
 
     ('const', 1.5)
@@ -25,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ShapeConstraint
 from .datasets import Dataset
 from .errors import ArityError, ConfigError
 from .intervals import Interval
@@ -64,6 +68,11 @@ class GAConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ConfigError("population must be >= 2")
+        for name in ("max_generations", "tournament_size", "max_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.elitism <= self.population:
+            raise ConfigError("elitism must lie in [0, population]")
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("probabilities must lie in [0, 1]")
@@ -264,33 +273,36 @@ def tree_derivative_interval(t: tuple, var: str, region) -> Interval:
         return Interval.whole()
 
 
-def _constraint_enclosure(t: tuple, c: ShapeConstraint, scale) -> Interval:
-    a, b = scale
-    order = c.order
-    try:
-        if order == 0:
-            raw = _ieval(t, c.region, "", 0)[0]
-            return raw * a + b
-        (var, k), = c.derivative.items()
-        raw = _ieval(t, c.region, var, k)[k]
-        return raw * a
-    except _UnboundedDerivative:
-        return Interval.whole()
-
-
 def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
     """Interval feasibility of the (affinely scaled) tree.
 
     Conservative: interval enclosures may reject trees that actually satisfy
-    the constraints, never the converse.
+    the constraints, never the converse.  Constraints on the same variable
+    (value constraints count as variable ``""``) over the same region share
+    one walk at the highest order among them; a component comes out of the
+    same float operations whatever the walk's order.
     """
-    enclosures = []
-    feasible = True
-    for c in constraints:
-        enc = _constraint_enclosure(t, c, scale)
-        enclosures.append(enc)
-        if not c.bound.encloses(enc):
-            feasible = False
+    a, b = scale
+    constraints = list(constraints)
+    groups = {}
+    for i, c in enumerate(constraints):
+        (var, k), = c.derivative.items() if c.derivative else (("", 0),)
+        groups.setdefault((var, frozenset(c.region.items())), []).append((i, k))
+    enclosures = [None] * len(constraints)
+    for (var, _), members in groups.items():
+        region = constraints[members[0][0]].region
+        try:
+            walk = _ieval(t, region, var, max(k for _, k in members))
+        except _UnboundedDerivative:
+            walk = None
+        for i, k in members:
+            if walk is None:
+                enclosures[i] = Interval.whole()
+            elif k == 0:
+                enclosures[i] = walk[0] * a + b
+            else:
+                enclosures[i] = walk[k] * a
+    feasible = all(c.bound.encloses(enc) for c, enc in zip(constraints, enclosures))
     return feasible, enclosures
 
 
@@ -442,9 +454,17 @@ def evolve(
 
     pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
     history: list[GenerationRecord] = []
+    # _evaluate is a pure function of the tree here, and the converged
+    # population is mostly repeats, so each distinct tree is scored once
+    scored = {}
 
     for gen in range(config.max_generations):
-        evals = [_evaluate(t, train_cols, y_train, constraints) for t in pop]
+        evals = []
+        for t in pop:
+            result = scored.get(t)
+            if result is None:
+                result = scored[t] = _evaluate(t, train_cols, y_train, constraints)
+            evals.append(result)
         feasible_errs = [e for e, _, ok in evals if ok and e is not None]
         worst = max(feasible_errs) if feasible_errs else math.inf
         fitness = [e if (ok and e is not None) else worst for e, _, ok in evals]

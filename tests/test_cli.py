@@ -156,3 +156,21 @@ def test_error_exit_codes(tmp_path):
 
     proc = run("frobnicate")
     assert proc.returncode == 2
+
+
+def test_algo_config_rejects_misspelt_key():
+    from shapeguard.cli import _algo_config
+    from shapeguard.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="populaton"):
+        _algo_config("scsr", {"populaton": 10}, 0)
+    with pytest.raises(ConfigError, match="max_dept, n_tree"):
+        _algo_config("gbt", {"n_tree": 5, "max_dept": 2}, 0)
+
+
+def test_algo_config_accepts_cli_keys():
+    from shapeguard.cli import _algo_config
+
+    overrides = {"degree": 5, "grid": {"degree": [2]}, "cert_grid": 16, "cert_tol": 1e-8}
+    assert _algo_config("scpr", overrides, 0).degree == 5
+    assert _algo_config("scsr", {"population": 10, "grid": {}}, 4).seed == 4

@@ -2,6 +2,7 @@
 
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shapeguard import (
     eval_tree,
     eval_tree_columns,
     evolve,
+    parse_constraints,
     select_stopping_generation,
     tree_derivative_interval,
     tree_from_json,
@@ -22,6 +24,8 @@ from shapeguard import (
     tree_to_json,
     tree_value_interval,
 )
+from shapeguard import scsr
+from shapeguard.errors import ConfigError
 from shapeguard.scsr import crossover, mutate, random_tree, tree_size, tree_variables
 
 
@@ -176,3 +180,90 @@ def test_stopping_picks_earliest_minimum():
         GenerationRecord(2, 1.0, 0.2, ("var", "x"), 1.0),
     ]
     assert select_stopping_generation(recs) == 1
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("max_generations", {"max_generations": 0}),
+        ("tournament_size", {"tournament_size": 0}),
+        ("max_size", {"max_size": 0}),
+        ("elitism", {"elitism": -1}),
+        ("elitism", {"population": 10, "elitism": 11}),
+    ],
+)
+def test_gaconfig_rejects_settings_that_break_the_ga(field, kwargs):
+    with pytest.raises(ConfigError, match=field):
+        GAConfig(**kwargs)
+
+
+def test_gaconfig_accepts_the_edge_values():
+    GAConfig(population=10, max_generations=1, tournament_size=1, max_size=1, elitism=0)
+    GAConfig(population=10, elitism=10)
+
+
+def test_evolve_checks_each_distinct_tree_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1, 60)
+    y = 2.0 * x + 1.0 + 0.05 * rng.normal(size=60)
+    tr = Dataset("tr", {"x": x[:40], "y": y[:40]}, "y")
+    te = Dataset("te", {"x": x[40:], "y": y[40:]}, "y")
+    region = {"x": Interval(0.0, 1.0)}
+    cons = [
+        ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region),
+        ShapeConstraint({}, Interval(-10.0, 10.0), region),
+    ]
+    cfg = GAConfig(population=40, max_generations=12, seed=3)
+    seen = []
+    original = scsr.check_constraints
+
+    def recording(t, constraints, scale=(1.0, 0.0)):
+        seen.append(t)
+        return original(t, constraints, scale)
+
+    monkeypatch.setattr(scsr, "check_constraints", recording)
+    history = evolve(tr, te, cfg, cons)
+    assert len(seen) == len(set(seen))
+    assert len(seen) < cfg.population * cfg.max_generations  # repeats were reused
+
+    train_cols = {"x": tr.columns["x"]}
+    for rec in history:
+        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, tr.y, cons)
+        assert feasible
+        assert err == rec.best_train_rmse
+        assert scale == rec.best_scale
+
+
+def _per_constraint_enclosure(t, c, scale):
+    """One full interval walk per constraint: the check before walks were shared."""
+    a, b = scale
+    try:
+        if c.order == 0:
+            return scsr._ieval(t, c.region, "", 0)[0] * a + b
+        (var, k), = c.derivative.items()
+        return scsr._ieval(t, c.region, var, k)[k] * a
+    except scsr._UnboundedDerivative:
+        return Interval.whole()
+
+
+def test_shared_walks_match_one_walk_per_constraint():
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+        + "d1 p <= 0 on p in [0.2, 0.8]\n"
+    )
+    cons = spec.constraints
+    assert cons[-1].region != cons[-2].region
+    rng = random.Random(8)
+    scale = (-1.7, 0.3)
+    unbounded = feasible = 0
+    for _ in range(400):
+        t = random_tree(rng, ["p", "v", "T"], 4)
+        ok, encs = check_constraints(t, cons, scale)
+        oracle = [_per_constraint_enclosure(t, c, scale) for c in cons]
+        assert ok == all(c.bound.encloses(e) for c, e in zip(cons, oracle))
+        for enc, ref in zip(encs, oracle):
+            assert (enc.lo.hex(), enc.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+        unbounded += any(e == Interval.whole() for e in oracle)
+        feasible += ok
+    # the cases cover zero-containing denominators and both verdicts
+    assert unbounded > 20 and 0 < feasible < 400
