@@ -3,8 +3,12 @@
 An expert constraint file bounds the model value and the first two partial
 derivatives with respect to pressure and temperature over the unit box.  We
 fit a degree-3 polynomial to a synthetic friction dataset under those
-constraints and then certify every constraint with adaptive interval
-bisection: CERTIFIED is a guarantee over the whole box, not a sample.
+constraints and then certify every constraint by Bernstein subdivision.
+The Bernstein coefficients of each derivative on a box enclose its range
+there, so CERTIFIED is a guarantee over the whole box, not a sample, and it
+holds under floating-point rounding because every box carries a bound on the
+error of its coefficients.  A breaching corner coefficient, re-evaluated at
+its corner, is the witness of a VIOLATED constraint.
 """
 
 from importlib import resources

@@ -3,7 +3,7 @@
 The data come from an increasing cubic plus noise; with enough noise the
 unconstrained degree-3 least-squares fit wiggles and its derivative dips
 below zero.  Adding the constraint d f/dx >= 0 removes the dip at the cost
-of a slightly larger training error, and interval certification turns the
+of a slightly larger training error, and Bernstein certification turns the
 claim "monotone everywhere" into a guarantee rather than a spot check.
 """
 

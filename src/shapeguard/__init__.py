@@ -2,8 +2,8 @@
 
 Fits polynomial, symbolic, and boosted-tree regressors under shape
 constraints (bounds on the model value and its first or second partial
-derivatives over a box), certifies fitted polynomials with interval
-arithmetic, and classifies measurement datasets as valid or invalid by
+derivatives over a box), certifies fitted polynomials by Bernstein
+subdivision, and classifies measurement datasets as valid or invalid by
 thresholding per-segment training error.
 """
 
@@ -25,7 +25,7 @@ from .errors import (
     SolverError,
 )
 from .gbt import GBTConfig, GBTEnsemble, fit_gbt, monotonicity_audit, predict_gbt
-from .intervals import Interval, box_width, split_box
+from .intervals import Interval
 from .poly import MultiIndex, PolyModel, monomial_basis
 from .scpr import (
     FitReport,
@@ -100,7 +100,6 @@ __all__ = [
     "SolverError",
     "ValidationConfig",
     "ValidationReport",
-    "box_width",
     "build_design_matrix",
     "certify",
     "check_constraints",
@@ -128,7 +127,6 @@ __all__ = [
     "select_stopping_generation",
     "serialize_constraints",
     "solve_elastic_net",
-    "split_box",
     "synth_generate",
     "tree_derivative_interval",
     "tree_from_json",

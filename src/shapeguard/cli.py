@@ -44,7 +44,7 @@ DEFAULT_GRID = {
 }
 
 # --config keys read by the subcommands themselves rather than by a config class
-_CLI_CONFIG_KEYS = {"grid", "cert_grid", "cert_tol"}
+_CLI_CONFIG_KEYS = {"grid", "cert_tol"}
 
 
 def _jsonable(obj):
@@ -197,12 +197,7 @@ def _cmd_certify(args) -> int:
     spec = _load_spec(args.constraints)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     overrides = _load_config(args.config)
-    report = run_certification(
-        model,
-        spec.constraints,
-        grid_points_per_dim=int(overrides.get("cert_grid", 64)),
-        tol=float(overrides.get("cert_tol", 1e-9)),
-    )
+    report = run_certification(model, spec.constraints, tol=float(overrides.get("cert_tol", 1e-9)))
     _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Interval", "Box", "box_width", "split_box"]
+__all__ = ["Interval"]
 
 INF = math.inf
 
@@ -59,21 +59,8 @@ class Interval:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        if not self.is_finite():
-            raise DomainError("midpoint of an unbounded interval")
-        return 0.5 * (self.lo + self.hi)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -168,23 +155,3 @@ class Interval:
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
-
-# A Box is a per-variable interval map; constraint regions must be finite.
-Box = dict
-
-
-def box_width(box: Box) -> float:
-    """Largest side length of the box."""
-    return max((iv.width for iv in box.values()), default=0.0)
-
-
-def split_box(box: Box) -> tuple[Box, Box]:
-    """Bisect the box along its widest dimension."""
-    var = max(box, key=lambda v: box[v].width)
-    iv = box[var]
-    mid = iv.mid
-    left = dict(box)
-    right = dict(box)
-    left[var] = Interval(iv.lo, mid)
-    right[var] = Interval(mid, iv.hi)
-    return left, right

@@ -1,11 +1,26 @@
-"""Certification: verdict correctness and interval-bound soundness."""
+"""Certification: verdict correctness and Bernstein-bound soundness."""
 
+import itertools
 import math
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from shapeguard import Interval, PolyModel, ShapeConstraint, certify, monomial_basis
+from shapeguard import (
+    Interval,
+    PolyModel,
+    SCPRConfig,
+    ShapeConstraint,
+    certify,
+    fit_unconstrained,
+    make_corpus,
+    monomial_basis,
+    parse_constraints,
+    scale_unit,
+)
+from shapeguard.certify import _bernstein
 
 
 def region1d(lo=-1.0, hi=1.0):
@@ -33,6 +48,18 @@ def test_violated_with_witness_point():
     assert entry.worst_violation == pytest.approx(1.0, abs=1e-3)
     x = entry.worst_point["x"]
     assert 3 * x**2 - 1 == pytest.approx(-entry.worst_violation, abs=1e-9)
+    assert entry.enclosure.lo <= -1.0  # f'(0) = -1 lies inside the enclosure
+
+
+def test_witness_is_the_breaching_corner():
+    # g = 4 (x - 1/2)^2 - 1/2 is >= 0 at every corner until the second split
+    # puts one at x = 1/2, inside the right half of [-1, 1]
+    model = PolyModel(("x",), 2, {(2,): 4.0, (1,): -4.0, (0,): 0.5})
+    cons = [ShapeConstraint({}, Interval(0.0, math.inf), region1d())]
+    entry = certify(model, cons).entries[0]
+    assert entry.verdict == "VIOLATED"
+    assert entry.worst_point == {"x": 0.5}
+    assert entry.worst_violation == 0.5
 
 
 def test_touching_extremum_is_certified():
@@ -125,3 +152,134 @@ def test_report_serialization():
     assert obj["all_certified"] is True
     assert obj["constraints"][0]["verdict"] == "CERTIFIED"
     assert len(obj["constraints"][0]["enclosure"]) == 2
+
+
+def dense_values(model, c, per_dim):
+    deriv = model.derivative(c.derivative_tuple(model.variables))
+    axes = [np.linspace(c.region[v].lo, c.region[v].hi, per_dim) for v in model.variables]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return deriv, deriv.evaluate_columns({v: m.ravel() for v, m in zip(model.variables, mesh)})
+
+
+def breach_at(deriv, c, point):
+    value = deriv.evaluate(point)
+    return max(c.bound.lo - value, value - c.bound.hi)
+
+
+def assert_entry_sound(model, c, entry, per_dim):
+    deriv, vals = dense_values(model, c, per_dim)
+    slack = 1e-12 * (1.0 + float(np.abs(vals).max()))
+    assert entry.enclosure.lo <= vals.min() + slack
+    assert vals.max() - slack <= entry.enclosure.hi
+    if entry.verdict == "VIOLATED":
+        assert entry.worst_violation > 1e-9
+        assert all(c.region[v].contains(x) for v, x in entry.worst_point.items())
+        assert breach_at(deriv, c, entry.worst_point) == entry.worst_violation
+    else:
+        assert entry.worst_violation == 0.0 and entry.worst_point is None
+
+
+def test_random_sweep_enclosures_and_witnesses():
+    # every verdict's enclosure holds the sampled range and every VIOLATED
+    # witness breaches; the small budget makes many sweeps stop early
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(60):
+        model, c = random_case(rng, int(rng.integers(1, 3)))
+        for max_boxes in (4000, 5):
+            entry = certify(model, [c], max_boxes=max_boxes).entries[0]
+            assert entry.boxes_examined <= max_boxes
+            seen.add(entry.verdict)
+            assert_entry_sound(model, c, entry, 60)
+    assert seen == {"CERTIFIED", "VIOLATED", "UNDECIDED"}
+
+
+def test_corpus_fit_witnesses_breach():
+    text = resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    constraints = parse_constraints(text).constraints
+    violated = 0
+    for ds in make_corpus(18, 35, seed=0)[:5]:
+        scaled, _ = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
+        model, _ = fit_unconstrained(scaled, SCPRConfig(degree=3, lam=1e-6))
+        for c, entry in zip(constraints, certify(model, constraints).entries):
+            violated += entry.verdict == "VIOLATED"
+            assert_entry_sound(model, c, entry, 30)
+    assert violated > 0
+
+
+def exact_bernstein(model, c):
+    """Bernstein coefficients of the model's exact derivative, in rationals."""
+    wrt = c.derivative_tuple(model.variables)
+    lo = [Fraction(c.region[v].lo) for v in model.variables]
+    width = [Fraction(c.region[v].hi) - a for v, a in zip(model.variables, lo)]
+    coeffs = {}
+    for alpha, a in model.coeffs.items():
+        if all(e >= k for e, k in zip(alpha, wrt)):
+            factor = Fraction(a)
+            for e, k in zip(alpha, wrt):
+                factor *= math.perm(e, k)
+            coeffs[tuple(e - k for e, k in zip(alpha, wrt))] = factor
+    degrees = [max((a[i] for a in coeffs), default=0) for i in range(len(lo))]
+    out = {}
+    for m in itertools.product(*(range(d + 1) for d in degrees)):
+        total = Fraction(0)
+        for alpha, a in coeffs.items():
+            # x**j = sum_k C(j, k) lo**(j-k) width**k t**k, and t**k has
+            # Bernstein coefficient C(m, k) / C(d, k) at index m
+            for k in itertools.product(*(range(e + 1) for e in alpha)):
+                term = a
+                for i, (j, ki) in enumerate(zip(alpha, k)):
+                    term *= math.comb(j, ki) * lo[i] ** (j - ki) * width[i] ** ki
+                    term *= Fraction(math.comb(m[i], ki), math.comb(degrees[i], ki))
+                total += term
+        out[m] = total
+    return out
+
+
+def test_bernstein_coefficients_enclose_exact_rationals():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        model, c = random_case(rng, int(rng.integers(1, 4)))
+        order = sum(c.derivative_tuple(model.variables))
+        lo = np.array([c.region[v].lo for v in model.variables])
+        hi = np.array([c.region[v].hi for v in model.variables])
+        coeffs, err, _ = _bernstein(model.derivative(c.derivative_tuple(model.variables)), lo, hi, order)
+        exact = exact_bernstein(model, c)
+        assert coeffs.shape[1:] == tuple(1 + max(m[i] for m in exact) for i in range(len(lo)))
+        scale = float(np.abs(coeffs).max())
+        assert err[0] <= 1e-12 * (1.0 + scale)  # the bound is not vacuous
+        for m, value in exact.items():
+            assert abs(Fraction(float(coeffs[(0, *m)])) - value) <= Fraction(float(err[0]))
+
+
+@pytest.mark.parametrize("max_boxes", [1, 2, 3, 64, 501])
+def test_undecided_stays_within_box_budget(max_boxes):
+    # f' = 3 (x - 1/3)^2 touches 0 at a non-dyadic point: with tol 0 no box
+    # around it ever closes and no corner breaches
+    model = PolyModel(("x",), 3, {(3,): 1.0, (2,): -1.0, (1,): 1.0 / 3.0})
+    cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
+    entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+    assert entry.verdict == "UNDECIDED"
+    assert 1 <= entry.boxes_examined <= max_boxes
+    assert_entry_sound(model, cons[0], entry, 2001)
+
+
+def test_zero_width_axis():
+    # f = x^2 y + y^3 on a region where y is pinned to 0.5
+    model = PolyModel(("x", "y"), 3, {(2, 1): 1.0, (0, 3): 1.0})
+    line = {"x": Interval(-1.0, 1.0), "y": Interval(0.5, 0.5)}
+    point = {"x": Interval(0.2, 0.2), "y": Interval(0.5, 0.5)}
+    cons = [
+        ShapeConstraint({"y": 1}, Interval(0.75, math.inf), line),  # x^2 + 3y^2, touches at x = 0
+        ShapeConstraint({"x": 1}, Interval(0.0, math.inf), line),  # 2xy, -1 at x = -1
+        ShapeConstraint({}, Interval(0.0, 0.165), point),  # f = 0.145
+        ShapeConstraint({}, Interval(0.15, math.inf), point),
+    ]
+    entries = certify(model, cons).entries
+    assert [e.verdict for e in entries] == ["CERTIFIED", "VIOLATED", "CERTIFIED", "VIOLATED"]
+    assert entries[1].worst_point == {"x": -1.0, "y": 0.5}
+    assert entries[1].worst_violation == pytest.approx(1.0)
+    assert entries[3].worst_point == {"x": 0.2, "y": 0.5}
+    assert entries[3].worst_violation == pytest.approx(0.005)
+    for c, e in zip(cons, entries):
+        assert_entry_sound(model, c, e, 41)

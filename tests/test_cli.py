@@ -166,11 +166,13 @@ def test_algo_config_rejects_misspelt_key():
         _algo_config("scsr", {"populaton": 10}, 0)
     with pytest.raises(ConfigError, match="max_dept, n_tree"):
         _algo_config("gbt", {"n_tree": 5, "max_dept": 2}, 0)
+    with pytest.raises(ConfigError, match="cert_grid"):
+        _algo_config("scpr", {"cert_grid": 16}, 0)
 
 
 def test_algo_config_accepts_cli_keys():
     from shapeguard.cli import _algo_config
 
-    overrides = {"degree": 5, "grid": {"degree": [2]}, "cert_grid": 16, "cert_tol": 1e-8}
+    overrides = {"degree": 5, "grid": {"degree": [2]}, "cert_tol": 1e-8}
     assert _algo_config("scpr", overrides, 0).degree == 5
     assert _algo_config("scsr", {"population": 10, "grid": {}}, 4).seed == 4

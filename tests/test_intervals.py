@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from shapeguard import DomainError, Interval, box_width, split_box
+from shapeguard import DomainError, Interval
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -122,13 +122,3 @@ def test_div_encloses_samples(a, b):
     # directly, since inf - inf would be NaN
     tol = 1e-6 * max([1.0] + [abs(e) for e in (res.lo, res.hi) if math.isfinite(e)])
     assert res.lo - tol <= vals.min() and vals.max() <= res.hi + tol
-
-
-def test_box_helpers():
-    box = {"x": Interval(0.0, 4.0), "y": Interval(0.0, 1.0)}
-    assert box_width(box) == 4.0
-    left, right = split_box(box)
-    assert left["x"] == Interval(0.0, 2.0)
-    assert right["x"] == Interval(2.0, 4.0)
-    assert left["y"] == box["y"] and right["y"] == box["y"]
-    assert box_width({}) == 0.0

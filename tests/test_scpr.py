@@ -62,21 +62,35 @@ def test_ridge_matches_closed_form():
     np.testing.assert_allclose(model.coefficient_vector(), expect, rtol=1e-6, atol=1e-8)
 
 
-def test_elastic_net_matches_cvxpy():
-    cvxpy = pytest.importorskip("cvxpy")
+def test_elastic_net_matches_scipy():
+    # oracle: L-BFGS-B on the sign-split problem, theta = (t0, tp - tn) with
+    # tp, tn >= 0, where the 1-norm term is linear and the objective smooth
+    optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2)
     for alpha in (1.0, 0.5):
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
         y = rng.normal(size=30)
         lam = 0.1
         n = 30
-        t = cvxpy.Variable(4)
-        obj = (1.0 / n) * cvxpy.sum_squares(X @ t - y) + lam * (
-            alpha * cvxpy.norm1(t[1:]) + 0.5 * (1 - alpha) * cvxpy.sum_squares(t[1:])
+
+        def objective(z):
+            tp, tn = z[1:4], z[4:]
+            t = np.r_[z[0], tp - tn]
+            r = X @ t - y
+            ridge = 0.5 * (1 - alpha) * (tp - tn)
+            value = r @ r / n + lam * (alpha * (tp.sum() + tn.sum()) + ridge @ (tp - tn))
+            g = (2.0 / n) * X.T @ r
+            g_pen = g[1:] + lam * 2.0 * ridge
+            return value, np.r_[g[0], g_pen + lam * alpha, -g_pen + lam * alpha]
+
+        bounds = [(None, None)] + [(0.0, None)] * 6
+        opt = optimize.minimize(
+            objective, np.zeros(7), jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000},
         )
-        cvxpy.Problem(cvxpy.Minimize(obj)).solve()
+        expect = np.r_[opt.x[0], opt.x[1:4] - opt.x[4:]]
         res = solve_elastic_net(X, y, lam, alpha)
-        np.testing.assert_allclose(res.theta, t.value, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(res.theta, expect, rtol=1e-4, atol=1e-6)
 
 
 def clipped_slope_oracle(x, y, sign):
