@@ -19,7 +19,6 @@ from shapeguard import (
     check_constraints,
     eval_tree_columns,
     evolve,
-    select_stopping_generation,
     tree_to_infix,
 )
 
@@ -33,9 +32,8 @@ test = Dataset("test", {"x1": x1[150:], "x2": x2[150:], "y": y[150:]}, "y")
 region = {"x1": Interval(-1, 1), "x2": Interval(-1, 1)}
 constraints = [ShapeConstraint({"x2": 1}, Interval(0.0, math.inf), region)]
 
-history = evolve(train, test, GAConfig(population=150, max_generations=60, seed=3), constraints)
-stop = select_stopping_generation(history)
-record = history[stop]
+history = evolve(train, GAConfig(population=150, max_generations=60, seed=3), constraints)
+record = history[-1]  # the elite carries the best training fit to the last generation
 a, b = record.best_scale
 
 pred = a * eval_tree_columns(record.best_tree, test.columns) + b
@@ -43,7 +41,7 @@ r2 = 1.0 - float(np.sum((pred - test.y) ** 2) / np.sum((test.y - test.y.mean()) 
 feasible, _ = check_constraints(record.best_tree, constraints, record.best_scale)
 
 print(f"target          x1^2 + 2*x2 - 0.5")
-print(f"stopped at      generation {stop} (earliest test-RMSE minimum)")
+print(f"generations     {len(history)} (test rows are used only to score the result)")
 print(f"expression      {a:.4g} * {tree_to_infix(record.best_tree)} + {b:.4g}")
 print(f"test R^2        {r2:.6f}")
 print(f"train RMSE      {record.best_train_rmse:.2e}")

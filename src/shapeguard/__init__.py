@@ -43,7 +43,6 @@ from .scsr import (
     eval_tree,
     eval_tree_columns,
     evolve,
-    select_stopping_generation,
     tree_derivative_interval,
     tree_from_json,
     tree_to_infix,
@@ -57,7 +56,6 @@ from .validation import (
     ValidationConfig,
     ValidationReport,
     classify,
-    fit_predict,
     grid_search,
     roc,
     score_segments,
@@ -110,7 +108,6 @@ __all__ = [
     "evolve",
     "fit_constrained",
     "fit_gbt",
-    "fit_predict",
     "fit_unconstrained",
     "friction_generating_model",
     "grid_search",
@@ -124,7 +121,6 @@ __all__ = [
     "scale_unit",
     "score_segments",
     "segment",
-    "select_stopping_generation",
     "serialize_constraints",
     "solve_elastic_net",
     "synth_generate",

@@ -19,9 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gbt as gbt_mod
-from . import scpr as scpr_mod
-from . import scsr as scsr_mod
 from . import synth as synth_mod
 from . import validation as validation_mod
 from .certify import certify as run_certification
@@ -29,6 +26,7 @@ from .constraints import parse_constraints
 from .datasets import load_csv
 from .errors import ConfigError, ShapeguardError
 from .poly import PolyModel
+from .validation import ALGORITHMS
 
 __all__ = ["main"]
 
@@ -36,15 +34,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
-
-DEFAULT_GRID = {
-    "degree": [2, 3, 4, 5, 6],
-    "lam": [float(x) for x in np.logspace(-6, 1, 8)],
-    "alpha": [0.0, 0.5, 1.0],
-}
-
-# --config keys read by the subcommands themselves rather than by a config class
-_CLI_CONFIG_KEYS = {"grid", "cert_tol"}
 
 
 def _jsonable(obj):
@@ -84,18 +73,16 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _algo_config(algorithm: str, overrides: dict, seed):
-    classes = {
-        "pr": scpr_mod.SCPRConfig,
-        "scpr": scpr_mod.SCPRConfig,
-        "scsr": scsr_mod.GAConfig,
-        "gbt": gbt_mod.GBTConfig,
-    }
-    cls = classes[algorithm]
-    names = {f.name for f in dc_fields(cls)}
-    unknown = sorted(set(overrides) - names - _CLI_CONFIG_KEYS)
+def _reject_unknown_keys(overrides: dict, allowed, reader: str):
+    unknown = sorted(set(overrides) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown --config keys for {algorithm!r}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown --config keys for {reader}: {', '.join(unknown)}")
+
+
+def _algo_config(algorithm: str, overrides: dict, seed):
+    cls = ALGORITHMS[algorithm].config
+    names = {f.name for f in dc_fields(cls)}
+    _reject_unknown_keys(overrides, names, repr(algorithm))
     kwargs = {k: v for k, v in overrides.items() if k in names}
     if seed is not None and "seed" in names:
         kwargs.setdefault("seed", seed)
@@ -171,21 +158,17 @@ def _cmd_fit(args) -> int:
     overrides = _load_config(args.config)
     config = _algo_config(args.algo, overrides, args.seed)
     constraints = spec.constraints if spec else []
-    preds, model, fit_info = validation_mod.fit_predict(
-        args.algo, data, data, config, constraints, data.target
-    )
+    entry = ALGORITHMS[args.algo]
+    model, predict, fit_info = entry.fit(data, config, constraints, data.target)
     wall = _pop_wall_time(fit_info)
     model_file = None
     if args.model_out:
         model_file = str(args.model_out)
-        if isinstance(model, PolyModel):
-            Path(model_file).write_text(model.to_json() + "\n", encoding="utf-8")
-        elif isinstance(model, gbt_mod.GBTEnsemble):
-            Path(model_file).write_text(model.to_json() + "\n", encoding="utf-8")
-        else:
-            Path(model_file).write_text(scsr_mod.tree_to_json(model) + "\n", encoding="utf-8")
-    rmse = float(np.sqrt(np.mean((preds - data.y) ** 2)))
-    result = {"algorithm": args.algo, "fit_report": fit_info, "model_file": model_file}
+        Path(model_file).write_text(entry.to_json(model) + "\n", encoding="utf-8")
+    rmse = float(np.sqrt(np.mean((predict(data.columns) - data.y) ** 2)))
+    result = {
+        "algorithm": args.algo, "train_rmse": rmse, "fit_report": fit_info, "model_file": model_file
+    }
     _write_report(
         args.out, "fit", result, seed=args.seed, extra_metadata={"wall_time_seconds": wall}
     )
@@ -197,6 +180,7 @@ def _cmd_certify(args) -> int:
     spec = _load_spec(args.constraints)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     overrides = _load_config(args.config)
+    _reject_unknown_keys(overrides, {"cert_tol"}, "certify")
     report = run_certification(model, spec.constraints, tol=float(overrides.get("cert_tol", 1e-9)))
     _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
     for entry in report.entries:
@@ -260,11 +244,14 @@ def _cmd_gridsearch(args) -> int:
     overrides = _load_config(args.config)
     datasets = _load_corpus(args.data_dir, target)
     datasets = [d for d in datasets if d.label in (None, "valid")]
-    grid = overrides.get("grid", DEFAULT_GRID if args.algo in ("pr", "scpr") else {})
+    fixed = dict(overrides)
+    grid = fixed.pop("grid", ALGORITHMS[args.algo].grid)
+    _algo_config(args.algo, fixed, None)  # rejects unknown keys and bad values up front
     if not grid:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
+    cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]
     best, table = validation_mod.grid_search(
-        datasets, args.algo, grid, folds=args.folds,
+        datasets, args.algo, cells, folds=args.folds,
         constraints=spec.constraints if spec else (), target=target,
     )
     result = {"best_params": best, "table": table}
@@ -339,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit one model to one dataset")
-    p.add_argument("--algo", required=True, choices=["pr", "scpr", "scsr", "gbt"])
+    p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     _add_common(p)
     p.add_argument("--model-out", help="write the fitted model as JSON")
     p.set_defaults(func=_cmd_fit)
@@ -350,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="classify one dataset as valid/invalid")
-    p.add_argument("--algo", required=True, choices=["pr", "scpr", "scsr", "gbt"])
+    p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--t", type=float, required=True, help="segment-RMSE threshold")
     p.add_argument("--controlled", default="p,v", help="comma-separated controlled columns")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gridsearch", help="two-fold CV hyper-parameter search")
-    p.add_argument("--algo", required=True, choices=["pr", "scpr", "scsr", "gbt"])
+    p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--data-dir", required=True, help="directory of CSVs (+ optional manifest)")
     p.add_argument("--folds", type=int, default=2)
     p.add_argument("--csv-out", help="write the result table as CSV")
@@ -365,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gridsearch)
 
     p = sub.add_parser("roc", help="validate a labeled corpus and sweep the threshold")
-    p.add_argument("--algo", required=True, choices=["pr", "scpr", "scsr", "gbt"])
+    p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--data-dir", required=True, help="corpus directory with manifest.json")
     p.add_argument("--t", type=float, default=0.05, help="threshold for the confusion counts")
     p.add_argument("--controlled", default="p,v")

@@ -48,7 +48,6 @@ __all__ = [
     "tree_value_interval",
     "check_constraints",
     "evolve",
-    "select_stopping_generation",
 ]
 
 _BINARY = ("add", "sub", "mul", "div")
@@ -82,7 +81,6 @@ class GAConfig:
 class GenerationRecord:
     generation: int
     best_train_rmse: float
-    best_test_rmse: float
     best_tree: tuple
     feasible_fraction: float
     best_scale: tuple = (1.0, 0.0)  # (slope, intercept) of the affine output scaling
@@ -435,21 +433,19 @@ def _tournament(rng: random.Random, fitness, k: int) -> int:
     return best
 
 
-def evolve(
-    train: Dataset,
-    test: Dataset,
-    config: GAConfig,
-    constraints=(),
-) -> list[GenerationRecord]:
-    """Run the GA; one GenerationRecord per generation, reproducible from seed."""
+def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationRecord]:
+    """Run the GA on ``train``; one GenerationRecord per generation, reproducible from seed.
+
+    The model is the last record's best individual.  With ``elitism >= 1``
+    the elite carries the run's best training fitness to the last
+    generation; with ``elitism=0`` the result is the last generation's best.
+    """
     if train.n_rows == 0:
         raise ConfigError("empty training set")
     rng = random.Random(config.seed)
     variables = train.feature_names
     train_cols = {v: train.columns[v] for v in variables}
-    test_cols = {v: test.columns[v] for v in variables}
     y_train = train.y
-    y_test = test.y
     constraints = list(constraints)
 
     pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
@@ -474,20 +470,13 @@ def evolve(
             range(len(pop)),
             key=lambda i: (fitness[i], not evals[i][2], i),
         )
-        a, b = evals[best][1]
-        with np.errstate(all="ignore"):
-            test_pred = a * eval_tree_columns(pop[best], test_cols) + b
-        test_rmse = _rmse(test_pred, y_test)
-        if not math.isfinite(test_rmse):
-            test_rmse = math.inf
         history.append(
             GenerationRecord(
                 generation=gen,
                 best_train_rmse=fitness[best],
-                best_test_rmse=test_rmse,
                 best_tree=pop[best],
                 feasible_fraction=sum(1 for _, _, ok in evals if ok) / len(pop),
-                best_scale=(a, b),
+                best_scale=evals[best][1],
             )
         )
 
@@ -512,13 +501,3 @@ def evolve(
 
     return history
 
-
-def select_stopping_generation(history) -> int:
-    """Generation index with the lowest best test RMSE; ties go to the earliest."""
-    if not history:
-        raise ConfigError("empty history")
-    best = 0
-    for i, rec in enumerate(history):
-        if rec.best_test_rmse < history[best].best_test_rmse:
-            best = i
-    return best

@@ -10,7 +10,9 @@ over corpus scores yields the ROC curve; ``invalid`` is the positive class.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from . import scsr as scsr_mod
 from .certify import certify as run_certification
 from .datasets import Dataset, scale_unit
 from .errors import ConfigError, DegenerateError, GridError, SchemaError
+from .poly import PolyModel
 
 __all__ = [
     "Segment",
@@ -33,7 +36,8 @@ __all__ = [
     "grid_search",
     "validate_corpus",
     "monotone_from_constraints",
-    "fit_predict",
+    "Algorithm",
+    "ALGORITHMS",
 ]
 
 
@@ -50,16 +54,19 @@ class Segment:
 class ValidationConfig:
     threshold: float
     controlled_variables: list
-    algorithm: str  # "pr" | "scpr" | "scsr" | "gbt"
-    algorithm_config: object = None
+    algorithm: str  # a key of ALGORITHMS
+    algorithm_config: object = None  # the algorithm's config, or a dict of its fields
     constraints: list = field(default_factory=list)
     target: str | None = None
 
     def __post_init__(self):
         if self.threshold <= 0:
             raise ConfigError("threshold must be > 0")
-        if self.algorithm not in ("pr", "scpr", "scsr", "gbt"):
+        if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        cls = ALGORITHMS[self.algorithm].config
+        if not isinstance(self.algorithm_config, cls):
+            self.algorithm_config = cls(**(self.algorithm_config or {}))
 
 
 @dataclass
@@ -199,37 +206,60 @@ def monotone_from_constraints(constraints) -> dict:
     return monotone
 
 
-def fit_predict(algorithm, train: Dataset, test: Dataset, config, constraints=(), target=None):
-    """Fit on `train`, return (predictions on test, fitted object, fit info dict)."""
-    target = target or train.target
-    constraints = list(constraints)
-    if algorithm in ("pr", "scpr"):
-        cfg = config if isinstance(config, scpr_mod.SCPRConfig) else scpr_mod.SCPRConfig(**(config or {}))
-        if algorithm == "scpr" and constraints:
-            model, report = scpr_mod.fit_constrained(train, cfg, constraints, target=target)
+# The fits look up scpr_mod.fit_constrained, scsr_mod.evolve and the rest at
+# call time, and pass evolve its config by keyword: perfbench wraps those names
+# and reads that argument.
+def _fit_poly(constrained: bool):
+    def fit(train, config, constraints, target):
+        if constrained and constraints:
+            model, report = scpr_mod.fit_constrained(train, config, constraints, target=target)
         else:
-            model, report = scpr_mod.fit_unconstrained(train, cfg, target=target)
-        preds = model.evaluate_columns(test.columns)
-        return preds, model, report.to_dict()
-    if algorithm == "gbt":
-        cfg = config if isinstance(config, gbt_mod.GBTConfig) else gbt_mod.GBTConfig(**(config or {}))
-        if not cfg.monotone and constraints:
-            cfg = dc_replace(cfg, monotone=monotone_from_constraints(constraints))
-        ensemble = gbt_mod.fit_gbt(train, cfg, target=target)
-        preds = gbt_mod.predict_gbt(ensemble, {f: test.columns[f] for f in ensemble.features})
-        return preds, ensemble, {"n_trees": len(ensemble.trees)}
-    if algorithm == "scsr":
-        cfg = config if isinstance(config, scsr_mod.GAConfig) else scsr_mod.GAConfig(**(config or {}))
-        history = scsr_mod.evolve(train, test, cfg, constraints)
-        stop = scsr_mod.select_stopping_generation(history)
-        rec = history[stop]
-        a, b = rec.best_scale
-        preds = a * scsr_mod.eval_tree_columns(rec.best_tree, test.columns) + b
-        return preds, rec.best_tree, {
-            "stopping_generation": stop,
-            "train_rmse": rec.best_train_rmse,
-        }
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+            model, report = scpr_mod.fit_unconstrained(train, config, target=target)
+        return model, model.evaluate_columns, report.to_dict()
+
+    return fit
+
+
+def _fit_gbt(train, config, constraints, target):
+    if not config.monotone and constraints:
+        config = dc_replace(config, monotone=monotone_from_constraints(constraints))
+    ensemble = gbt_mod.fit_gbt(train, config, target=target)
+    return ensemble, partial(gbt_mod.predict_gbt, ensemble), {"n_trees": len(ensemble.trees)}
+
+
+def _fit_scsr(train, config, constraints, target):
+    best = scsr_mod.evolve(train, config=config, constraints=constraints)[-1]
+    a, b = best.best_scale
+    tree = ("add", ("mul", ("const", a), best.best_tree), ("const", b))
+    return tree, partial(scsr_mod.eval_tree_columns, tree), {"train_rmse": best.best_train_rmse}
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """``fit(train, config, constraints, target)`` returns ``(model, predict, info)``.
+
+    ``fit`` is given no test rows, so only training rows can shape the model.
+    """
+
+    config: type
+    fit: Callable
+    to_json: Callable
+    grid: dict  # default grid-search cells; empty means none
+    certifiable: bool  # the model is a PolyModel that certify() accepts
+
+
+DEFAULT_GRID = {
+    "degree": [2, 3, 4, 5, 6],
+    "lam": [float(x) for x in np.logspace(-6, 1, 8)],
+    "alpha": [0.0, 0.5, 1.0],
+}
+
+ALGORITHMS = {
+    "pr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(False), PolyModel.to_json, DEFAULT_GRID, True),
+    "scpr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(True), PolyModel.to_json, DEFAULT_GRID, True),
+    "scsr": Algorithm(scsr_mod.GAConfig, _fit_scsr, scsr_mod.tree_to_json, {}, False),
+    "gbt": Algorithm(gbt_mod.GBTConfig, _fit_gbt, gbt_mod.GBTEnsemble.to_json, {}, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +295,10 @@ def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=(), 
     smallest degree, then the largest lambda; failed cells are excluded.
     Returns (best params, result table).
     """
-    valid_datasets = list(valid_datasets)
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    entry = ALGORITHMS[algorithm]
+    valid_datasets, constraints = list(valid_datasets), list(constraints)
     if len(valid_datasets) < 2:
         raise ConfigError("grid search needs >= 2 valid datasets")
     cells = _expand_grid(param_grid)
@@ -281,7 +314,8 @@ def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=(), 
                 train = ds.select_rows(train_idx)
                 test = ds.select_rows(test_idx)
                 try:
-                    preds, _, _ = fit_predict(algorithm, train, test, cell, constraints, target)
+                    _, predict, _ = entry.fit(train, entry.config(**cell), constraints, target)
+                    preds = predict(test.columns)
                     rmse = float(np.sqrt(np.mean((preds - test.y) ** 2)))
                     if not math.isfinite(rmse):
                         raise GridError("non-finite test RMSE")
@@ -340,14 +374,16 @@ def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationRepor
         y_range = 1.0
 
     segments = segment(scaled, config.controlled_variables)
-    preds, model, fit_info = fit_predict(
-        config.algorithm, scaled, scaled, config.algorithm_config, config.constraints, target
+    entry = ALGORITHMS[config.algorithm]
+    model, predict, fit_info = entry.fit(
+        scaled, config.algorithm_config, config.constraints, target
     )
+    preds = predict(scaled.columns)
     rmses = [r / y_range for r in score_segments(preds, scaled, segments)]
     verdict = classify(rmses, config.threshold)
 
     certification = None
-    if config.algorithm in ("pr", "scpr") and config.constraints:
+    if entry.certifiable and config.constraints:
         certification = run_certification(model, config.constraints).to_dict()
 
     return ValidationReport(
@@ -355,7 +391,7 @@ def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationRepor
         segment_rmses=rmses,
         score=max(rmses, default=0.0),
         verdict=verdict,
-        fit_report=fit_info if isinstance(fit_info, dict) else None,
+        fit_report=fit_info,
         certification=certification,
         label=data.label,
     )

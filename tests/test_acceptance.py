@@ -35,7 +35,6 @@ from shapeguard import (
     monotonicity_audit,
     parse_constraints,
     roc,
-    select_stopping_generation,
     synth_generate,
     validate_corpus,
 )
@@ -328,10 +327,9 @@ def test_criterion_09_symbolic_recovery():
     te = Dataset("te", {"x1": x1[150:], "x2": x2[150:], "y": y[150:]}, "y")
     r2s = []
     for seed in range(10):
-        history = evolve(tr, te, GAConfig(population=150, max_generations=100, seed=seed), cons)
-        gen = select_stopping_generation(history)
-        rec = history[gen]
-        assert rec.generation < 100
+        history = evolve(tr, GAConfig(population=150, max_generations=100, seed=seed), cons)
+        rec = history[-1]
+        assert rec.generation == 99
         a, b = rec.best_scale
         pred = a * eval_tree_columns(rec.best_tree, te.columns) + b
         r2 = 1.0 - float(np.sum((pred - te.y) ** 2) / np.sum((te.y - te.y.mean()) ** 2))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -168,11 +169,89 @@ def test_algo_config_rejects_misspelt_key():
         _algo_config("gbt", {"n_tree": 5, "max_dept": 2}, 0)
     with pytest.raises(ConfigError, match="cert_grid"):
         _algo_config("scpr", {"cert_grid": 16}, 0)
+    with pytest.raises(ConfigError, match="cert_tol, grid"):
+        _algo_config("scpr", {"degree": 5, "grid": {"degree": [2]}, "cert_tol": 1e-8}, 0)
 
 
 def test_algo_config_accepts_cli_keys():
     from shapeguard.cli import _algo_config
 
-    overrides = {"degree": 5, "grid": {"degree": [2]}, "cert_tol": 1e-8}
-    assert _algo_config("scpr", overrides, 0).degree == 5
-    assert _algo_config("scsr", {"population": 10, "grid": {}}, 4).seed == 4
+    assert _algo_config("scpr", {"degree": 5}, 0).degree == 5
+    assert _algo_config("scsr", {"population": 10}, 4).seed == 4
+
+
+def test_each_subcommand_rejects_config_keys_it_does_not_read(tmp_path, eq1_path):
+    data = tmp_path / "d.csv"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "2", "--n-invalid", "1")
+    model = tmp_path / "model.json"
+    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+    data_args = ["--data", str(data), "--constraints", str(eq1_path)]
+    dir_args = ["--data-dir", str(corpus_dir), "--constraints", str(eq1_path)]
+    cases = [
+        (["certify", "--model", str(model), "--constraints", str(eq1_path)], {"cert_tl": 2.0}),
+        (["certify", "--model", str(model), "--constraints", str(eq1_path)], {"degree": 3}),
+        (["fit", "--algo", "scpr", *data_args], {"cert_tol": 1e-8}),
+        (["fit", "--algo", "gbt", *data_args], {"grid": {"max_depth": [2]}}),
+        (["validate", "--algo", "pr", "--t", "0.05", *data_args], {"grid": {"degree": [2]}}),
+        (["roc", "--algo", "pr", *dir_args], {"cert_tol": 1e-8}),
+        (["gridsearch", "--algo", "pr", *dir_args], {"cert_tol": 1e-8}),
+    ]
+    for args, keys in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(keys))
+        proc = run(*args, "--config", str(cfg))
+        assert proc.returncode == 1, (args, keys, proc.stdout)
+        assert "ConfigError: unknown --config keys" in proc.stderr
+        assert next(iter(keys)) in proc.stderr
+
+
+def test_gridsearch_reads_fixed_config_fields_beside_grid(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "2", "--n-invalid", "1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"degree": [2, 3]}, "lam": 1e-4}))
+    rep = tmp_path / "grid.json"
+    proc = run("gridsearch", "--algo", "pr", "--data-dir", str(corpus_dir),
+               "--config", str(cfg), "--out", str(rep))
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(rep.read_text())["result"]["table"]
+    assert [row["params"] for row in table] == [{"lam": 1e-4, "degree": 2}, {"lam": 1e-4, "degree": 3}]
+
+
+SMALL_CONFIGS = {
+    "pr": {"degree": 3},
+    "scpr": {"degree": 3},
+    "scsr": {"population": 40, "max_generations": 15},
+    "gbt": {"n_trees": 20},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(SMALL_CONFIGS))
+def test_saved_model_reproduces_reported_train_rmse(tmp_path, eq1_path, algo):
+    from shapeguard import GBTEnsemble, PolyModel, load_csv, predict_gbt
+    from shapeguard.scsr import eval_tree_columns, tree_from_json
+
+    loaders = {
+        "pr": lambda text: PolyModel.from_json(text).evaluate_columns,
+        "scpr": lambda text: PolyModel.from_json(text).evaluate_columns,
+        "scsr": lambda text: lambda cols: eval_tree_columns(tree_from_json(text), cols),
+        "gbt": lambda text: lambda cols: predict_gbt(GBTEnsemble.from_json(text), cols),
+    }
+    data = tmp_path / "d.csv"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIGS[algo]))
+    model, rep = tmp_path / "model.json", tmp_path / "fit.json"
+    proc = run(
+        "fit", "--algo", algo, "--data", str(data), "--constraints", str(eq1_path),
+        "--config", str(cfg), "--model-out", str(model), "--out", str(rep),
+    )
+    assert proc.returncode == 0, proc.stderr
+    reported = json.loads(rep.read_text())["result"]["train_rmse"]
+    ds = load_csv(data, target="mu_dyn")
+    preds = loaders[algo](model.read_text())(ds.columns)
+    assert abs(float(np.sqrt(np.mean((preds - ds.y) ** 2))) - reported) <= 1e-12

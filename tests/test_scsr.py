@@ -17,7 +17,6 @@ from shapeguard import (
     eval_tree_columns,
     evolve,
     parse_constraints,
-    select_stopping_generation,
     tree_derivative_interval,
     tree_from_json,
     tree_to_infix,
@@ -152,12 +151,12 @@ def test_evolution_is_deterministic_per_seed():
     x = rng.uniform(-1, 1, 60)
     y = 2.0 * x + 1.0
     tr = Dataset("tr", {"x": x[:40], "y": y[:40]}, "y")
-    te = Dataset("te", {"x": x[40:], "y": y[40:]}, "y")
     cfg = GAConfig(population=30, max_generations=10, seed=11)
-    h1 = evolve(tr, te, cfg, [])
-    h2 = evolve(tr, te, cfg, [])
+    h1 = evolve(tr, cfg, [])
+    h2 = evolve(tr, cfg, [])
     assert [r.best_tree for r in h1] == [r.best_tree for r in h2]
-    assert [r.best_test_rmse for r in h1] == [r.best_test_rmse for r in h2]
+    assert [r.best_train_rmse for r in h1] == [r.best_train_rmse for r in h2]
+    assert [r.best_scale for r in h1] == [r.best_scale for r in h2]
 
 
 def test_evolution_recovers_linear_target():
@@ -166,20 +165,10 @@ def test_evolution_recovers_linear_target():
     y = 3.0 * x - 0.5
     tr = Dataset("tr", {"x": x[:60], "y": y[:60]}, "y")
     te = Dataset("te", {"x": x[60:], "y": y[60:]}, "y")
-    history = evolve(tr, te, GAConfig(population=60, max_generations=15, seed=0), [])
-    g = select_stopping_generation(history)
-    assert history[g].best_test_rmse < 1e-8  # affine scaling makes x exact
-
-
-def test_stopping_picks_earliest_minimum():
-    from shapeguard.scsr import GenerationRecord
-
-    recs = [
-        GenerationRecord(0, 1.0, 0.5, ("var", "x"), 1.0),
-        GenerationRecord(1, 1.0, 0.2, ("var", "x"), 1.0),
-        GenerationRecord(2, 1.0, 0.2, ("var", "x"), 1.0),
-    ]
-    assert select_stopping_generation(recs) == 1
+    final = evolve(tr, GAConfig(population=60, max_generations=15, seed=0), [])[-1]
+    a, b = final.best_scale
+    pred = a * eval_tree_columns(final.best_tree, te.columns) + b
+    assert np.sqrt(np.mean((pred - te.y) ** 2)) < 1e-8  # affine scaling makes x exact
 
 
 @pytest.mark.parametrize(
@@ -207,7 +196,6 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
     x = rng.uniform(0, 1, 60)
     y = 2.0 * x + 1.0 + 0.05 * rng.normal(size=60)
     tr = Dataset("tr", {"x": x[:40], "y": y[:40]}, "y")
-    te = Dataset("te", {"x": x[40:], "y": y[40:]}, "y")
     region = {"x": Interval(0.0, 1.0)}
     cons = [
         ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region),
@@ -222,7 +210,7 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
         return original(t, constraints, scale)
 
     monkeypatch.setattr(scsr, "check_constraints", recording)
-    history = evolve(tr, te, cfg, cons)
+    history = evolve(tr, cfg, cons)
     assert len(seen) == len(set(seen))
     assert len(seen) < cfg.population * cfg.max_generations  # repeats were reused
 

@@ -1,6 +1,7 @@
 """Validation pipeline: segmentation, scoring, ROC/AUC, grid search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from shapeguard import (
     synth_generate,
     validate_dataset,
 )
+from shapeguard import validation
 from shapeguard.validation import monotone_from_constraints
 
 
@@ -171,3 +173,29 @@ def test_grid_search_skips_failing_cells():
     assert best["degree"] in (2, 3)
     with pytest.raises(ConfigError):
         grid_search(datasets[:1], "pr", {"degree": [2]}, folds=2)
+
+
+def test_grid_search_test_fold_cannot_choose_the_scsr_model(monkeypatch):
+    entry = validation.ALGORITHMS["scsr"]
+
+    def fold_models(datasets):
+        models = []  # in (dataset, fold) order
+
+        def spy(train, *args):
+            fitted = entry.fit(train, *args)
+            models.append(fitted[0])
+            return fitted
+
+        monkeypatch.setitem(validation.ALGORITHMS, "scsr", replace(entry, fit=spy))
+        grid_search(datasets, "scsr", [{"population": 30, "max_generations": 20}], folds=2)
+        return models
+
+    datasets = [synth_generate("cubic_fig1", s) for s in (1, 2)]
+    first = datasets[0]
+    half = round(first.n_rows / 2)  # fold 0 tests on rows [0, half)
+    y = first.y.copy()
+    y[:half] = -y[:half]
+    flipped = Dataset(first.name, dict(first.columns, **{first.target: y}), first.target)
+    before, after = fold_models(datasets), fold_models([flipped, datasets[1]])
+    assert after[0] == before[0]
+    assert after[1] != before[1]  # fold 1 trains on the flipped rows
