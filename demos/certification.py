@@ -26,7 +26,8 @@ model, report = fit_constrained(
     data, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target
 )
 print(f"\nfitted degree-3 surface: train RMSE {report.train_rmse:.5f}, "
-      f"sampled violation {report.max_sampled_violation:.2e}")
+      f"violation bound {report.max_sampled_violation:.2e}, "
+      f"optimality gap {report.optimality_gap:.1e}")
 
 cert = certify(model, spec.constraints)
 print("\ncertification:")

@@ -246,7 +246,9 @@ def _cmd_gridsearch(args) -> int:
     datasets = [d for d in datasets if d.label in (None, "valid")]
     fixed = dict(overrides)
     grid = fixed.pop("grid", ALGORITHMS[args.algo].grid)
-    _algo_config(args.algo, fixed, None)  # rejects unknown keys and bad values up front
+    config = _algo_config(args.algo, fixed, args.seed)  # rejects unknown keys and bad values up front
+    if "seed" in {f.name for f in dc_fields(config)}:
+        fixed["seed"] = config.seed  # --seed unless --config sets one; a grid cell's seed wins
     if not grid:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
     cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]

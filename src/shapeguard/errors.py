@@ -30,8 +30,8 @@ class SolverError(ShapeguardError):
     """The optimizer stopped short of its tolerance.
 
     The solver ran out of its iteration budget, or its constraint violation
-    stalled with the penalty at its cap, or a constrained fit still violates
-    its constraints by more than solver_tol after its refinement rounds.
+    stalled with the penalty at its cap, or it left the constraint rows
+    violated by more than solver_tol.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

@@ -1,36 +1,54 @@
 """Shape-constrained polynomial regression.
 
 The model is an elastic-net penalized least-squares polynomial; shape
-constraints (bounds on the value or partial derivatives over a box) are
-discretized on tensor grids into linear inequalities on the coefficient
-vector, compiled straight into one array system.  The resulting problem
+constraints bound its value or a partial derivative over a box.  On a box,
+the tensor Bernstein coefficients of the constrained derivative are linear in
+the coefficient vector theta and enclose the derivative's range there (the
+enclosure ``certify`` uses; Garloff 1986).  Requiring each coefficient to lie
+inside the bound is therefore a sufficient condition: every fit satisfies its
+constraints on the whole region, not only at samples (the inner
+approximation of Wang & Ghosh, *CSDA* 2012).  Bounding instead the
+derivative's values at the (d_i + 1) equally spaced nodes per axis of each
+box is an outer relaxation, whose optimum is a lower bound on the true one;
+at the box's corners the nodes' values are the corner coefficients.
+
+Each constraint starts as one box.  Each round solves on the rows of the
+current boxes, then halves, along its widest axis, every box holding a
+binding row that is not a corner value, in the order ``certify`` splits
+them, so ``certify`` re-reads the coefficients the fit bounded.  Refinement
+stops when the relative gap between the fit's objective and the lower bound
+is at most GAP_TOL, after ``refine_rounds`` rounds, or when the rows would
+number more than MAX_FIT_ROWS.  A round whose solve fails, or whose objective
+rises (so the solves are inexact), also stops it, and the fit of the round
+before is kept.  Each solve is of
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
     s.t. A theta >= b
 
-is solved exactly when it has no 1-norm term (lambda * alpha == 0): as
-(ridge) least squares, and under constraints as least squares with
-inequalities reduced to least distance programming and NNLS (Lawson & Hanson
-1974, ch. 23).  With a 1-norm term, or a constrained design of deficient
-rank, an augmented-Lagrangian outer loop with a monotone accelerated
-proximal-gradient inner loop solves it (soft-thresholding handles the
-1-norm; the intercept is never penalized).  Both paths detect an
-inconsistent system in the same way: the least-distance problem on the rows
-has no solution, and InfeasibleError is raised.  After the grid fit,
-violating points found by dense sampling are appended as cutting planes and
-the fit is repeated, which drives the true worst-case violation down to
-solver tolerance; a fit that does not get there within its refinement rounds
-raises SolverError.
+solved exactly when it has no 1-norm term (lambda * alpha == 0): as (ridge)
+least squares, and under constraints as least squares with inequalities
+reduced to least distance programming and NNLS (Lawson & Hanson 1974, ch.
+23).  With a 1-norm term, or a constrained design of deficient rank, an
+augmented-Lagrangian outer loop with a monotone accelerated proximal-gradient
+inner loop solves it (soft-thresholding handles the 1-norm; the intercept is
+never penalized).  Both paths detect an inconsistent system in the same way:
+the least-distance problem on the rows has no solution, and InfeasibleError
+is raised.
+
+``compile_constraints`` discretizes constraints on tensor grids instead: its
+rows hold the derivative at sample points only.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _bernstein_matrix, _split_matrix
 from .datasets import Dataset
 from .errors import (
     BudgetError,
@@ -39,6 +57,7 @@ from .errors import (
     SchemaError,
     SolverError,
 )
+from .intervals import Interval
 from .poly import PolyModel, monomial_basis
 
 __all__ = [
@@ -53,6 +72,12 @@ __all__ = [
 ]
 
 MAX_COMPILED_ROWS = 10**6
+# Bernstein refinement stops at this relative gap between the fit's objective
+# and the lower bound, or before the rows of all boxes number more than
+# MAX_FIT_ROWS (a box has up to 2 prod(d_i + 1) rows, so this bounds memory
+# where a box count would not).
+GAP_TOL = 1e-3
+MAX_FIT_ROWS = 20000
 # iterative solver: growth of the penalty rho while the violation stalls, and
 # the relative coefficient step at which an inner phase has converged
 PENALTY_GROWTH = 10.0
@@ -64,12 +89,10 @@ class SCPRConfig:
     degree: int = 3
     lam: float = 0.0
     alpha: float = 0.0
-    grid_points_per_dim: int = 8
     solver_tol: float = 1e-8
     max_iter: int = 50000
-    # cutting-plane refinement after the grid fit
+    # rounds of Bernstein box splitting after the one-box-per-constraint fit
     refine_rounds: int = 20
-    refine_points_per_dim: int = 0  # 0 = auto from a 2e4-point budget
 
     def __post_init__(self):
         if self.degree < 1:
@@ -78,6 +101,12 @@ class SCPRConfig:
             raise SchemaError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.lam < 0.0:
             raise SchemaError(f"lambda must be >= 0, got {self.lam}")
+        if self.refine_rounds < 0:
+            raise SchemaError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+        if not self.solver_tol > 0.0:
+            raise SchemaError(f"solver_tol must be > 0, got {self.solver_tol}")
+        if self.max_iter < 1:
+            raise SchemaError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -87,6 +116,7 @@ class FitReport:
     iterations: int
     max_sampled_violation: float
     wall_time_seconds: float
+    optimality_gap: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -95,6 +125,7 @@ class FitReport:
             "iterations": self.iterations,
             "max_sampled_violation": self.max_sampled_violation,
             "wall_time_seconds": self.wall_time_seconds,
+            "optimality_gap": self.optimality_gap,
         }
 
 
@@ -145,71 +176,147 @@ def _derivative_row_factors(basis, dtuple):
     return factors
 
 
-def _grid_points(region, variables, points_per_dim):
-    axes = []
-    for v in variables:
-        iv = region[v]
-        if iv.lo == iv.hi:
-            axes.append(np.array([iv.lo]))
-        else:
-            axes.append(np.linspace(iv.lo, iv.hi, points_per_dim))
-    return axes
-
-
-def _rows_for_points(constraint, variables, basis, points: dict):
-    """Rows (A, b) of A theta >= b for a constraint at explicit points.
-
-    points maps each variable to a coordinate array.  Per point, the
-    lower-bound row (M, lo) comes first, then the upper-bound row (-M, -hi),
-    each only where that side of the bound is finite.
-    """
-    dtuple = constraint.derivative_tuple(variables)
-    factors = _derivative_row_factors(basis, dtuple)
-    n_pts = len(next(iter(points.values())))
-    cols = [np.asarray(points[v], dtype=float) for v in variables]
-    M = np.empty((n_pts, len(basis)))
-    for j, (factor, reduced) in enumerate(factors):
-        if factor == 0.0:
-            M[:, j] = 0.0
-            continue
-        col = np.full(n_pts, factor)
-        for x, e in zip(cols, reduced):
-            if e:
-                col = col * x**e
-        M[:, j] = col
-    sides = []
-    if np.isfinite(constraint.bound.lo):
-        sides.append((M, constraint.bound.lo))
-    if np.isfinite(constraint.bound.hi):
-        sides.append((-M, -constraint.bound.hi))
-    A = np.stack([S for S, _ in sides], axis=1).reshape(-1, len(basis))
-    b = np.tile(np.array([r for _, r in sides], dtype=float), n_pts)
-    return A, b
-
-
 def compile_constraints(
     constraints, variables, degree: int, grid_points_per_dim: int = 8
 ) -> LinearConstraintSystem:
-    """Discretize shape constraints on tensor grids (corners included)."""
+    """Discretize shape constraints on tensor grids (corners included).
+
+    Per grid point, the lower-bound row (M, lo) comes first, then the
+    upper-bound row (-M, -hi), each only where that side is finite.
+    """
     basis = monomial_basis(len(variables), degree)
     rows, rhs = [np.zeros((0, len(basis)))], [np.zeros(0)]
     total = 0
     for c in constraints:
-        axes = _grid_points(c.region, variables, grid_points_per_dim)
-        n_pts = int(np.prod([len(a) for a in axes]))
-        sides = int(np.isfinite(c.bound.lo)) + int(np.isfinite(c.bound.hi))
-        total += n_pts * sides
+        axes = []
+        for v in variables:
+            iv = c.region[v]
+            axes.append(np.linspace(iv.lo, iv.hi, 1 if iv.lo == iv.hi else grid_points_per_dim))
+        sides = [(sign, sign * r) for sign, r in ((1.0, c.bound.lo), (-1.0, c.bound.hi)) if np.isfinite(r)]
+        total += int(np.prod([len(a) for a in axes])) * len(sides)
         if total > MAX_COMPILED_ROWS:
             raise BudgetError(
                 f"compiled constraint system exceeds {MAX_COMPILED_ROWS} rows; "
                 "lower grid_points_per_dim"
             )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = {v: m.reshape(-1) for v, m in zip(variables, mesh)}
-        A, b = _rows_for_points(c, variables, basis, points)
-        rows.append(A)
-        rhs.append(b)
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(variables))
+        M = np.zeros((len(points), len(basis)))
+        for j, (factor, reduced) in enumerate(_derivative_row_factors(basis, c.derivative_tuple(variables))):
+            if factor:
+                M[:, j] = factor * np.prod(points ** np.array(reduced), axis=1)
+        rows.append(np.stack([sign * M for sign, _ in sides], axis=1).reshape(-1, len(basis)))
+        rhs.append(np.tile([r for _, r in sides], len(points)))
     return LinearConstraintSystem(np.vstack(rows), np.concatenate(rhs))
+
+
+# ---------------------------------------------------------------------------
+# Bernstein rows
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Partition:
+    """Boxes covering one constraint's region, with the tensor Bernstein
+    coefficients of the constrained derivative on each as rows in theta."""
+
+    bound: Interval
+    coeffs: np.ndarray  # (boxes, d_1 + 1, ..., d_n + 1, coefficients of theta)
+    side: np.ndarray  # (boxes, n) side lengths, 0 on axes of degree 0
+    degrees: list
+    corner: np.ndarray  # per coefficient of a box: is it a corner value?
+
+    @property
+    def rows_per_box(self) -> int:
+        return len(self.corner) * int(np.isfinite([self.bound.lo, self.bound.hi]).sum())
+
+
+def _whole_region(constraint, variables, basis) -> _Partition:
+    """One box, the constraint's region; degrees and coefficients as in certify."""
+    factors = _derivative_row_factors(basis, constraint.derivative_tuple(variables))
+    live = [(j, f, reduced) for j, (f, reduced) in enumerate(factors) if f]
+    degrees = [max((r[i] for _, _, r in live), default=0) for i in range(len(variables))]
+    coeffs = np.zeros([d + 1 for d in degrees] + [len(basis)])
+    for j, f, reduced in live:
+        coeffs[reduced + (j,)] = f
+    lo = np.array([constraint.region[v].lo for v in variables])
+    hi = np.array([constraint.region[v].hi for v in variables])
+    for axis, d in enumerate(degrees):
+        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
+        coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
+    corner = np.zeros(coeffs.shape[:-1], dtype=bool)
+    corner[np.ix_(*[[0, d] if d else [0] for d in degrees])] = True
+    side = np.where(np.array(degrees) > 0, hi - lo, 0.0)
+    return _Partition(constraint.bound, coeffs[None], side[None], degrees, corner.reshape(-1))
+
+
+def _node_values(d: int) -> np.ndarray:
+    """Matrix taking degree-d Bernstein coefficients to the polynomial's
+    values at the d + 1 equally spaced nodes of the interval, ends included."""
+    t = np.linspace(0.0, 1.0, d + 1)[:, None]
+    k = np.arange(d + 1)
+    return np.array([math.comb(d, j) for j in k]) * t**k * (1.0 - t) ** (d - k)
+
+
+def _bernstein_system(parts, m):
+    """Rows A theta >= b putting every Bernstein coefficient inside its bound.
+
+    Per coefficient the lower-bound row (M, lo) and the upper-bound row
+    (-M, -hi), where finite.  Also returns V, whose rows with b bound the
+    derivative's value at the matching node of each box (an outer
+    relaxation; corner nodes give the corner coefficients), each row's box,
+    numbered across the partitions, and whether the row bounds a corner value.
+    """
+    A, V, b = [np.zeros((0, m))], [np.zeros((0, m))], [np.zeros(0)]
+    box, corner = [np.zeros(0, int)], [np.zeros(0, bool)]
+    first = 0
+    for part in parts:
+        M = part.coeffs.reshape(-1, m)
+        values = part.coeffs
+        for axis, d in enumerate(part.degrees):
+            values = np.moveaxis(np.tensordot(_node_values(d), values, axes=(1, axis + 1)), 0, axis + 1)
+        values = values.reshape(-1, m)
+        ids = np.repeat(np.arange(first, first + len(part.side)), len(part.corner))
+        at_corner = np.tile(part.corner, len(part.side))
+        for sign, bound in ((1.0, part.bound.lo), (-1.0, part.bound.hi)):
+            if np.isfinite(bound):
+                A.append(sign * M)
+                V.append(sign * values)
+                b.append(np.full(len(M), sign * bound))
+                box.append(ids)
+                corner.append(at_corner)
+        first += len(part.side)
+    return np.vstack(A), np.vstack(V), np.concatenate(b), np.concatenate(box), np.concatenate(corner)
+
+
+def _split_boxes(parts, chosen) -> bool:
+    """Halve the chosen boxes (one flag per box, parts in order) along their
+    widest axis by de Casteljau's algorithm, the order in which certify
+    splits them.
+
+    Returns False, splitting nothing, when no chosen box has a side to halve
+    or the partitions would grow past MAX_FIT_ROWS rows.
+    """
+    picks = np.split(chosen, np.cumsum([len(p.side) for p in parts])[:-1])
+    picks = [pick & (p.side.max(axis=1) > 0.0) for p, pick in zip(parts, picks)]
+    rows = sum((len(p.side) + int(pick.sum())) * p.rows_per_box for p, pick in zip(parts, picks))
+    if not any(pick.any() for pick in picks) or rows > MAX_FIT_ROWS:
+        return False
+    for part, pick in zip(parts, picks):
+        coeffs, side = [part.coeffs[~pick]], [part.side[~pick]]
+        widest = np.argmax(part.side, axis=1)
+        for axis, d in enumerate(part.degrees):
+            sel = pick & (widest == axis)
+            if not sel.any():
+                continue
+            # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
+            halves = np.tensordot(_split_matrix(d), part.coeffs[sel], axes=(1, axis + 1))
+            halves = halves.reshape(2, d + 1, *halves.shape[1:])
+            coeffs.append(np.moveaxis(halves, 1, axis + 2).reshape(-1, *part.coeffs.shape[1:]))
+            half = part.side[sel].copy()
+            half[:, axis] /= 2.0
+            side.append(np.tile(half, (2, 1)))
+        part.coeffs, part.side = np.concatenate(coeffs), np.concatenate(side)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +467,6 @@ def solve_elastic_net(
     *,
     solver_tol: float = 1e-8,
     max_iter: int = 50000,
-    theta0: np.ndarray | None = None,
-    rho0: float = 10.0,
 ) -> SolveResult:
     """Elastic-net QP solver.
 
@@ -453,9 +558,9 @@ def solve_elastic_net(
         AtA = As.T @ As
         eig_A = float(np.linalg.eigvalsh(AtA)[-1])
 
-    phi = np.linalg.solve(T, theta0) if theta0 is not None else np.zeros(m)
+    phi = np.zeros(m)
     mu = np.zeros(k)
-    rho = float(rho0) if k else 0.0
+    rho = 10.0 if k else 0.0
     # The quadratic penalty averages over rows so its curvature stays
     # comparable to the loss no matter how finely constraints are gridded.
     inv_k = 1.0 / k if k else 0.0
@@ -611,119 +716,6 @@ def fit_unconstrained(
     return model, _report(X, y, result, t0)
 
 
-def _auto_refine_points(n_vars: int, requested: int) -> int:
-    if requested > 0:
-        return requested
-    # the grid only has to land in each violation basin; zooming supplies
-    # the precision, so a modest budget is enough
-    budget = 2 * 10**4
-    return max(2, min(512, int(budget ** (1.0 / n_vars))))
-
-
-def _zoom_extremum(deriv: PolyModel, region, start: dict, sign: float, spacing: dict):
-    """Locate a local extremum of the derivative polynomial by grid zooming.
-
-    Starting from a coarse-grid extremum, repeatedly re-grid a shrinking
-    window around the best point (sign=+1 minimizes, -1 maximizes).  The
-    window starts at the coarse spacing, so the true extremum hiding between
-    coarse samples is inside it.
-    """
-    variables = deriv.variables
-    point = dict(start)
-    half = {v: max(spacing[v], 0.0) for v in variables}
-    best = sign * deriv.evaluate(point)
-    for _ in range(10):
-        axes = []
-        for v in variables:
-            iv = region[v]
-            lo = max(iv.lo, point[v] - half[v])
-            hi = min(iv.hi, point[v] + half[v])
-            axes.append(np.array([lo]) if lo == hi else np.linspace(lo, hi, 9))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cols = {v: m.reshape(-1) for v, m in zip(variables, mesh)}
-        vals = sign * deriv.evaluate_columns(cols)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            point = {v: float(cols[v][i]) for v in variables}
-        half = {v: h / 4.0 for v, h in half.items()}
-    return best * sign, point
-
-
-def _separated_candidates(vals, cols, variables, spacing, sign, max_pts=8):
-    """Up to max_pts extremum starting points, pairwise >= 2 grid steps apart.
-
-    Candidates are picked best-first, so separate basins each get a cutting
-    plane per refinement round instead of one basin per round.
-    """
-    order = np.argsort(sign * vals)
-    picked = []
-    for i in order[: 64 * max_pts]:
-        cand = {v: float(cols[v][int(i)]) for v in variables}
-        close = any(
-            all(
-                abs(cand[v] - prev[v]) <= 2.0 * spacing[v] + 1e-300
-                for v in variables
-            )
-            for prev in picked
-        )
-        if not close:
-            picked.append(cand)
-            if len(picked) >= max_pts:
-                break
-    if not picked:
-        i = int(order[0])
-        picked.append({v: float(cols[v][i]) for v in variables})
-    return picked
-
-
-def _sample_violations(model: PolyModel, constraints, points_per_dim: int):
-    """Worst breach per constraint side: dense tensor grid plus local zooming.
-
-    Returns (max_violation, per-constraint list of (violation, point dict)).
-    """
-    worst_overall = 0.0
-    found = []
-    variables = model.variables
-    for c in constraints:
-        deriv = model.derivative(c.derivative_tuple(variables))
-        axes = _grid_points(c.region, variables, points_per_dim)
-        spacing = {
-            v: (float(a[1] - a[0]) if len(a) > 1 else 0.0) for v, a in zip(variables, axes)
-        }
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cols = {v: m.reshape(-1) for v, m in zip(variables, mesh)}
-        vals = deriv.evaluate_columns(cols)
-        entries = []
-        if np.isfinite(c.bound.lo):
-            # always polish the global grid minimum (the true minimum can dip
-            # below the bound between grid nodes); other basins only when
-            # their grid value already breaches
-            for rank, start in enumerate(
-                _separated_candidates(vals, cols, variables, spacing, 1.0)
-            ):
-                if rank > 0 and deriv.evaluate(start) >= c.bound.lo:
-                    continue
-                val, point = _zoom_extremum(deriv, c.region, start, 1.0, spacing)
-                breach = float(c.bound.lo - val)
-                if breach > 0:
-                    entries.append((breach, point))
-        if np.isfinite(c.bound.hi):
-            for rank, start in enumerate(
-                _separated_candidates(vals, cols, variables, spacing, -1.0)
-            ):
-                if rank > 0 and deriv.evaluate(start) <= c.bound.hi:
-                    continue
-                val, point = _zoom_extremum(deriv, c.region, start, -1.0, spacing)
-                breach = float(val - c.bound.hi)
-                if breach > 0:
-                    entries.append((breach, point))
-        found.append(entries)
-        for breach, _ in entries:
-            worst_overall = max(worst_overall, breach)
-    return worst_overall, found
-
-
 def fit_constrained(
     data: Dataset,
     config: SCPRConfig,
@@ -731,7 +723,16 @@ def fit_constrained(
     variables=None,
     target=None,
 ) -> tuple[PolyModel, FitReport]:
-    """Shape-constrained fit: grid-discretized QP plus cutting-plane refinement."""
+    """Shape-constrained fit on Bernstein-coefficient rows.
+
+    Every iterate satisfies the constraints on their whole regions; see the
+    module docstring for the refinement.  The report's max_sampled_violation
+    is the largest breach of a Bernstein row, an upper bound on the model's
+    breach, and optimality_gap is the relative gap to the lower bound when
+    refinement stopped.  InfeasibleError means the node values alone admit
+    no solution, or the rows of every partition tried did not; SolverError
+    means the first solve that admitted a fit missed solver_tol.
+    """
     t0 = time.perf_counter()
     variables, target = _resolve_columns(data, variables, target)
     constraints = list(constraints)
@@ -739,86 +740,52 @@ def fit_constrained(
         return fit_unconstrained(data, config, variables, target)
     X, y = build_design_matrix(data, variables, target, config.degree)
     basis = monomial_basis(len(variables), config.degree)
-    system = compile_constraints(
-        constraints, variables, config.degree, config.grid_points_per_dim
-    )
-    rows, rhs = system.rows, system.rhs
+    parts = [_whole_region(c, variables, basis) for c in constraints]
 
-    refine_pts = _auto_refine_points(len(variables), config.refine_points_per_dim)
-    # Rounds stop at a tenth of solver_tol, and the solver enforces the
-    # discretized rows to a quarter of that, so the row error never decides
-    # whether the sampled violation meets the target.
-    refine_target = max(1e-9, 0.1 * config.solver_tol)
-    inner_solver_tol = 0.25 * refine_target
-
-    # Unconstrained warm start: rows comfortably satisfied there never enter
-    # the working set (the dense re-sampling below re-checks everything).
-    warm = solve_elastic_net(
-        X,
-        y,
-        config.lam,
-        config.alpha,
-        solver_tol=inner_solver_tol,
-        max_iter=config.max_iter,
-    )
-    theta0 = warm.theta
-    best = None  # (violation, result, model)
-    for _round in range(config.refine_rounds + 1):
-        norms = np.linalg.norm(rows, axis=1)
-        norms = np.where(norms > 0, norms, 1.0)
-        near_active = (rows @ theta0 - rhs) / norms <= 1e-2
-        A, b = rows[near_active], rhs[near_active]
-        try:
-            result = solve_elastic_net(
-                X,
-                y,
-                config.lam,
-                config.alpha,
-                A,
-                b,
-                solver_tol=inner_solver_tol,
-                max_iter=config.max_iter,
-                theta0=theta0,
-                # refits after the first start near the constrained solution, so
-                # skip the penalty ramp-up that a colder start needs
-                rho0=10.0 if _round == 0 else 1e6,
-            )
-        except SolverError as exc:
-            # The last iterate is usually usable even when the final digit of
-            # tolerance is out of reach; the dense violation sample below is
-            # the arbiter, and the tolerance check after the loop raises if
-            # no round produced an acceptable model.
-            result = SolveResult(
-                theta=exc.last_iterate,
-                iterations=config.max_iter,
-                max_violation=exc.residual,
-                objective=_objective(X, y, exc.last_iterate, config.lam, config.alpha),
-                converged=False,
-            )
-        theta0 = result.theta
-        model = PolyModel.from_coefficient_vector(variables, config.degree, result.theta)
-        sampled, found = _sample_violations(model, constraints, refine_pts)
-        violation = max(sampled, result.max_violation)
-        if best is None or violation < best[0]:
-            best = (violation, result, model)
-        if violation <= refine_target:
-            break
-        for c, entries in zip(constraints, found):
-            if entries:
-                pts = {v: np.array([point[v] for _, point in entries]) for v in variables}
-                new_rows, new_rhs = _rows_for_points(c, variables, basis, pts)
-                rows = np.vstack([rows, new_rows])
-                rhs = np.concatenate([rhs, new_rhs])
-
-    violation, result, model = best
-    if violation > config.solver_tol:
-        raise SolverError(
-            f"constraint violation {violation:.3e} exceeds solver_tol "
-            f"{config.solver_tol:.1e} after {config.refine_rounds} refinement rounds",
-            last_iterate=result.theta,
-            residual=violation,
+    def solve(A, b):
+        return solve_elastic_net(
+            X, y, config.lam, config.alpha, A, b,
+            solver_tol=config.solver_tol, max_iter=config.max_iter,
         )
-    report = _report(X, y, result, t0)
-    # report the dense-sample violation, which is the stronger quantity
-    report.max_sampled_violation = violation
+
+    best = None  # (inner solve, gap) of the round the fit is taken from
+    for _round in range(config.refine_rounds + 1):
+        A, V, b, box, corner = _bernstein_system(parts, len(basis))
+        try:
+            inner = solve(A, b)
+            if best is not None and inner.objective > best[0].objective * (1.0 + 1e-9):
+                # a finer partition cannot raise the optimum: the solves are
+                # inexact, and refining further cannot close the gap
+                break
+            # a row binds when its slack is within solver_tol, relative to the
+            # size of its terms; with only corner rows binding, the inner
+            # optimum is the outer one
+            slack = A @ inner.theta - b
+            split = ~corner & (slack <= config.solver_tol * (1.0 + np.abs(A) @ np.abs(inner.theta)))
+            gap = 0.0
+            if split.any() and inner.objective > 0.0:
+                outer = solve(V, b)
+                gap = max(inner.objective - outer.objective, 0.0) / inner.objective
+            best = (inner, gap)
+            if gap <= GAP_TOL:
+                break
+        except InfeasibleError:
+            solve(V, b)  # raises when the node values admit no solution
+            split = ~corner
+        except SolverError:
+            if best is None:
+                raise
+            break  # keep the last round's fit
+        chosen = np.bincount(box[split], minlength=sum(len(p.side) for p in parts)) > 0
+        if _round == config.refine_rounds or not _split_boxes(parts, chosen):
+            break
+    if best is None:
+        raise InfeasibleError(
+            f"no fit meets the Bernstein rows of {sum(len(p.side) for p in parts)} boxes, "
+            "though the derivative values at their nodes admit one"
+        )
+    inner, gap = best
+    model = PolyModel.from_coefficient_vector(variables, config.degree, inner.theta)
+    report = _report(X, y, inner, t0)
+    report.optimality_gap = float(gap)
     return model, report

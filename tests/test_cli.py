@@ -222,6 +222,25 @@ def test_gridsearch_reads_fixed_config_fields_beside_grid(tmp_path):
     assert [row["params"] for row in table] == [{"lam": 1e-4, "degree": 2}, {"lam": 1e-4, "degree": 3}]
 
 
+def test_gridsearch_applies_seed_to_configs_with_a_seed(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "2", "--n-invalid", "0")
+
+    def sum_rmse(cli_seed, **fixed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"max_generations": [5]}, "population": 20, **fixed}))
+        rep = tmp_path / "grid.json"
+        proc = run("gridsearch", "--algo", "scsr", "--data-dir", str(corpus_dir),
+                   "--config", str(cfg), "--seed", str(cli_seed), "--out", str(rep))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(rep.read_text())["result"]["table"][0]["sum_test_rmse"]
+
+    assert sum_rmse(1) != sum_rmse(2)
+    # a seed in the config wins over --seed
+    assert sum_rmse(1, seed=2) == sum_rmse(2)
+
+
 SMALL_CONFIGS = {
     "pr": {"degree": 3},
     "scpr": {"degree": 3},

@@ -11,8 +11,8 @@ from shapeguard import (
     Interval,
     SCPRConfig,
     ShapeConstraint,
-    SolverError,
     build_design_matrix,
+    certify,
     compile_constraints,
     fit_constrained,
     fit_unconstrained,
@@ -228,18 +228,33 @@ def test_exact_solve_detects_inconsistent_rows():
         solve_elastic_net(X, np.zeros(10), 0.0, 0.0, A, b)
 
 
-def test_fit_raises_when_violation_stays_above_tolerance():
-    # a 3-node grid leaves the degree-5 fit of a non-monotone target free to
-    # dip between the nodes; without refinement rounds the dip must raise
+def test_fit_without_refinement_rounds_is_certified():
+    # one Bernstein box and no refinement: the degree-5 fit of a non-monotone
+    # target is still monotone on the whole region, with no sampling
     x = np.linspace(-1.0, 1.0, 41)
     d = Dataset("d", {"x": x, "y": np.sin(3.0 * x)}, "y")
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(-1.0, 1.0)})]
-    cfg = SCPRConfig(degree=5, lam=0.0, grid_points_per_dim=3, refine_rounds=0)
-    with pytest.raises(SolverError):
-        fit_constrained(d, cfg, cons)
-    cfg.refine_rounds = 20
-    _, report = fit_constrained(d, cfg, cons)
-    assert report.max_sampled_violation <= cfg.solver_tol
+    model, report = fit_constrained(d, SCPRConfig(degree=5, lam=0.0, refine_rounds=0), cons)
+    assert certify(model, cons).all_certified
+    assert report.max_sampled_violation <= 1e-8
+
+
+def test_fit_splits_boxes_when_one_box_admits_no_fit():
+    # on one box the middle Bernstein coefficient of any admissible quadratic
+    # (f'' >= 1.9, 0 <= f <= 1 on [-1, 1]) is negative; halving the box
+    # admits x**2, which the data follow exactly
+    x = np.linspace(-1.0, 1.0, 21)
+    d = Dataset("d", {"x": x, "y": x**2}, "y")
+    region = {"x": Interval(-1.0, 1.0)}
+    cons = [
+        ShapeConstraint({}, Interval(0.0, 1.0), region),
+        ShapeConstraint({"x": 2}, Interval(1.9, math.inf), region),
+    ]
+    with pytest.raises(InfeasibleError):
+        fit_constrained(d, SCPRConfig(degree=2, refine_rounds=0), cons)
+    model, report = fit_constrained(d, SCPRConfig(degree=2), cons)
+    assert report.train_rmse <= 1e-12
+    assert certify(model, cons).all_certified
 
 
 def test_constrained_fit_of_a_wide_design():
@@ -261,3 +276,95 @@ def test_config_validation():
         SCPRConfig(degree=0)
     with pytest.raises(SchemaError):
         SCPRConfig(alpha=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("refine_rounds", -1), ("solver_tol", -1.0), ("solver_tol", 0.0), ("max_iter", 0)],
+)
+def test_config_rejects_settings_that_break_the_fit(field, value):
+    from shapeguard import SchemaError
+
+    with pytest.raises(SchemaError, match=field):
+        SCPRConfig(**{field: value})
+
+
+def test_config_accepts_the_edge_values():
+    SCPRConfig(refine_rounds=0, solver_tol=1e-300, max_iter=1)
+
+
+def random_constraint(rng, variables, region):
+    """A value, first- or second-order bound that a constant satisfies."""
+    order = int(rng.integers(0, 3))
+    var = variables[int(rng.integers(len(variables)))]
+    derivative = {var: order} if order else {}
+    if order == 0:
+        bound = Interval(-1.0, 1.0)
+    elif rng.random() < 0.5:
+        bound = Interval(0.0, math.inf)
+    else:
+        bound = Interval(-math.inf, 0.0)
+    return ShapeConstraint(derivative, bound, region)
+
+
+def test_random_fits_are_certified_and_bound_their_breach():
+    # every returned model meets its constraints on the whole region, and
+    # the reported Bernstein-row violation bounds the breach on a dense grid
+    # (up to the rounding of that grid's evaluation)
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        n_vars = 1 + trial % 3
+        variables = ["x", "z", "w"][:n_vars]
+        region = {v: Interval(-1.0, 1.0) for v in variables}
+        cols = {v: rng.uniform(-1.0, 1.0, 60) for v in variables}
+        waves = sum(np.sin(rng.uniform(1.0, 4.0) * cols[v] + rng.normal()) for v in variables)
+        d = Dataset("d", dict(cols, y=0.5 * waves + rng.normal(0.0, 0.1, 60)), "y")
+        cons = [random_constraint(rng, variables, region) for _ in range(1 + trial % 3)]
+        degree = int(rng.integers(2, 6 - n_vars + 1))
+        model, report = fit_constrained(d, SCPRConfig(degree=degree, lam=1e-6), cons)
+        assert certify(model, cons).all_certified, (trial, [c.describe() for c in cons])
+        axes = np.meshgrid(*[np.linspace(-1.0, 1.0, 41)] * n_vars, indexing="ij")
+        grid = {v: a.reshape(-1) for v, a in zip(variables, axes)}
+        for c in cons:
+            vals = model.derivative(c.derivative_tuple(model.variables)).evaluate_columns(grid)
+            breach = max(float(np.max(c.bound.lo - vals)), float(np.max(vals - c.bound.hi)))
+            assert report.max_sampled_violation >= breach - 1e-12
+
+
+@pytest.mark.parametrize("index", [0, 10, 19, 21, 43])
+def test_corpus_fits_certify_every_eq1_constraint(index):
+    # five seed-0 corpus datasets, four of which once had fits whose sampled
+    # violation certification refuted
+    from importlib import resources
+
+    from shapeguard import ValidationConfig, make_corpus, parse_constraints, validate_dataset
+
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
+    config = ValidationConfig(
+        threshold=0.05,
+        controlled_variables=["p", "v"],
+        algorithm="scpr",
+        algorithm_config=SCPRConfig(degree=3, lam=1e-6),
+        constraints=spec.constraints,
+        target=spec.target,
+    )
+    report = validate_dataset(make_corpus(18, 35, seed=0)[index], config)
+    verdicts = [e["verdict"] for e in report.certification["constraints"]]
+    assert verdicts == ["CERTIFIED"] * len(spec.constraints)
+
+
+def test_monotone_cubic_fit_is_near_the_exact_optimum():
+    # criterion 01's data: the true optimum lies between the fit's objective
+    # and that of a 4001-point grid, an outer relaxation
+    from shapeguard import synth_generate
+
+    data = synth_generate("cubic_fig1", 5)
+    cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(-2.0, 2.0)})]
+    _, report = fit_constrained(data, SCPRConfig(degree=3, lam=0.0), cons)
+    X, y = build_design_matrix(data, ["x"], "y", 3)
+    grid = compile_constraints(cons, ["x"], 3, grid_points_per_dim=4001)
+    lower = solve_elastic_net(X, y, 0.0, 0.0, grid.rows, grid.rhs).theta
+    exact_rmse = float(np.sqrt(np.mean((X @ lower - y) ** 2)))
+    assert exact_rmse <= report.train_rmse <= exact_rmse * (1.0 + 1e-3)
+    assert 0.0 <= report.optimality_gap <= 1e-3
+
