@@ -31,7 +31,8 @@ class SolverError(ShapeguardError):
 
     The solver ran out of its iteration budget, or its constraint violation
     stalled with the penalty at its cap, or it left the constraint rows
-    violated by more than solver_tol.
+    violated by more than solver_tol; or the symbolic-regression GA ended
+    with no individual that meets the constraints.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

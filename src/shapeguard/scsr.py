@@ -9,9 +9,13 @@ the error of the worst feasible individual, which preserves its genetic
 material without ever letting it win.
 
 Scoring is a pure function of the tree, so each distinct tree is scored once
-per ``evolve`` call and its result reused by every copy of it.  Constraints
-are checked with one interval walk per differentiated variable and region,
-at the highest derivative order the constraints on it need.
+per ``evolve`` call and its result reused by every copy of it.  ``evolve``
+groups the constraints into a plan once per run: one interval walk per
+differentiated variable and region, at the highest derivative order the
+constraints on it need.  Walks run on (lo, hi) float pairs with the endpoint
+formulas of ``Interval``, and a tree's check stops at the first group that
+is unbounded or out of bounds (the interval check of Kronberger et al.,
+Evolutionary Computation 30(1), 2022).
 
 Trees are immutable nested tuples::
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ArityError, ConfigError
-from .intervals import Interval
+from .intervals import Interval, _div_ep, _mul_ep
 
 __all__ = [
     "GAConfig",
@@ -210,96 +214,159 @@ class _UnboundedDerivative(Exception):
     pass
 
 
+# Enclosures are (lo, hi) float pairs.  Each operation computes its endpoints
+# with the float operations of the matching ``Interval`` operation, in the
+# same order, so they come out bit for bit as an ``Interval`` walk's without
+# building an object per operation.
+_ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
+
+
+def _add(x, y):
+    lo, hi = x[0] + y[0], x[1] + y[1]
+    if lo != lo or hi != hi:  # inf + -inf has no enclosure
+        raise _UnboundedDerivative
+    return lo, hi
+
+
+def _sub(x, y):
+    return _add(x, (-y[1], -y[0]))
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
+    return min(p), max(p)
+
+
+def _div(x, y):
+    (a, b), (c, d) = x, y
+    if c <= 0.0 <= d:  # quotient enclosures fail when the denominator may be zero
+        raise _UnboundedDerivative
+    q = (_div_ep(a, c), _div_ep(a, d), _div_ep(b, c), _div_ep(b, d))
+    return min(q), max(q)
+
+
 def _ieval(t: tuple, region, var: str, order: int):
-    """Enclosures of (value, d/dvar, d2/dvar2)[:order+1] over the region."""
+    """Enclosures of (value, d/dvar, d2/dvar2)[:order+1] over the region of (lo, hi) pairs."""
     kind = t[0]
-    zero = Interval.point(0.0)
     if kind == "const":
-        return (Interval.point(float(t[1])), zero, zero)[: order + 1]
+        c = float(t[1])
+        return ((c, c), _ZERO, _ZERO)[: order + 1]
     if kind == "var":
         name = t[1]
         if name not in region:
             raise ArityError(f"region missing variable {name!r}")
-        d = Interval.point(1.0) if name == var else zero
-        return (region[name], d, zero)[: order + 1]
+        return (region[name], _ONE if name == var else _ZERO, _ZERO)[: order + 1]
     if kind == "neg":
-        return tuple(-x for x in _ieval(t[1], region, var, order))
+        return [(-hi, -lo) for lo, hi in _ieval(t[1], region, var, order)]
     a = _ieval(t[1], region, var, order)
     b = _ieval(t[2], region, var, order)
     if kind == "add":
-        return tuple(x + y for x, y in zip(a, b))
+        return list(map(_add, a, b))
     if kind == "sub":
-        return tuple(x - y for x, y in zip(a, b))
+        return list(map(_sub, a, b))
     if kind == "mul":
-        out = [a[0] * b[0]]
+        out = [_mul(a[0], b[0])]
         if order >= 1:
-            out.append(a[0] * b[1] + a[1] * b[0])
+            out.append(_add(_mul(a[0], b[1]), _mul(a[1], b[0])))
         if order >= 2:
-            out.append(a[0] * b[2] + 2 * (a[1] * b[1]) + a[2] * b[0])
-        return tuple(out)
-    # division: quotient enclosures fail when the denominator may be zero
-    if b[0].contains(0.0):
-        raise _UnboundedDerivative
-    f = a[0] / b[0]
-    out = [f]
+            two = _mul(_mul(a[1], b[1]), _TWO)
+            out.append(_add(_add(_mul(a[0], b[2]), two), _mul(a[2], b[0])))
+        return out
+    out = [_div(a[0], b[0])]
     if order >= 1:
-        f1 = (a[1] - f * b[1]) / b[0]
-        out.append(f1)
+        out.append(_div(_sub(a[1], _mul(out[0], b[1])), b[0]))
     if order >= 2:
-        f2 = (a[2] - f * b[2] - 2 * (f1 * b[1])) / b[0]
-        out.append(f2)
-    return tuple(out)
+        two = _mul(_mul(out[1], b[1]), _TWO)
+        out.append(_div(_sub(_sub(a[2], _mul(out[0], b[2])), two), b[0]))
+    return out
+
+
+def _pairs(region) -> dict:
+    return {name: (iv.lo, iv.hi) for name, iv in region.items()}
+
+
+def _interval(t: tuple, region, var: str, k: int) -> Interval:
+    try:
+        return Interval(*_ieval(t, _pairs(region), var, k)[k])
+    except _UnboundedDerivative:
+        return Interval.whole()
 
 
 def tree_value_interval(t: tuple, region) -> Interval:
-    """Sound enclosure of the tree's value over the box."""
-    try:
-        return _ieval(t, region, "", 0)[0]
-    except _UnboundedDerivative:
-        return Interval.whole()
+    """Sound enclosure of the tree's value over the box; see tree_derivative_interval."""
+    return _interval(t, region, "", 0)
 
 
 def tree_derivative_interval(t: tuple, var: str, region) -> Interval:
     """Sound enclosure of d(tree)/d(var) over the box.
 
-    A division whose denominator enclosure contains zero yields the
-    unbounded interval, which marks the individual infeasible.
+    A division whose denominator enclosure contains zero, or an operation
+    with no enclosure (inf - inf), yields the unbounded interval, which
+    marks the individual infeasible.
     """
-    try:
-        return _ieval(t, region, var, 1)[1]
-    except _UnboundedDerivative:
-        return Interval.whole()
+    return _interval(t, region, var, 1)
+
+
+def _compile(constraints) -> list:
+    """Constraints grouped by (variable, region), value constraints under variable ``""``.
+
+    One ``(var, region pairs, walk order, members)`` per group, in order of
+    first appearance; one member ``(index, bound lo, bound hi, k)`` per
+    constraint on the k-th derivative.
+    """
+    groups = {}
+    for i, c in enumerate(constraints):
+        (var, k), = c.derivative.items() if c.derivative else (("", 0),)
+        key = (var, frozenset(c.region.items()))
+        groups.setdefault(key, (c.region, []))[1].append((i, c.bound.lo, c.bound.hi, k))
+    return [
+        (var, _pairs(region), max(m[3] for m in members), members)
+        for (var, _), (region, members) in groups.items()
+    ]
+
+
+def _enclosures(t: tuple, plan, scale):
+    """Yield (index, bound lo, bound hi, scaled enclosure or None if unbounded), group by group.
+
+    One walk per group at the group's order; a component comes out of the
+    same float operations whatever the walk's order.
+    """
+    a, b = float(scale[0]), float(scale[1])
+    for var, region, order, members in plan:
+        try:
+            walk = _ieval(t, region, var, order)
+            encs = [
+                _add(_mul(walk[0], (a, a)), (b, b)) if k == 0 else _mul(walk[k], (a, a))
+                for _, _, _, k in members
+            ]
+        except _UnboundedDerivative:
+            encs = [None] * len(members)
+        for (i, lo, hi, _), enc in zip(members, encs):
+            yield i, lo, hi, enc
+
+
+def _feasible(t: tuple, plan, scale) -> bool:
+    """Whether the scaled tree meets every constraint of the plan; stops at the first failure."""
+    encs = _enclosures(t, plan, scale)
+    return all(e is not None and lo <= e[0] and e[1] <= hi for _, lo, hi, e in encs)
 
 
 def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
-    """Interval feasibility of the (affinely scaled) tree.
+    """Interval feasibility of the (affinely scaled) tree: (feasible, enclosure per constraint).
 
     Conservative: interval enclosures may reject trees that actually satisfy
     the constraints, never the converse.  Constraints on the same variable
     (value constraints count as variable ``""``) over the same region share
-    one walk at the highest order among them; a component comes out of the
-    same float operations whatever the walk's order.
+    one walk at the highest order among them.  A walk through a division
+    whose denominator may be zero, or through inf - inf (NaN), gives every
+    constraint of its group the unbounded interval, so the tree is
+    infeasible.
     """
-    a, b = scale
     constraints = list(constraints)
-    groups = {}
-    for i, c in enumerate(constraints):
-        (var, k), = c.derivative.items() if c.derivative else (("", 0),)
-        groups.setdefault((var, frozenset(c.region.items())), []).append((i, k))
     enclosures = [None] * len(constraints)
-    for (var, _), members in groups.items():
-        region = constraints[members[0][0]].region
-        try:
-            walk = _ieval(t, region, var, max(k for _, k in members))
-        except _UnboundedDerivative:
-            walk = None
-        for i, k in members:
-            if walk is None:
-                enclosures[i] = Interval.whole()
-            elif k == 0:
-                enclosures[i] = walk[0] * a + b
-            else:
-                enclosures[i] = walk[k] * a
+    for i, _, _, enc in _enclosures(t, _compile(constraints), scale):
+        enclosures[i] = Interval.whole() if enc is None else Interval(*enc)
     feasible = all(c.bound.encloses(enc) for c, enc in zip(constraints, enclosures))
     return feasible, enclosures
 
@@ -320,22 +387,40 @@ def random_tree(rng: random.Random, variables, depth: int) -> tuple:
     return (op, random_tree(rng, variables, depth - 1), random_tree(rng, variables, depth - 1))
 
 
-def _arity(t: tuple) -> int:
-    return {"const": 0, "var": 0, "neg": 1}.get(t[0], 2)
+_ARITY = {"const": 0, "var": 0, "neg": 1, "add": 2, "sub": 2, "mul": 2, "div": 2}
 
 
-def _common_paths(t1: tuple, t2: tuple, path=()):
-    """Aligned node paths of the two trees (one-point crossover region)."""
-    paths = [path]
-    if _arity(t1) == _arity(t2):
-        for i in range(_arity(t1)):
-            paths.extend(_common_paths(t1[i + 1], t2[i + 1], path + (i,)))
-    return paths
+def _aligned_size(t1: tuple, t2: tuple) -> int:
+    """Number of aligned nodes of the two trees (one-point crossover region).
+
+    The roots are aligned; children are aligned pairwise when their parents
+    have the same arity.  ``_aligned_size(t, t) == tree_size(t)``.
+    """
+    n = 1
+    arity = _ARITY[t1[0]]
+    if arity == _ARITY[t2[0]]:
+        for i in range(1, arity + 1):
+            n += _aligned_size(t1[i], t2[i])
+    return n
+
+
+def _aligned_path(t1: tuple, t2: tuple, r: int) -> list:
+    """Tuple indices leading to the r-th aligned node of the two trees, in preorder."""
+    path = []
+    while r:
+        r -= 1
+        i = 1
+        while i < _ARITY[t1[0]] and r >= (n := _aligned_size(t1[i], t2[i])):
+            r -= n
+            i += 1
+        path.append(i)
+        t1, t2 = t1[i], t2[i]
+    return path
 
 
 def _subtree_at(t: tuple, path) -> tuple:
     for i in path:
-        t = t[i + 1]
+        t = t[i]
     return t
 
 
@@ -343,9 +428,7 @@ def _replace_at(t: tuple, path, sub: tuple) -> tuple:
     if not path:
         return sub
     i = path[0]
-    parts = list(t)
-    parts[i + 1] = _replace_at(t[i + 1], path[1:], sub)
-    return tuple(parts)
+    return t[:i] + (_replace_at(t[i], path[1:], sub),) + t[i + 1 :]
 
 
 def crossover(t1: tuple, t2: tuple, rng: random.Random) -> tuple:
@@ -354,21 +437,12 @@ def crossover(t1: tuple, t2: tuple, rng: random.Random) -> tuple:
     Identical parents produce a child identical to them (the donated subtree
     equals the replaced one).
     """
-    paths = _common_paths(t1, t2)
-    path = paths[rng.randrange(len(paths))]
+    path = _aligned_path(t1, t2, rng.randrange(_aligned_size(t1, t2)))
     return _replace_at(t1, path, _subtree_at(t2, path))
 
 
-def _all_paths(t: tuple, path=()):
-    paths = [path]
-    for i in range(_arity(t)):
-        paths.extend(_all_paths(t[i + 1], path + (i,)))
-    return paths
-
-
 def mutate(t: tuple, rng: random.Random, variables) -> tuple:
-    paths = _all_paths(t)
-    path = paths[rng.randrange(len(paths))]
+    path = _aligned_path(t, t, rng.randrange(tree_size(t)))
     node = _subtree_at(t, path)
     if rng.random() < 0.25:
         return _replace_at(t, path, random_tree(rng, variables, 2))
@@ -410,8 +484,8 @@ def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - y) ** 2)))
 
 
-def _evaluate(tree, train_cols, y, constraints):
-    """Returns (raw train rmse or None, scale, feasible)."""
+def _evaluate(tree, train_cols, y, plan):
+    """Returns (raw train rmse or None, scale, feasible) under a _compile plan."""
     out = eval_tree_columns(tree, train_cols)
     scale = _affine_fit(out, y)
     if scale is None:
@@ -420,8 +494,7 @@ def _evaluate(tree, train_cols, y, constraints):
     err = _rmse(a * out + b, y)
     if not math.isfinite(err):
         return None, scale, False
-    feasible, _ = check_constraints(tree, constraints, scale)
-    return err, scale, feasible
+    return err, scale, _feasible(tree, plan, scale)
 
 
 def _tournament(rng: random.Random, fitness, k: int) -> int:
@@ -439,6 +512,7 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     The model is the last record's best individual.  With ``elitism >= 1``
     the elite carries the run's best training fitness to the last
     generation; with ``elitism=0`` the result is the last generation's best.
+    A record's best is feasible unless its ``feasible_fraction`` is 0.
     """
     if train.n_rows == 0:
         raise ConfigError("empty training set")
@@ -446,7 +520,7 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     variables = train.feature_names
     train_cols = {v: train.columns[v] for v in variables}
     y_train = train.y
-    constraints = list(constraints)
+    plan = _compile(constraints)
 
     pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
     history: list[GenerationRecord] = []
@@ -459,17 +533,15 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         for t in pop:
             result = scored.get(t)
             if result is None:
-                result = scored[t] = _evaluate(t, train_cols, y_train, constraints)
+                result = scored[t] = _evaluate(t, train_cols, y_train, plan)
             evals.append(result)
         feasible_errs = [e for e, _, ok in evals if ok and e is not None]
         worst = max(feasible_errs) if feasible_errs else math.inf
         fitness = [e if (ok and e is not None) else worst for e, _, ok in evals]
 
         # prefer feasible individuals on equal fitness
-        best = min(
-            range(len(pop)),
-            key=lambda i: (fitness[i], not evals[i][2], i),
-        )
+        order = sorted(range(len(pop)), key=lambda i: (fitness[i], not evals[i][2], i))
+        best = order[0]
         history.append(
             GenerationRecord(
                 generation=gen,
@@ -483,7 +555,6 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         if gen == config.max_generations - 1:
             break
 
-        order = sorted(range(len(pop)), key=lambda i: (fitness[i], not evals[i][2], i))
         new_pop = [pop[i] for i in order[: config.elitism]]
         while len(new_pop) < config.population:
             p1 = pop[_tournament(rng, fitness, config.tournament_size)]

@@ -21,7 +21,7 @@ from . import scpr as scpr_mod
 from . import scsr as scsr_mod
 from .certify import certify as run_certification
 from .datasets import Dataset, scale_unit
-from .errors import ConfigError, DegenerateError, GridError, SchemaError
+from .errors import ConfigError, DegenerateError, GridError, SchemaError, SolverError
 from .poly import PolyModel
 
 __all__ = [
@@ -229,6 +229,11 @@ def _fit_gbt(train, config, constraints, target):
 
 def _fit_scsr(train, config, constraints, target):
     best = scsr_mod.evolve(train, config=config, constraints=constraints)[-1]
+    if best.feasible_fraction == 0.0:
+        raise SolverError(
+            f"no feasible individual after {best.generation + 1} generations "
+            f"(population {config.population})"
+        )
     a, b = best.best_scale
     tree = ("add", ("mul", ("const", a), best.best_tree), ("const", b))
     return tree, partial(scsr_mod.eval_tree_columns, tree), {"train_rmse": best.best_train_rmse}

@@ -16,7 +16,9 @@ from shapeguard import (
     eval_tree,
     eval_tree_columns,
     evolve,
+    make_corpus,
     parse_constraints,
+    scale_unit,
     tree_derivative_interval,
     tree_from_json,
     tree_to_infix,
@@ -203,35 +205,82 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
     ]
     cfg = GAConfig(population=40, max_generations=12, seed=3)
     seen = []
-    original = scsr.check_constraints
+    original = scsr._feasible
 
-    def recording(t, constraints, scale=(1.0, 0.0)):
+    def recording(t, plan, scale):
         seen.append(t)
-        return original(t, constraints, scale)
+        return original(t, plan, scale)
 
-    monkeypatch.setattr(scsr, "check_constraints", recording)
+    monkeypatch.setattr(scsr, "_feasible", recording)
     history = evolve(tr, cfg, cons)
+    assert seen  # evolve scores through the spied function
     assert len(seen) == len(set(seen))
     assert len(seen) < cfg.population * cfg.max_generations  # repeats were reused
 
     train_cols = {"x": tr.columns["x"]}
+    plan = scsr._compile(cons)
     for rec in history:
-        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, tr.y, cons)
+        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, tr.y, plan)
+        assert feasible == check_constraints(rec.best_tree, cons, scale)[0]
         assert feasible
         assert err == rec.best_train_rmse
         assert scale == rec.best_scale
 
 
+class _Unbounded(Exception):
+    pass
+
+
+def interval_walk(t, region, var, order):
+    """(value, d/dvar, d2/dvar2)[:order+1] as ``Interval`` objects, one object per operation."""
+    kind = t[0]
+    zero = Interval.point(0.0)
+    if kind == "const":
+        return (Interval.point(float(t[1])), zero, zero)[: order + 1]
+    if kind == "var":
+        d = Interval.point(1.0) if t[1] == var else zero
+        return (region[t[1]], d, zero)[: order + 1]
+    if kind == "neg":
+        return tuple(-x for x in interval_walk(t[1], region, var, order))
+    a = interval_walk(t[1], region, var, order)
+    b = interval_walk(t[2], region, var, order)
+    if kind == "add":
+        return tuple(x + y for x, y in zip(a, b))
+    if kind == "sub":
+        return tuple(x - y for x, y in zip(a, b))
+    if kind == "mul":
+        out = [a[0] * b[0]]
+        if order >= 1:
+            out.append(a[0] * b[1] + a[1] * b[0])
+        if order >= 2:
+            out.append(a[0] * b[2] + 2 * (a[1] * b[1]) + a[2] * b[0])
+        return tuple(out)
+    if b[0].contains(0.0):
+        raise _Unbounded
+    f = a[0] / b[0]
+    out = [f]
+    if order >= 1:
+        f1 = (a[1] - f * b[1]) / b[0]
+        out.append(f1)
+    if order >= 2:
+        out.append((a[2] - f * b[2] - 2 * (f1 * b[1])) / b[0])
+    return tuple(out)
+
+
 def _per_constraint_enclosure(t, c, scale):
-    """One full interval walk per constraint: the check before walks were shared."""
+    """One full ``Interval`` walk per constraint: the check before walks were shared."""
     a, b = scale
     try:
         if c.order == 0:
-            return scsr._ieval(t, c.region, "", 0)[0] * a + b
+            return interval_walk(t, c.region, "", 0)[0] * a + b
         (var, k), = c.derivative.items()
-        return scsr._ieval(t, c.region, var, k)[k] * a
-    except scsr._UnboundedDerivative:
+        return interval_walk(t, c.region, var, k)[k] * a
+    except _Unbounded:
         return Interval.whole()
+
+
+def _same(x, y):
+    return (x.lo.hex(), x.hi.hex()) == (y.lo.hex(), y.hi.hex())
 
 
 def test_shared_walks_match_one_walk_per_constraint():
@@ -250,8 +299,146 @@ def test_shared_walks_match_one_walk_per_constraint():
         oracle = [_per_constraint_enclosure(t, c, scale) for c in cons]
         assert ok == all(c.bound.encloses(e) for c, e in zip(cons, oracle))
         for enc, ref in zip(encs, oracle):
-            assert (enc.lo.hex(), enc.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+            assert _same(enc, ref)
+        region = cons[0].region
+        for var in ("p", "v", "T"):
+            try:
+                ref = interval_walk(t, region, var, 1)
+            except _Unbounded:
+                ref = (Interval.whole(),) * 2
+            assert _same(tree_value_interval(t, region), ref[0])
+            assert _same(tree_derivative_interval(t, var, region), ref[1])
         unbounded += any(e == Interval.whole() for e in oracle)
         feasible += ok
     # the cases cover zero-containing denominators and both verdicts
     assert unbounded > 20 and 0 < feasible < 400
+
+
+_ARITY = {"const": 0, "var": 0, "neg": 1}
+
+
+def _common_paths(t1, t2, path=()):
+    paths = [path]
+    if _ARITY.get(t1[0], 2) == _ARITY.get(t2[0], 2):
+        for i in range(_ARITY.get(t1[0], 2)):
+            paths.extend(_common_paths(t1[i + 1], t2[i + 1], path + (i,)))
+    return paths
+
+
+def _subtree_at(t, path):
+    for i in path:
+        t = t[i + 1]
+    return t
+
+
+def _replace_at(t, path, sub):
+    if not path:
+        return sub
+    parts = list(t)
+    parts[path[0] + 1] = _replace_at(t[path[0] + 1], path[1:], sub)
+    return tuple(parts)
+
+
+def crossover_oracle(t1, t2, rng):
+    """One-point crossover over the full list of aligned paths."""
+    paths = _common_paths(t1, t2)
+    path = paths[rng.randrange(len(paths))]
+    return _replace_at(t1, path, _subtree_at(t2, path))
+
+
+def mutate_oracle(t, rng, variables):
+    """Point mutation over the full list of node paths (every path of t aligns with itself)."""
+    paths = _common_paths(t, t)
+    path = paths[rng.randrange(len(paths))]
+    node = _subtree_at(t, path)
+    if rng.random() < 0.25:
+        return _replace_at(t, path, random_tree(rng, variables, 2))
+    kind = node[0]
+    if kind == "const":
+        new = ("const", node[1] + rng.gauss(0.0, 0.1))
+    elif kind == "var":
+        if variables and rng.random() < 0.5:
+            new = ("var", rng.choice(variables))
+        else:
+            new = ("const", rng.uniform(-2.0, 2.0))
+    elif kind == "neg":
+        new = node[1]
+    else:
+        new = (rng.choice(("add", "sub", "mul", "div")),) + node[1:]
+    return _replace_at(t, path, new)
+
+
+def test_operators_match_path_list_oracles():
+    variables = ["x", "z"]
+    trees = random.Random(9)
+    for seed in range(600):
+        t1 = random_tree(trees, variables, trees.randrange(1, 6))
+        # a mutant of t1 shares most of its shape, so deep nodes align too
+        t2 = random_tree(trees, variables, 4) if seed % 2 else mutate(t1, trees, variables)
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert crossover(t1, t2, ours) == crossover_oracle(t1, t2, ref)
+        assert ours.getstate() == ref.getstate()
+        assert mutate(t2, ours, variables) == mutate_oracle(t2, ref, variables)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_nan_enclosure_is_unbounded():
+    huge = ("div", ("const", 1e300), ("const", 1e-300))  # [inf, inf]
+    t = ("sub", huge, huge)  # inf - inf
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    )
+    ok, encs = check_constraints(t, spec.constraints)
+    assert ok is False
+    assert encs == [Interval.whole()] * len(spec.constraints)
+    region = spec.constraints[0].region
+    assert tree_value_interval(t, region) == Interval.whole()
+    assert tree_derivative_interval(t, "p", region) == Interval.whole()
+    assert scsr._feasible(t, scsr._compile(spec.constraints), (1.0, 0.0)) is False
+
+
+def _line(c):
+    offset = ("add", ("const", 0.4048328703805688), ("var", "T"))
+    return ("sub", ("mul", ("var", "p"), ("const", c)), offset)
+
+
+# seed-0 corpus dataset 000, unit-scaled, eq1, GAConfig(population=40,
+# max_generations=10, seed=0): (best_tree, feasible_fraction,
+# best_train_rmse, best_scale) per generation
+PINNED_TRAJECTORY = [
+    (("neg", ("neg", ("var", "T"))), 0.525, 0.031886581108206406,
+     (-0.13870136485229778, 0.5897708390661676)),
+    (_line(-0.835761923418584), 0.875, 0.008696317452624608,
+     (0.11375539067545197, 0.6707600704129371)),
+    (_line(-0.7304025316838447), 0.975, 0.006821030402539466,
+     (0.12384694211461103, 0.6776350230080505)),
+    (_line(-0.7304025316838447), 0.925, 0.006821030402539466,
+     (0.12384694211461103, 0.6776350230080505)),
+    (_line(-0.7304025316838447), 1.0, 0.006821030402539466,
+     (0.12384694211461103, 0.6776350230080505)),
+    (_line(-0.7304025316838447), 0.95, 0.006821030402539466,
+     (0.12384694211461103, 0.6776350230080505)),
+    (_line(-0.6955223279665655), 0.925, 0.006341625721326676,
+     (0.12732736007787843, 0.6798522379302808)),
+    (_line(-0.6877986341393015), 0.95, 0.006253556462437264,
+     (0.12810458470546823, 0.6803349876128764)),
+    (_line(-0.6877986341393015), 0.95, 0.006253556462437264,
+     (0.12810458470546823, 0.6803349876128764)),
+    (_line(-0.6877986341393015), 0.975, 0.006253556462437264,
+     (0.12810458470546823, 0.6803349876128764)),
+]
+
+
+def test_ga_trajectory_is_pinned():
+    ds = make_corpus(18, 35, seed=0)[0]
+    scaled, _ = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    )
+    history = evolve(scaled, GAConfig(population=40, max_generations=10, seed=0), spec.constraints)
+    assert [r.generation for r in history] == list(range(10))
+    for rec, (tree, frac, rmse, scale) in zip(history, PINNED_TRAJECTORY, strict=True):
+        assert rec.best_tree == tree
+        assert rec.feasible_fraction == frac
+        assert rec.best_train_rmse == pytest.approx(rmse, rel=1e-12, abs=0)
+        assert rec.best_scale == pytest.approx(scale, rel=1e-12, abs=0)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,16 +12,21 @@ from shapeguard import (
     ConfigError,
     Dataset,
     DegenerateError,
+    GAConfig,
     Interval,
     SchemaError,
     ShapeConstraint,
+    SolverError,
     ValidationConfig,
     classify,
     grid_search,
+    make_corpus,
+    parse_constraints,
     roc,
     score_segments,
     segment,
     synth_generate,
+    validate_corpus,
     validate_dataset,
 )
 from shapeguard import validation
@@ -199,3 +205,22 @@ def test_grid_search_test_fold_cannot_choose_the_scsr_model(monkeypatch):
     before, after = fold_models(datasets), fold_models([flipped, datasets[1]])
     assert after[0] == before[0]
     assert after[1] != before[1]  # fold 1 trains on the flipped rows
+
+
+def test_scsr_fit_without_feasible_individual_raises():
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text() + "value >= 2\n"
+    )
+    config = ValidationConfig(
+        threshold=0.05,
+        controlled_variables=["p", "v"],
+        algorithm="scsr",
+        algorithm_config=GAConfig(population=20, max_generations=3),
+        constraints=list(spec.constraints),
+        target="mu_dyn",
+    )
+    ds = make_corpus(18, 35, seed=0)[0]
+    with pytest.raises(SolverError, match="no feasible individual"):
+        validate_dataset(ds, config)
+    (report,), _, _ = validate_corpus([ds], config)
+    assert report.error.startswith("SolverError") and report.segment_rmses == []
