@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError
 from .intervals import INF, Interval
 
 __all__ = ["ShapeConstraint", "ConstraintSpec", "parse_constraints", "serialize_constraints"]
@@ -206,6 +206,8 @@ def serialize_constraints(spec: ConstraintSpec) -> str:
     for var, iv in spec.box.items():
         lines.append(f"box {var} in [{_fmt(iv.lo)}, {_fmt(iv.hi)}]")
     for c in spec.constraints:
+        if len(c.derivative) > 1:
+            raise ConfigError(f"the spec format has no mixed derivatives: {c.describe()}")
         if not c.derivative:
             head = "value"
         else:

@@ -317,6 +317,8 @@ def _compile(constraints) -> list:
     """
     groups = {}
     for i, c in enumerate(constraints):
+        if len(c.derivative) > 1:
+            raise ConfigError(f"SCSR checks single-variable derivatives only: {c.describe()}")
         (var, k), = c.derivative.items() if c.derivative else (("", 0),)
         key = (var, frozenset(c.region.items()))
         groups.setdefault(key, (c.region, []))[1].append((i, c.bound.lo, c.bound.hi, k))

@@ -121,14 +121,11 @@ def segment(data: Dataset, controlled) -> list:
     if n == 0:
         return []
     cols = [data.columns[c] for c in controlled]
-    segments = []
-    start = 0
-    for i in range(1, n):
-        if any(col[i] != col[i - 1] for col in cols):
-            segments.append(_make_segment(controlled, cols, start, i))
-            start = i
-    segments.append(_make_segment(controlled, cols, start, n))
-    return segments
+    change = np.zeros(n - 1, dtype=bool)
+    for col in cols:
+        change |= col[1:] != col[:-1]
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), n]
+    return [_make_segment(controlled, cols, s, e) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def _make_segment(controlled, cols, start, end) -> Segment:

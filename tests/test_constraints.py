@@ -1,10 +1,13 @@
 """Constraint DSL: parsing, validation, serialization round trip."""
 
 import math
+import re
 
 import pytest
 
 from shapeguard import (
+    ConfigError,
+    ConstraintSpec,
     DomainError,
     Interval,
     ParseError,
@@ -83,6 +86,13 @@ def test_serialize_round_trip():
     assert again.target == spec.target
     assert again.box == spec.box
     assert again.constraints == spec.constraints
+
+
+def test_serialize_rejects_mixed_derivative():
+    box = {"p": Interval(0, 1), "v": Interval(0, 1)}
+    c = ShapeConstraint({"p": 1, "v": 1}, Interval(0, math.inf), box)
+    with pytest.raises(ConfigError, match=re.escape(c.describe())):
+        serialize_constraints(ConstraintSpec("mu", box, [c]))
 
 
 def test_describe_is_stable():

@@ -1,6 +1,8 @@
 """Gradient-boosted trees: boosting behaviour and monotone constraints."""
 
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from shapeguard import (
     GBTConfig,
     GBTEnsemble,
     fit_gbt,
+    make_corpus,
     monotonicity_audit,
+    parse_constraints,
     predict_gbt,
 )
-from shapeguard.gbt import _build_tree, _leaf_weight
+from shapeguard.gbt import RegTreeNode, _best_splits, _leaf_weight, _node_weight, _predict_tree
+from shapeguard.validation import monotone_from_constraints
 
 
 def make_data(n=300, seed=0, monotone=True):
@@ -123,6 +128,26 @@ def test_config_validation():
         GBTConfig(min_samples_leaf=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"learning_rate": -1.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"lam": -1.0},
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"alpha": -0.5},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+    ],
+)
+def test_config_rejects_bad_numbers(bad):
+    with pytest.raises(ConfigError):
+        GBTConfig(**bad)
+
+
 def test_predict_names_missing_feature():
     d = make_data(50)
     ens = fit_gbt(d, GBTConfig(n_trees=5))
@@ -138,7 +163,7 @@ def test_predict_rejects_empty_columns():
 
 
 def reference_split(cols, grad, idx, bounds, config):
-    """The per-threshold scalar split search, kept as the oracle for _build_tree."""
+    """The per-threshold scalar split search, kept as the oracle for _best_splits."""
 
     def leaf_weight(G, H):
         g = math.copysign(max(abs(G) - config.alpha, 0.0), G)
@@ -182,17 +207,25 @@ def reference_split(cols, grad, idx, bounds, config):
     return best[1], best[2]
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_split_matches_scalar_reference(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(12, 80))
-    cols = {
+def random_columns(rng, n):
+    return {
         "p": rng.choice([0.0, 1 / 3, 2 / 3, 1.0], n),
         "v": rng.choice([0.1, 0.4, 0.7, 0.9], n),
         "c": np.round(rng.uniform(0, 1, n), 1),
     }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_matches_scalar_reference(seed):
+    # One level of the grower on a two-node frontier: an arbitrary row subset
+    # and the rows left over, each with its own weight bounds.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 80))
+    cols = random_columns(rng, n)
     grad = rng.normal(size=n) + 0.5 * cols["p"] - 0.8 * cols["v"]
     idx = np.sort(rng.choice(n, size=int(rng.integers(n // 2, n + 1)), replace=False))
+    groups = [idx, np.setdiff1d(np.arange(n), idx)]
+    groups = [g for g in groups if len(g)]
     # min_samples_leaf at the edge: a split is legal only near the middle
     msl = int(rng.integers(1, max(2, len(idx) // 2 + 1)))
     config = GBTConfig(
@@ -202,13 +235,111 @@ def test_split_matches_scalar_reference(seed):
         min_samples_leaf=msl,
         monotone={"p": int(rng.choice([-1, 0, 1])), "v": int(rng.choice([-1, 1]))},
     )
-    bounds = (-math.inf, math.inf)
+    bounds = [(-math.inf, math.inf), (-math.inf, math.inf)][: len(groups)]
     if seed % 3:
-        bounds = (float(rng.uniform(-0.3, 0)), float(rng.uniform(0, 0.3)))
-    node = _build_tree(np.stack(list(cols.values())), list(cols), grad, idx, 0, bounds, config)
-    expect = reference_split(cols, grad, idx, bounds, config)
-    got = None if node.is_leaf else (node.variable, node.threshold)
-    assert got == expect
+        bounds = [(float(rng.uniform(-0.3, 0)), float(rng.uniform(0, 0.3))) for _ in groups]
+    X = np.stack(list(cols.values()))
+    # the frontier's perm: per feature each group's rows in stable sorted
+    # order, then all rows ascending within each group
+    perm = np.array(
+        [np.concatenate([g[np.argsort(x[g], kind="stable")] for g in groups]) for x in X]
+        + [np.concatenate(groups)]
+    )
+    G = [float(grad[g].sum()) for g in groups]
+    counts = [len(g) for g in groups]
+    weights = [
+        _node_weight(s, float(c), lo, hi, config.lam, config.alpha)
+        for s, c, (lo, hi) in zip(G, counts, bounds)
+    ]
+    direction = np.array([config.monotone.get(name, 0) for name in cols])
+    splits = _best_splits(X, perm, grad, G, counts, bounds, weights, direction, config)
+    for k, (g, b) in enumerate(zip(groups, bounds)):
+        expect = reference_split(cols, grad, g, b, config)
+        got = (list(cols)[splits[k][0]], splits[k][1]) if k in splits else None
+        assert got == expect
+
+
+def reference_tree(cols, grad, idx, depth, bounds, config):
+    """The recursive builder: reference_split at every node and the midpoint bound rule."""
+    lo, hi = bounds
+
+    def weight(rows):
+        G = float(grad[rows].sum())
+        g = math.copysign(max(abs(G) - config.alpha, 0.0), G)
+        return min(max(-g / (len(rows) + config.lam), lo), hi)
+
+    split = None
+    if depth < config.max_depth and len(idx) >= 2 * config.min_samples_leaf:
+        split = reference_split(cols, grad, idx, bounds, config)
+    if split is None:
+        return RegTreeNode(weight=weight(idx))
+    name, threshold = split
+    go_left = cols[name][idx] < threshold
+    left, right = idx[go_left], idx[~go_left]
+    left_bounds = right_bounds = bounds
+    direction = config.monotone.get(name, 0)
+    if direction:
+        mid = 0.5 * (weight(left) + weight(right))
+        left_bounds, right_bounds = (lo, mid), (mid, hi)
+        if direction == -1:
+            left_bounds, right_bounds = right_bounds, left_bounds
+    return RegTreeNode(
+        variable=name,
+        threshold=threshold,
+        left=reference_tree(cols, grad, left, depth + 1, left_bounds, config),
+        right=reference_tree(cols, grad, right, depth + 1, right_bounds, config),
+    )
+
+
+def reference_ensemble(data, config):
+    names = [c for c in data.columns if c != data.target]
+    cols = {c: data.columns[c] for c in names}
+    y = data.y
+    ensemble = GBTEnsemble(float(y.mean()), config.learning_rate, names, monotone=config.monotone)
+    pred = np.full(data.n_rows, ensemble.base_score)
+    rows, bounds = np.arange(data.n_rows), (-math.inf, math.inf)
+    for _ in range(config.n_trees):
+        tree = reference_tree(cols, pred - y, rows, 0, bounds, config)
+        if tree.is_leaf and abs(tree.weight) < 1e-15:
+            break
+        ensemble.trees.append(tree)
+        pred = pred + config.learning_rate * _predict_tree(tree, cols, data.n_rows)
+    return ensemble
+
+
+@pytest.mark.filterwarnings("ignore:no legal split")
+@pytest.mark.parametrize("seed", range(40))
+def test_ensemble_matches_recursive_reference(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(10, 80))
+    cols = random_columns(rng, n)
+    y = rng.normal(size=n) + cols["p"] - 2.0 * cols["v"] ** 2
+    data = Dataset("d", dict(cols, y=y), "y")
+    config = GBTConfig(
+        n_trees=0 if seed == 0 else int(rng.integers(1, 7)),
+        learning_rate=float(rng.choice([0.1, 0.5, 1.0])),
+        max_depth=int(rng.integers(0, 6)),
+        lam=float(rng.choice([0.0, 1.0])),
+        alpha=float(rng.choice([0.0, 0.3])),
+        min_samples_leaf=int(rng.integers(1, 8)),
+        monotone={name: int(rng.choice([-1, 0, 1])) for name in cols},
+    )
+    assert fit_gbt(data, config).to_json() == reference_ensemble(data, config).to_json()
+
+
+def test_corpus_fits_emit_no_runtime_warnings():
+    text = resources.files("shapeguard").joinpath("resources", "eq1.spec").read_text()
+    monotone = monotone_from_constraints(parse_constraints(text).constraints)
+    configs = [
+        GBTConfig(monotone=monotone),
+        GBTConfig(n_trees=20, lam=0.0, alpha=0.01, monotone=monotone),
+    ]
+    # one valid dataset and one of each error kind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for data in make_corpus(1, 4, seed=0):
+            for config in configs:
+                fit_gbt(data, config, target="mu_dyn")
 
 
 def test_identical_columns_split_on_the_first():

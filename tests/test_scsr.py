@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from importlib import resources
 
 import numpy as np
@@ -126,6 +127,17 @@ def test_check_constraints_feasibility():
     assert check_constraints(("neg", ("var", "x")), inc)[0] is False
     # a negative output scale flips the effective derivative sign
     assert check_constraints(("var", "x"), inc, scale=(-1.0, 0.0))[0] is False
+
+
+def test_mixed_derivative_constraint_raises_config_error():
+    region = {"p": Interval(0.0, 1.0), "v": Interval(0.0, 1.0)}
+    c = ShapeConstraint({"p": 1, "v": 1}, Interval(0.0, math.inf), region)
+    tree = ("mul", ("var", "p"), ("var", "v"))
+    with pytest.raises(ConfigError, match=re.escape(c.describe())):
+        check_constraints(tree, [c])
+    data = Dataset("d", {"p": [0.0, 0.5, 1.0], "v": [1.0, 0.5, 0.0], "y": [0.0, 0.25, 0.0]}, "y")
+    with pytest.raises(ConfigError, match=re.escape(c.describe())):
+        evolve(data, GAConfig(population=4, max_generations=1), constraints=[c])
 
 
 def test_crossover_and_mutation_produce_valid_trees():

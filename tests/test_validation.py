@@ -30,7 +30,7 @@ from shapeguard import (
     validate_dataset,
 )
 from shapeguard import validation
-from shapeguard.validation import monotone_from_constraints
+from shapeguard.validation import Segment, monotone_from_constraints
 
 
 def auc_pair_oracle(scores, labels):
@@ -62,6 +62,28 @@ def test_segment_exact_runs():
     assert segs[0].controlled_values == (("p", 1.0), ("v", 0.0))
     with pytest.raises(SchemaError):
         segment(d, ["missing"])
+
+
+def loop_segment(data, controlled):
+    """The row-by-row segmentation, kept as the oracle for segment."""
+    cols = [data.columns[c] for c in controlled]
+    cuts = [i for i in range(1, data.n_rows) if any(col[i] != col[i - 1] for col in cols)]
+    bounds = [0, *cuts, data.n_rows]
+    return [
+        Segment(s, e, tuple((c, float(col[s])) for c, col in zip(controlled, cols)))
+        for s, e in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_segment_matches_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    # few distinct values, so runs repeat and values recur after a change
+    cols = {name: rng.choice([0.0, -0.0, 0.5, 1.0], n, p=[0.3, 0.2, 0.3, 0.2]) for name in "abc"}
+    data = Dataset("d", dict(cols, y=rng.normal(size=n)), "y")
+    controlled = [name for name in "abc" if rng.random() < 0.6]
+    assert segment(data, controlled) == loop_segment(data, controlled)
 
 
 def test_score_segments_rmse():
