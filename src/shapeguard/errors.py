@@ -29,10 +29,10 @@ class DataError(ShapeguardError):
 class SolverError(ShapeguardError):
     """The optimizer stopped short of its tolerance.
 
-    The solver ran out of its iteration budget, or its constraint violation
-    stalled with the penalty at its cap, or it left the constraint rows
-    violated by more than solver_tol; or the symbolic-regression GA ended
-    with no individual that meets the constraints.
+    The solver ran out of its iteration budget, or its result failed the KKT
+    check (rows violated by more than solver_tol, or not stationary); or the
+    symbolic-regression GA ended with no individual that meets the
+    constraints.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

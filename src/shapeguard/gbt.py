@@ -50,8 +50,12 @@ class GBTConfig:
     monotone: dict = field(default_factory=dict)  # variable -> +1 | -1 | 0
 
     def __post_init__(self):
-        if self.n_trees < 0 or self.max_depth < 0 or self.min_samples_leaf < 1:
-            raise ConfigError("invalid tree parameters")
+        if self.n_trees < 0 or self.max_depth < 1 or self.min_samples_leaf < 1:
+            raise ConfigError(
+                "invalid tree parameters: need n_trees >= 0, max_depth >= 1 and "
+                f"min_samples_leaf >= 1, got {self.n_trees}, {self.max_depth}, "
+                f"{self.min_samples_leaf}"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not all(math.isfinite(p) and p >= 0 for p in (self.lam, self.alpha)):
@@ -206,7 +210,10 @@ def _best_splits(X, perm, grad, G, counts, bounds, weights, direction, config: G
     for node, (g, feat, pos) in best.items():
         if g > 1e-12:
             below, above = xs[feat, node, pos : pos + 2].tolist()
-            splits[node] = (feat, 0.5 * (below + above))
+            # between adjacent floats the midpoint rounds onto below, which
+            # would send below's rows right: take above then
+            mid = 0.5 * (below + above)
+            splits[node] = (feat, mid if mid > below else above)
     return splits
 
 

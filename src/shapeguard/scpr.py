@@ -26,14 +26,13 @@ before is kept.  Each solve is of
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
     s.t. A theta >= b
 
-solved exactly when it has no 1-norm term (lambda * alpha == 0): as (ridge)
-least squares, and under constraints as least squares with inequalities
-reduced to least distance programming and NNLS (Lawson & Hanson 1974, ch.
-23).  With a 1-norm term, or a constrained design of deficient rank, an
-augmented-Lagrangian outer loop with a monotone accelerated proximal-gradient
-inner loop solves it (soft-thresholding handles the 1-norm; the intercept is
-never penalized).  Both paths detect an inconsistent system in the same way:
-the least-distance problem on the rows has no solution, and InfeasibleError
+solved exactly as least squares with inequalities, reduced to least
+distance programming and NNLS (Lawson & Hanson 1974, ch. 23); the intercept
+is never penalized.  The 1-norm term is linear on each orthant, so orthant
+steps (feature-sign search; Lee, Battle, Raina & Ng, NIPS 2006) solve it with
+the same reduction, and a rank-deficient design gets the minimum-norm
+minimizer.  Every solve ends in a KKT check, and SolverError when it fails.
+When the least-distance problem on the rows has no solution, InfeasibleError
 is raised.
 
 ``compile_constraints`` discretizes constraints on tensor grids instead: its
@@ -78,10 +77,11 @@ MAX_COMPILED_ROWS = 10**6
 # where a box count would not).
 GAP_TOL = 1e-3
 MAX_FIT_ROWS = 20000
-# iterative solver: growth of the penalty rho while the violation stalls, and
-# the relative coefficient step at which an inner phase has converged
-PENALTY_GROWTH = 10.0
-INNER_TOL = 1e-10
+# A solve passes its KKT check when its stationarity residual is at most
+# KKT_TOL times the largest term of the gradient.  A design of deficient rank
+# weighs its null directions NULL_WEIGHT times its largest singular value.
+KKT_TOL = 1e-9
+NULL_WEIGHT = 1e-5
 
 
 @dataclass
@@ -89,6 +89,7 @@ class SCPRConfig:
     degree: int = 3
     lam: float = 0.0
     alpha: float = 0.0
+    # how far a row may be violated, and the NNLS iterations of one solve
     solver_tol: float = 1e-8
     max_iter: int = 50000
     # rounds of Bernstein box splitting after the one-box-per-constraint fit
@@ -330,7 +331,6 @@ class SolveResult:
     iterations: int
     max_violation: float
     objective: float
-    converged: bool
 
 
 def _objective(X, y, theta, lam, alpha):
@@ -386,75 +386,97 @@ def _nnls(E: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, int,
             u[~passive] = 0.0
 
 
-def _least_distance(G: np.ndarray, h: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
+def _least_distance(
+    G: np.ndarray, h: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int]:
     """min ||z|| subject to G z >= h, through NNLS on its dual.
 
     Lawson & Hanson, *Solving Least Squares Problems* (1974), ch. 23: with
     u >= 0 minimizing ||[G^T; h^T] u - e_last||, residual r, the solution is
     z = -r[:-1] / r[-1], and r == 0 means the rows are inconsistent.
-    Returns (z, NNLS iterations, whether NNLS finished).
+    Returns (z, the rows' multipliers mu >= 0, NNLS iterations), where
+    2 z = G^T mu and only rows that hold with equality have mu > 0.
+    SolverError means NNLS did not finish within max_iter iterations.
     """
     norms = np.linalg.norm(G, axis=1)
     zero = norms == 0.0
     if np.any(h[zero] > 0.0):
         raise InfeasibleError("a constraint row with zero coefficients requires 0 >= b > 0")
+    mu = np.zeros(len(G))
     G = G[~zero] / norms[~zero, None]
     h = h[~zero] / norms[~zero]
     # scaled so the farthest single row is at distance 1
     scale = float(h.max(initial=0.0))
     if scale <= 0.0:
-        return np.zeros(G.shape[1]), 0, True
+        return np.zeros(G.shape[1]), mu, 0
     E = np.vstack([G.T, h / scale])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
     u, iterations, finished = _nnls(E, f, max_iter)
+    if not finished:
+        raise SolverError(f"NNLS did not finish within {max_iter} iterations")
     r = E @ u - f
     # -r[-1] = 1 / (1 + ||z / scale||^2): the rows admit no point within
     # 1e6 times the distance of the farthest single row
-    if finished and -r[-1] <= 1e-12:
+    if -r[-1] <= 1e-12:
         raise InfeasibleError("the compiled constraint system has no solution")
-    return -scale * r[:-1] / min(r[-1], -1e-12), iterations, finished
+    mu[~zero] = 2.0 * scale * u / (norms[~zero] * -r[-1])
+    return -scale * r[:-1] / r[-1], mu, iterations
 
 
-def _solve_least_squares(X, y, lam, alpha, A, b, max_iter) -> SolveResult | None:
-    """Exact solve when lam*alpha == 0: (ridge) least squares, optionally under A theta >= b.
+def _solve_least_squares(E, f, c, G, h, max_iter) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """min ||E x - f||^2 + c @ x subject to G x >= h.
 
-    The objective is ||E phi - f||^2 for the design stacked with the
-    sqrt(lam/2) ridge rows, in columns scaled to unit RMS (theta = phi / s).
-    Unconstrained, a rank-deficient stack gets the minimum-norm phi.  With
-    constraints it has no unique solution, so None is returned and the
-    caller falls back to the iterative solver.
+    With E = U S V^T, W = V S^-1 and x0 = W (U^T f - W^T c / 2), the
+    unconstrained minimizer, the objective is ||z||^2 plus a constant for
+    z = S V^T (x - x0), and the rows become G W z >= h - G x0: least
+    distance programming (Lawson & Hanson 1974, ch. 23).  A rank-deficient E
+    has no unique minimizer; its null directions get the singular value
+    NULL_WEIGHT * S[0], a ridge that leads to the minimum-norm one, and the
+    exact minimizer on the rows that bind there (least squares in the null
+    space of those rows, minimum norm again) replaces it when it is feasible
+    and closer to stationary.  Returns (x, the rows' multipliers, NNLS
+    iterations, whether E has full rank).
     """
-    n, m = X.shape
-    s = np.sqrt((X * X).mean(axis=0))
-    s = np.where(s > 1e-12, s, 1.0)
-    E = X / (s * np.sqrt(n))
-    f = y / np.sqrt(n)
-    if lam:
-        E = np.vstack([E, np.sqrt(lam / 2.0) * np.eye(m)[1:] / s])
-        f = np.concatenate([f, np.zeros(m - 1)])
     U, sv, Vt = np.linalg.svd(E, full_matrices=False)
     keep = sv > sv[0] * max(E.shape) * np.finfo(float).eps
     Utf = U.T @ f
-    phi = Vt[keep].T @ (Utf[keep] / sv[keep])
-    iterations, finished = 0, True
-    if A.shape[0]:
-        if keep.sum() < m:
-            return None
-        # LSI -> LDP: with z = S V^T phi - U^T f the objective is ||z||^2 plus
-        # a constant, and A theta >= b becomes G z >= h
-        W = Vt.T / sv
-        As = A / s
-        z, iterations, finished = _least_distance(As @ W, b - As @ phi, max_iter)
-        phi = phi + W @ z
-    theta = phi / s
-    return SolveResult(
-        theta=theta,
-        iterations=iterations,
-        max_violation=float(max((b - A @ theta).max(initial=-np.inf), 0.0)),
-        objective=_objective(X, y, theta, lam, alpha),
-        converged=finished,
-    )
+    x0 = Vt[keep].T @ (Utf[keep] / sv[keep])
+    W = Vt.T / np.where(keep, sv, NULL_WEIGHT * sv[0])
+    if c.any():
+        x0 = x0 - W @ (W.T @ c) / 2.0
+    if not len(G):
+        return x0, np.zeros(0), 0, bool(keep.all())
+    z, mu, iterations = _least_distance(G @ W, h - G @ x0, max_iter)
+    x = x0 + W @ z
+    if keep.all():
+        return x, mu, iterations, True
+
+    # the exact minimizer on the rows that bind: x = xp + Z q for Z a basis of
+    # their null space and q least squares (minimum norm) in E Z
+    bind = mu > 0.0
+    if not bind.any():
+        return x, mu, iterations, False
+    Ug, sg, Vg = np.linalg.svd(G[bind])
+    rank = int((sg > sg[0] * max(G.shape) * np.finfo(float).eps).sum())
+    xp = Vg[:rank].T @ ((Ug[:, :rank].T @ h[bind]) / sg[:rank])
+    Z = Vg[rank:].T
+    Um, sm, Vm = np.linalg.svd(E @ Z, full_matrices=False)
+    km = sm > sm.max(initial=0.0) * max(E.shape) * np.finfo(float).eps
+    Um, sm, Vm = Um[:, km], sm[km], Vm[km]
+    xp = xp + Z @ (Vm.T @ ((Um.T @ (f - E @ xp) - Vm @ (Z.T @ c) / (2.0 * sm)) / sm))
+    mu_p = np.zeros(len(mu))
+    mu_p[bind], its, _ = _nnls(G[bind].T, 2.0 * E.T @ (E @ xp - f) + c, max_iter - iterations)
+
+    def fault(x, mu):
+        """Row violation and stationarity residual."""
+        return max((h - G @ x).max(), 0.0), np.abs(2.0 * E.T @ (E @ x - f) + c - G.T @ mu).max()
+
+    (v, r), (vp, rp) = fault(x, mu), fault(xp, mu_p)
+    rounding = np.finfo(float).eps * (np.abs(G) @ np.abs(xp) + np.abs(h)).max()
+    if vp <= max(v, rounding) and rp <= r:
+        return xp, mu_p, iterations + its, False
+    return x, mu, iterations + its, False
 
 
 def solve_elastic_net(
@@ -468,209 +490,119 @@ def solve_elastic_net(
     solver_tol: float = 1e-8,
     max_iter: int = 50000,
 ) -> SolveResult:
-    """Elastic-net QP solver.
+    """Exact elastic-net QP solver.
 
     Column 0 of X (the intercept) is never penalized.  Constraints are
-    A theta >= b; pass A=None for the unconstrained problem.  Without a
-    1-norm term (lam*alpha == 0) the problem is solved exactly: least
-    squares, or least squares with inequalities through NNLS.  The
-    augmented-Lagrangian / proximal-gradient loop handles the 1-norm term
-    and a rank-deficient constrained design.  SolverError means the
-    iteration budget ran out, the violation stalled with the penalty at its
-    cap, or the rows are left violated by more than solver_tol;
-    InfeasibleError means the rows admit no solution.
+    A theta >= b; pass A=None for the unconstrained problem.  In columns
+    scaled to unit RMS the objective is ||E phi - f||^2 + sum_j w_j |phi_j|,
+    with E the design stacked with the ridge rows, and every solve is least
+    squares with inequalities (_solve_least_squares).  The 1-norm term is
+    handled by orthant steps (feature-sign search; Lee, Battle, Raina & Ng,
+    NIPS 2006): on a fixed sign per coefficient |phi_j| is linear and the
+    sign is a row sign_j phi_j >= 0, and a coefficient at zero is left out of
+    the design.  From a coefficient at zero, sign_j * (dF/dphi_j without the
+    1-norm) + w_j is the multiplier its sign row needs; above 2 w_j the
+    coefficient enters with the other sign, below 0 with this one, and every
+    step that lets coefficients in lowers the objective.  The search starts
+    from the intercept alone, or from the signs of the fit without the
+    1-norm term when the intercept alone cannot meet the rows.  max_iter
+    bounds the NNLS iterations of all solves together.
+
+    No result violates a row by more than solver_tol.  A full-rank solve
+    without a 1-norm term is the exact reduction; every other result also
+    passes a KKT check: stationarity within KKT_TOL of the gradient's
+    largest term, every multiplier of the right sign, and a duality gap
+    within KKT_TOL of the objective's scale.  SolverError means a check
+    failed, NNLS ran out of iterations or the orthant steps came back to a
+    sign pattern; InfeasibleError means the rows admit no solution.
     """
     n, m = X.shape
     if A is None or A.shape[0] == 0:
         A = np.zeros((0, m))
         b = np.zeros(0)
     k = A.shape[0]
-
-    if lam * alpha == 0.0:
-        exact = _solve_least_squares(X, y, lam, alpha, A, b, max_iter)
-        if exact is not None:
-            if not exact.converged or exact.max_violation > solver_tol:
-                raise SolverError(
-                    f"exact solve stopped after {exact.iterations} NNLS iterations "
-                    f"at violation {exact.max_violation:.3e} (solver_tol {solver_tol:.1e})",
-                    last_iterate=exact.theta,
-                    residual=exact.max_violation,
-                )
-            return exact
-
-    # Preconditioning: theta = T phi.  Without a 1-norm term (lam*alpha == 0,
-    # here only a rank-deficient constrained design) the prox is the
-    # identity, so a T that whitens the design is legal and tames the
-    # near-singular Gram matrix.  With a 1-norm term the soft-threshold prox
-    # needs separable coordinates, so T stays diagonal (columns of X scaled
-    # to unit RMS).
     s = np.sqrt((X * X).mean(axis=0))
     s = np.where(s > 1e-12, s, 1.0)
-    T = None
-    if lam * alpha == 0.0 and m > 1:
-        # Whitening via SVD; singular directions the data cannot identify
-        # (rank-deficient designs) keep unit scale and are left to the
-        # 2-norm penalty and the constraints.
-        _, sv, Vt = np.linalg.svd(X / s)
-        sv = np.concatenate([sv, np.zeros(m - len(sv))])  # wide designs
-        cut = max(sv[0], 1e-300) * 1e-10
-        inv = np.where(sv > cut, np.sqrt(n / 2.0) / np.maximum(sv, cut), 1.0)
-        T = (Vt.T * inv) / s[:, None]
-    diagonal_T = T is None
-    if diagonal_T:
-        T = np.diag(1.0 / s)
-    Xs = X @ T
-    As = A @ T
-    bs = b
-    if k:
-        # Row equilibration (a positive row scale leaves the constraint set
-        # unchanged) keeps the penalty Hessian from dominating the smooth part.
-        row_norm = np.linalg.norm(As, axis=1)
-        row_norm = np.where(row_norm > 1e-12, row_norm, 1.0)
-        As = As / row_norm[:, None]
-        bs = b / row_norm
-        # drop duplicate rows (coarse grids on low-order derivatives produce them)
-        _, keep = np.unique(np.round(np.column_stack([As, bs]), 12), axis=0, return_index=True)
-        if len(keep) < k:
-            keep = np.sort(keep)
-            As = As[keep]
-            bs = bs[keep]
-            row_norm = row_norm[keep]
-            k = len(keep)
-        # the exact consistency test: inconsistent rows raise InfeasibleError
-        _least_distance(As, bs, max_iter)
-    else:
-        row_norm = np.ones(0)
-
-    G = (2.0 / n) * (Xs.T @ Xs)
-    if lam and alpha < 1.0:
-        # fold the (smooth) 2-norm penalty on theta[1:] into the quadratic
-        G = G + lam * (1.0 - alpha) * (T[1:].T @ T[1:])
-    c = (2.0 / n) * (Xs.T @ y)
-    y_sq = float(y @ y) / n
+    E = X / (s * np.sqrt(n))
+    f = y / np.sqrt(n)
+    ridge = lam * (1.0 - alpha)
+    if ridge:
+        E = np.vstack([E, np.sqrt(ridge / 2.0) * np.eye(m)[1:] / s])
+        f = np.concatenate([f, np.zeros(m - 1)])
+    if E.shape[0] < m:
+        # zero rows give a wide design's SVD a basis of the whole null space
+        E = np.vstack([E, np.zeros((m - E.shape[0], m))])
+        f = np.concatenate([f, np.zeros(m - len(f))])
+    G = A / s
     w = np.zeros(m)
-    if diagonal_T:
-        w[1:] = lam * alpha / s[1:]
-
-    eig_G = float(np.linalg.eigvalsh(G)[-1]) if m > 1 else float(G[0, 0])
-    eig_A = 0.0
-    if k:
-        AtA = As.T @ As
-        eig_A = float(np.linalg.eigvalsh(AtA)[-1])
-
-    phi = np.zeros(m)
-    mu = np.zeros(k)
-    rho = 10.0 if k else 0.0
-    # The quadratic penalty averages over rows so its curvature stays
-    # comparable to the loss no matter how finely constraints are gridded.
-    inv_k = 1.0 / k if k else 0.0
-
-    def smooth_grad(p):
-        g = G @ p - c
-        if k:
-            slack = np.maximum(0.0, rho * (bs - As @ p) + mu)
-            g -= inv_k * (As.T @ slack)
-        return g
-
-    def full_obj(p):
-        val = 0.5 * p @ (G @ p) - c @ p + y_sq + w @ np.abs(p)
-        if k:
-            slack = np.maximum(0.0, rho * (bs - As @ p) + mu)
-            val += inv_k * (slack @ slack - mu @ mu) / (2.0 * rho)
-        return float(val)
-
-    def prox(p, step):
-        out = np.sign(p) * np.maximum(np.abs(p) - step * w, 0.0)
-        out[0] = p[0]  # unpenalized intercept
-        return out
-
-    total_iter = 0
-    max_outer = 100 if k else 1
-    prev_viol = np.inf
-    converged = False
-
-    for _outer in range(max_outer):
-        L = 1.01 * (eig_G + rho * inv_k * eig_A) + 1e-12
-        step = 1.0 / L
-        f_cur = full_obj(phi)
-        z = phi.copy()
-        t = 1.0
-        inner_converged = False
-        stall = 0
-        inner_budget = min(max_iter - total_iter, 20000)
-        for _ in range(inner_budget):
-            total_iter += 1
-            cand = prox(z - step * smooth_grad(z), step)
-            f_cand = full_obj(cand)
-            if f_cand <= f_cur:
-                new_phi = cand
-                f_new = f_cand
-                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                z = new_phi + ((t - 1.0) / t_new) * (new_phi - phi)
-                t = t_new
-            else:
-                # momentum overshoot: fall back to a plain descent step
-                new_phi = prox(phi - step * smooth_grad(phi), step)
-                f_new = min(full_obj(new_phi), f_cur)
-                z = new_phi.copy()
-                t = 1.0
-            delta = float(np.max(np.abs(new_phi - phi))) if m else 0.0
-            stall = stall + 1 if f_cur - f_new <= 1e-15 * (1.0 + abs(f_cur)) else 0
-            phi = new_phi
-            f_cur = f_new
-            if delta <= INNER_TOL * (1.0 + float(np.max(np.abs(phi)))) or stall >= 200:
-                inner_converged = True
-                break
-
-        if not k:
-            converged = inner_converged
-            break
-
-        g = bs - As @ phi
-        # convergence is judged in the caller's units, not equilibrated ones
-        viol = float(max((row_norm * g).max(initial=-np.inf), 0.0))
-        mu = np.maximum(0.0, mu + rho * g)
-        if viol <= solver_tol and inner_converged:
-            converged = True
-            break
-        if total_iter >= max_iter:
-            break
-        if viol > 0.25 * prev_viol:
-            # Cap the penalty: past this point the multiplier updates alone
-            # must close the gap.  The rows passed the exact consistency test
-            # above, so a stall here is the solver's failure, not infeasibility.
-            if rho < 1e9:
-                rho *= PENALTY_GROWTH
-            elif viol > max(1e6 * solver_tol, 1e-4) and viol > 0.9 * prev_viol:
+    w[1:] = lam * alpha / s[1:]
+    x, mu, iterations, full_rank = _solve_least_squares(E, f, np.zeros(m), G, b, max_iter)
+    sign = np.ones(m)
+    at_zero = np.zeros(m, dtype=bool)
+    if w.any():
+        sign[1:] = np.where(x[1:] < 0.0, -1.0, 1.0)
+        free = np.arange(m) == 0
+        seen = set()
+        while True:
+            state = free.tobytes() + sign.tobytes()
+            if state in seen:
                 raise SolverError(
-                    f"constraint violation stalled at {viol:.3e} with the penalty at its "
-                    f"cap {rho:.1e}",
-                    last_iterate=T @ phi,
-                    residual=viol,
+                    f"orthant steps came back to a sign pattern after {len(seen)} steps"
                 )
-        prev_viol = viol
-
-    theta = T @ phi
-    if k:
-        g = b - A @ theta
-        max_violation = float(max(g.max(initial=-np.inf), 0.0))
-    else:
-        max_violation = 0.0
-
-    if not converged:
+            seen.add(state)
+            rows = np.vstack([G[:, free], np.diag(sign[free])[1:]])
+            try:
+                x_free, mu, its, _ = _solve_least_squares(
+                    E[:, free], f, (w * sign)[free], rows,
+                    np.concatenate([b, np.zeros(free.sum() - 1)]), max_iter - iterations,
+                )
+            except InfeasibleError:
+                if free.all():
+                    raise
+                free[:] = True  # the intercept alone cannot meet the rows
+                continue
+            iterations += its
+            x = np.zeros(m)
+            x[free] = x_free
+            at_zero = ~free
+            at_zero[np.flatnonzero(free)[1:]] = mu[k:] > 0.0
+            mu = mu[:k]
+            nu = sign * (2.0 * E.T @ (E @ x - f) - G.T @ mu) + w
+            flip = at_zero & (nu > 2.0 * (1.0 + KKT_TOL) * w)
+            enter = ~free & (nu < -KKT_TOL * w)
+            if not (flip.any() or enter.any()):
+                break
+            sign[flip] = -sign[flip]
+            free = (free & ~at_zero) | flip | enter
+            free[0] = True
+    theta = x / s
+    violation = float(max((b - A @ theta).max(initial=-np.inf), 0.0))
+    residual = terms = gap = scale = 0.0
+    if w.any() or not full_rank:
+        # stationarity: each coefficient's multiplier nu for its sign row
+        # must be 0, or lie in [0, 2 w_j] for a coefficient at zero
+        bind = mu > 0.0
+        Gb, mb, bb = G[bind], mu[bind], b[bind]
+        nu = sign * (2.0 * E.T @ (E @ x - f) - Gb.T @ mb) + w
+        residual = float(np.maximum(nu - np.where(at_zero, 2.0 * w, 0.0), -nu).max())
+        absE = np.abs(E)
+        terms = float((2.0 * absE.T @ (absE @ np.abs(x) + np.abs(f)) + w + np.abs(Gb).T @ mb).max())
+        # with stationarity, sum mu_i * slack_i bounds how far the objective
+        # is above its minimum; f @ f is the objective at theta = 0
+        gap, scale = float(mb @ np.abs(Gb @ x - bb)), float(f @ f + mb @ np.abs(bb))
+    if violation > solver_tol or residual > KKT_TOL * terms or gap > KKT_TOL * scale:
         raise SolverError(
-            f"solver did not converge within {max_iter} iterations "
-            f"(violation {max_violation:.3e})",
+            f"solve failed its KKT check after {iterations} NNLS iterations: violation "
+            f"{violation:.3e} (solver_tol {solver_tol:.1e}), stationarity {residual:.3e} "
+            f"of {terms:.3e}, duality gap {gap:.3e} of {scale:.3e}",
             last_iterate=theta,
-            residual=max_violation,
+            residual=violation,
         )
-
     return SolveResult(
         theta=theta,
-        iterations=total_iter,
-        max_violation=max_violation,
+        iterations=iterations,
+        max_violation=violation,
         objective=_objective(X, y, theta, lam, alpha),
-        converged=converged,
     )
 
 
@@ -731,7 +663,7 @@ def fit_constrained(
     breach, and optimality_gap is the relative gap to the lower bound when
     refinement stopped.  InfeasibleError means the node values alone admit
     no solution, or the rows of every partition tried did not; SolverError
-    means the first solve that admitted a fit missed solver_tol.
+    means the first solve that admitted a fit failed its KKT check.
     """
     t0 = time.perf_counter()
     variables, target = _resolve_columns(data, variables, target)

@@ -126,6 +126,8 @@ def test_config_validation():
         GBTConfig(monotone={"a": 2})
     with pytest.raises(ConfigError):
         GBTConfig(min_samples_leaf=0)
+    with pytest.raises(ConfigError, match="max_depth"):
+        GBTConfig(max_depth=0)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +203,8 @@ def reference_split(cols, grad, idx, bounds, config):
                 continue
             gain = parent_obj - objective(GL, n_l, clamp(wl)) - objective(GR, n_r, clamp(wr))
             if best is None or gain > best[0] + 1e-15:
-                best = (gain, name, float(0.5 * (xs[i] + xs[i + 1])))
+                mid = float(0.5 * (xs[i] + xs[i + 1]))
+                best = (gain, name, mid if mid > xs[i] else float(xs[i + 1]))
     if best is None or best[0] <= 1e-12:
         return None
     return best[1], best[2]
@@ -318,7 +321,7 @@ def test_ensemble_matches_recursive_reference(seed):
     config = GBTConfig(
         n_trees=0 if seed == 0 else int(rng.integers(1, 7)),
         learning_rate=float(rng.choice([0.1, 0.5, 1.0])),
-        max_depth=int(rng.integers(0, 6)),
+        max_depth=int(rng.integers(1, 6)),
         lam=float(rng.choice([0.0, 1.0])),
         alpha=float(rng.choice([0.0, 0.3])),
         min_samples_leaf=int(rng.integers(1, 8)),
@@ -340,6 +343,23 @@ def test_corpus_fits_emit_no_runtime_warnings():
         for data in make_corpus(1, 4, seed=0):
             for config in configs:
                 fit_gbt(data, config, target="mu_dyn")
+
+
+def test_split_between_adjacent_floats_separates_them():
+    # 0.5 * (1 + nextafter(1, 2)) rounds to 1.0, which as a threshold would
+    # send every row right and leave the left child empty
+    x = np.r_[np.full(5, 1.0), np.full(5, np.nextafter(1.0, 2.0))]
+    d = Dataset("d", {"x": x, "y": np.r_[np.zeros(5), np.ones(5)]}, "y")
+    config = GBTConfig(n_trees=1, max_depth=1, lam=0.0, min_samples_leaf=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ens = fit_gbt(d, config)
+    tree = ens.trees[0]
+    assert tree.threshold == np.nextafter(1.0, 2.0)
+    assert np.isfinite([tree.left.weight, tree.right.weight]).all()
+    assert "NaN" not in ens.to_json()
+    expect = np.r_[np.full(5, 0.45), np.full(5, 0.55)]
+    np.testing.assert_allclose(predict_gbt(ens, {"x": x}), expect)
 
 
 def test_identical_columns_split_on_the_first():

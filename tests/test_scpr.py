@@ -62,35 +62,119 @@ def test_ridge_matches_closed_form():
     np.testing.assert_allclose(model.coefficient_vector(), expect, rtol=1e-6, atol=1e-8)
 
 
+def sign_split(X, y, lam, alpha):
+    """The elastic-net objective, with its gradient, of z = (t0, tp, tn) where
+    theta = (t0, tp - tn) and tp, tn >= 0: the 1-norm term is linear there
+    and the objective smooth."""
+    n, m = X.shape
+
+    def objective(z):
+        tp, tn = z[1:m], z[m:]
+        t = np.r_[z[0], tp - tn]
+        r = X @ t - y
+        ridge = 0.5 * (1 - alpha) * (tp - tn)
+        value = r @ r / n + lam * (alpha * (tp.sum() + tn.sum()) + ridge @ (tp - tn))
+        g = (2.0 / n) * X.T @ r
+        g_pen = g[1:] + lam * 2.0 * ridge
+        return value, np.r_[g[0], g_pen + lam * alpha, -g_pen + lam * alpha]
+
+    return objective
+
+
+def theta_of(z, m):
+    return np.r_[z[0], z[1:m] - z[m:]]
+
+
 def test_elastic_net_matches_scipy():
-    # oracle: L-BFGS-B on the sign-split problem, theta = (t0, tp - tn) with
-    # tp, tn >= 0, where the 1-norm term is linear and the objective smooth
+    # oracle: L-BFGS-B on the sign-split problem
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2)
     for alpha in (1.0, 0.5):
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
         y = rng.normal(size=30)
         lam = 0.1
-        n = 30
-
-        def objective(z):
-            tp, tn = z[1:4], z[4:]
-            t = np.r_[z[0], tp - tn]
-            r = X @ t - y
-            ridge = 0.5 * (1 - alpha) * (tp - tn)
-            value = r @ r / n + lam * (alpha * (tp.sum() + tn.sum()) + ridge @ (tp - tn))
-            g = (2.0 / n) * X.T @ r
-            g_pen = g[1:] + lam * 2.0 * ridge
-            return value, np.r_[g[0], g_pen + lam * alpha, -g_pen + lam * alpha]
-
         bounds = [(None, None)] + [(0.0, None)] * 6
         opt = optimize.minimize(
-            objective, np.zeros(7), jac=True, method="L-BFGS-B", bounds=bounds,
+            sign_split(X, y, lam, alpha), np.zeros(7), jac=True, method="L-BFGS-B", bounds=bounds,
             options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000},
         )
-        expect = np.r_[opt.x[0], opt.x[1:4] - opt.x[4:]]
         res = solve_elastic_net(X, y, lam, alpha)
-        np.testing.assert_allclose(res.theta, expect, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(res.theta, theta_of(opt.x, 4), rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_constrained_elastic_net_matches_scipy(alpha):
+    # oracle: SLSQP on the sign-split problem under rows A theta >= b that
+    # cut off the unconstrained optimum, so they bind
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(10)
+    n, m, lam = 30, 5, 0.05
+    for trial in range(5):
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, m - 1))])
+        y = X @ rng.normal(size=m) + rng.normal(0.0, 0.3, n)
+        A = rng.normal(size=(3, m))
+        b = A @ solve_elastic_net(X, y, lam, alpha).theta + rng.uniform(0.1, 0.5, 3)
+        rows = np.column_stack([A, -A[:, 1:]])
+        opt = optimize.minimize(
+            sign_split(X, y, lam, alpha), np.zeros(2 * m - 1), jac=True, method="SLSQP",
+            bounds=[(None, None)] + [(0.0, None)] * (2 * m - 2),
+            constraints=[{"type": "ineq", "fun": lambda z: rows @ z - b, "jac": lambda z: rows}],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        assert opt.success, opt.message
+        res = solve_elastic_net(X, y, lam, alpha, A, b)
+        assert res.max_violation <= 1e-12
+        assert (A @ res.theta - b).min() <= 1e-9  # premise: a row binds
+        np.testing.assert_allclose(res.theta, theta_of(opt.x, m), atol=1e-6)
+        assert res.objective <= opt.fun + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_constrained_elastic_net_meets_kkt(alpha):
+    # With mu >= 0 on the binding rows, a nonzero coefficient has
+    # g_j + lam * alpha * sign(theta_j) = (A^T mu)_j, g the gradient of the
+    # smooth part, and a coefficient at zero |g_j - (A^T mu)_j| <= lam * alpha,
+    # which is its sign row's multiplier lying in [0, 2 lam alpha].
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    n, m, k, lam = 40, 8, 6, 0.1
+    at_zero = 0
+    for trial in range(20):
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, m - 1))])
+        y = X @ (rng.normal(size=m) * (rng.random(m) < 0.5)) + rng.normal(0.0, 0.5, n)
+        A = rng.normal(size=(k, m))
+        # strictly feasible around a point far from the unconstrained optimum
+        b = A @ rng.normal(scale=2.0, size=m) - rng.uniform(0.0, 1.0, size=k)
+        theta = solve_elastic_net(X, y, lam, alpha, A, b).theta
+        slack = A @ theta - b
+        assert slack.min() >= -1e-12
+        g = (2.0 / n) * X.T @ (X @ theta - y)
+        g[1:] += lam * (1.0 - alpha) * theta[1:]
+        zero = np.abs(theta) <= 1e-12
+        zero[0] = False
+        pen = lam * alpha * np.sign(theta)
+        pen[0] = 0.0
+        active = slack <= 1e-9
+        assert active.any()  # premise: the constraints bind
+        mu, residual = optimize.nnls(A[active][:, ~zero].T, (g + pen)[~zero])
+        assert residual <= 1e-9 * (1.0 + np.linalg.norm(g))
+        assert np.all(np.abs(g - A[active].T @ mu)[zero] <= lam * alpha * (1.0 + 1e-6))
+        at_zero += int(zero.sum())
+    assert at_zero  # premise: coefficients sit at zero
+
+
+def test_rank_deficient_constrained_fit_is_minimum_norm():
+    # Columns 1 and 2 are equal, so the data fix only theta_1 + theta_2, at
+    # the least-squares slope beta.  The row theta_1 - theta_2 >= 1 leaves
+    # that fit open, and the least-norm split that meets it is (beta +- 1) / 2.
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, 30)
+    y = 1.0 + 0.3 * x + rng.normal(0.0, 0.1, 30)
+    beta, intercept = np.polyfit(x, y, 1)
+    X = np.column_stack([np.ones(30), x, x])
+    res = solve_elastic_net(X, y, 0.0, 0.0, np.array([[0.0, 1.0, -1.0]]), np.array([1.0]))
+    expect = [intercept, (beta + 1.0) / 2.0, (beta - 1.0) / 2.0]
+    np.testing.assert_allclose(res.theta, expect, atol=1e-9)
 
 
 def clipped_slope_oracle(x, y, sign):
@@ -159,9 +243,8 @@ def test_compiled_rows_encode_derivative_values():
 
 @pytest.mark.parametrize("lam, alpha", [(0.0, 0.0), (0.1, 0.5)])
 def test_infeasible_constraints_raise(lam, alpha):
-    # alpha > 0 adds a 1-norm term, so the iterative solver runs.  The gap
-    # between the bounds is too small for its stalled-penalty exit to call
-    # the system infeasible, so only the exact consistency test catches it.
+    # alpha > 0 adds a 1-norm term and so orthant steps.  The gap between the
+    # bounds is 1e-4: the least-distance problem on the rows must see it.
     rng = np.random.default_rng(5)
     d = dataset_1d(rng, n=20, noise=0.1, lo=0.0, hi=1.0)
     region = {"x": Interval(0.0, 1.0)}
@@ -259,8 +342,9 @@ def test_fit_splits_boxes_when_one_box_admits_no_fit():
 
 def test_constrained_fit_of_a_wide_design():
     # 3 rows for 5 coefficients and lam = 0: the minimizer is not unique, so
-    # the iterative solver runs.  Under d/dx >= 0 the best fit of y = -x is
-    # the constant mean, whose RMSE is the standard deviation of x.
+    # the minimum-norm rule for a rank-deficient design runs.  Under
+    # d/dx >= 0 the best fit of y = -x is the constant mean, whose RMSE is
+    # the standard deviation of x.
     x = np.array([0.1, 0.5, 0.9])
     d = Dataset("d", {"x": x, "y": -x}, "y")
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 1.0)})]
@@ -351,6 +435,26 @@ def test_corpus_fits_certify_every_eq1_constraint(index):
     report = validate_dataset(make_corpus(18, 35, seed=0)[index], config)
     verdicts = [e["verdict"] for e in report.certification["constraints"]]
     assert verdicts == ["CERTIFIED"] * len(spec.constraints)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SCPRConfig(degree=5, lam=0.0), SCPRConfig(degree=6, lam=1e-6, alpha=0.5, refine_rounds=0)],
+)
+def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config):
+    # seed-0 dataset 000: p and v take 4 levels each, so from degree 4 on the
+    # design is rank-deficient; the second DEFAULT_GRID cell adds a 1-norm
+    # term, and one box per constraint already makes its solve hard.
+    from importlib import resources
+
+    from shapeguard import make_corpus, parse_constraints, scale_unit
+
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
+    data = make_corpus(18, 35, seed=0)[0]
+    scaled, _ = scale_unit(data, [c for c in data.columns if c != spec.target])
+    model, report = fit_constrained(scaled, config, spec.constraints, target=spec.target)
+    assert report.max_sampled_violation <= config.solver_tol
+    assert certify(model, spec.constraints).all_certified
 
 
 def test_monotone_cubic_fit_is_near_the_exact_optimum():
