@@ -14,7 +14,7 @@ class ArityError(ShapeguardError):
 
 
 class SchemaError(ShapeguardError):
-    """A dataset is missing required columns or rows."""
+    """A dataset or serialized tree lacks required columns, rows or fields, or has ill-typed ones."""
 
 
 class DataError(ShapeguardError):

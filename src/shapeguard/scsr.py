@@ -9,13 +9,22 @@ the error of the worst feasible individual, which preserves its genetic
 material without ever letting it win.
 
 Scoring is a pure function of the tree, so each distinct tree is scored once
-per ``evolve`` call and its result reused by every copy of it.  ``evolve``
-groups the constraints into a plan once per run: one interval walk per
-differentiated variable and region, at the highest derivative order the
-constraints on it need.  Walks run on (lo, hi) float pairs with the endpoint
-formulas of ``Interval``, and a tree's check stops at the first group that
-is unbounded or out of bounds (the interval check of Kronberger et al.,
-Evolutionary Computation 30(1), 2022).
+per ``evolve`` call and its result reused by every copy of it; its node count
+is likewise computed once per call.  ``evolve`` groups the constraints into
+a plan once per run: one interval walk per differentiated variable and
+region, at the highest derivative order the constraints on it need.  Walks
+run on (lo, hi) float pairs with the endpoint formulas of ``Interval``, and a
+tree's check stops at the first group that is unbounded or out of bounds
+(the interval check of Kronberger et al., Evolutionary Computation 30(1),
+2022).
+
+All randomness comes from one ``random.Random(seed)`` stream, and the draws
+are kept as they are: a run depends only on the seed, and tests pin whole
+runs.  Tournament selection draws each index as ``Random.randrange(n)``
+does, word for word from ``getrandbits``, without its argument handling.  A
+converged population mostly breeds a tree with itself; such a crossover
+returns the parent after drawing its crossover point, so the stream moves as
+if the subtree swap had run.
 
 Trees are immutable nested tuples::
 
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ArityError, ConfigError
+from .errors import ArityError, ConfigError, SchemaError
 from .intervals import Interval, _div_ep, _mul_ep
 
 __all__ = [
@@ -124,8 +133,10 @@ def eval_tree_columns(t: tuple, columns) -> np.ndarray:
     """Vectorized evaluation; invalid operations produce NaN/inf entries."""
     kind = t[0]
     if kind == "const":
-        n = len(next(iter(columns.values())))
-        return np.full(n, float(t[1]))
+        column = next(iter(columns.values()), None)
+        if column is None:
+            raise ArityError("no columns to take the row count of a constant from")
+        return np.full(len(column), float(t[1]))
     if kind == "var":
         try:
             return np.asarray(columns[t[1]], dtype=float)
@@ -192,17 +203,32 @@ def tree_to_json(t: tuple) -> str:
 
 
 def tree_from_json(text: str) -> tuple:
-    def conv(obj):
-        kind = obj["type"]
-        if kind == "const":
-            return ("const", float(obj["value"]))
-        if kind == "var":
-            return ("var", obj["name"])
-        if kind == "neg":
-            return ("neg", conv(obj["child"]))
-        return (kind, conv(obj["left"]), conv(obj["right"]))
+    """Inverse of tree_to_json; SchemaError names the node of an unknown type or a bad field."""
 
-    return conv(json.loads(text))
+    def required(obj, where, name, types):
+        if name not in obj:
+            raise SchemaError(f"tree node {where} ({obj['type']}): missing field {name!r}")
+        value = obj[name]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise SchemaError(
+                f"tree node {where} ({obj['type']}): field {name!r} has type {type(value).__name__}"
+            )
+        return value
+
+    def conv(obj, where):
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        if not isinstance(kind, str) or kind not in _ARITY:
+            raise SchemaError(f"tree node {where}: unknown node type {kind!r}")
+        if kind == "const":
+            return ("const", float(required(obj, where, "value", (int, float))))
+        if kind == "var":
+            return ("var", required(obj, where, "name", str))
+        if kind == "neg":
+            return ("neg", conv(required(obj, where, "child", dict), where + ".child"))
+        left = conv(required(obj, where, "left", dict), where + ".left")
+        return (kind, left, conv(required(obj, where, "right", dict), where + ".right"))
+
+    return conv(json.loads(text), "$")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +259,15 @@ def _sub(x, y):
 
 
 def _mul(x, y):
+    # _mul_ep(., 0.0) is 0.0, so a _ZERO factor gives _ZERO; when no endpoint
+    # is 0.0 or -0.0, _mul_ep is the plain product
+    if x is _ZERO or y is _ZERO:
+        return _ZERO
     (a, b), (c, d) = x, y
-    p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
+    if a and b and c and d:
+        p = (a * c, a * d, b * c, b * d)
+    else:
+        p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
     return min(p), max(p)
 
 
@@ -437,8 +470,11 @@ def crossover(t1: tuple, t2: tuple, rng: random.Random) -> tuple:
     """One-point crossover at an aligned position.
 
     Identical parents produce a child identical to them (the donated subtree
-    equals the replaced one).
+    equals the replaced one), so for them only the crossover point is drawn.
     """
+    if t1 == t2:
+        rng.randrange(tree_size(t1))
+        return t1
     path = _aligned_path(t1, t2, rng.randrange(_aligned_size(t1, t2)))
     return _replace_at(t1, path, _subtree_at(t2, path))
 
@@ -500,9 +536,22 @@ def _evaluate(tree, train_cols, y, plan):
 
 
 def _tournament(rng: random.Random, fitness, k: int) -> int:
-    best = rng.randrange(len(fitness))
+    """Index of the fittest of k draws; each draw is ``rng.randrange(len(fitness))``.
+
+    Each draw takes ``getrandbits`` words as ``Random._randbelow`` does (the
+    bit length of n, not of n - 1; redraw until below n), so the stream and
+    the indices are randrange's without its argument handling.
+    """
+    n = len(fitness)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    best = getrandbits(bits)
+    while best >= n:
+        best = getrandbits(bits)
     for _ in range(k - 1):
-        i = rng.randrange(len(fitness))
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
         if fitness[i] < fitness[best]:
             best = i
     return best
@@ -518,6 +567,8 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     """
     if train.n_rows == 0:
         raise ConfigError("empty training set")
+    if not train.feature_names:
+        raise ConfigError("training set has no feature columns")
     rng = random.Random(config.seed)
     variables = train.feature_names
     train_cols = {v: train.columns[v] for v in variables}
@@ -527,8 +578,10 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
     history: list[GenerationRecord] = []
     # _evaluate is a pure function of the tree here, and the converged
-    # population is mostly repeats, so each distinct tree is scored once
+    # population is mostly repeats, so each distinct tree is scored once and
+    # sized once; every member of pop has its size in sizes
     scored = {}
+    sizes = {t: tree_size(t) for t in pop}
 
     for gen in range(config.max_generations):
         evals = []
@@ -560,16 +613,19 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         new_pop = [pop[i] for i in order[: config.elitism]]
         while len(new_pop) < config.population:
             p1 = pop[_tournament(rng, fitness, config.tournament_size)]
+            child = p1
             if rng.random() < config.crossover_prob:
                 p2 = pop[_tournament(rng, fitness, config.tournament_size)]
-                child = crossover(p1, p2, rng)
-            else:
-                child = p1
+                if p1 == p2:  # crossover's identical-parent case, on the known size
+                    rng.randrange(sizes[p1])
+                else:
+                    child = crossover(p1, p2, rng)
             if rng.random() < config.mutation_prob:
                 child = mutate(child, rng, variables)
-            if tree_size(child) > config.max_size:
-                child = p1
-            new_pop.append(child)
+            size = sizes.get(child)
+            if size is None:
+                size = sizes[child] = tree_size(child)
+            new_pop.append(child if size <= config.max_size else p1)
         pop = new_pop
 
     return history

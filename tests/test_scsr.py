@@ -1,5 +1,6 @@
 """Symbolic regression: tree evaluation, interval AD, genetic operators."""
 
+import json
 import math
 import random
 import re
@@ -27,7 +28,7 @@ from shapeguard import (
     tree_value_interval,
 )
 from shapeguard import scsr
-from shapeguard.errors import ConfigError
+from shapeguard.errors import ArityError, ConfigError, SchemaError
 from shapeguard.scsr import crossover, mutate, random_tree, tree_size, tree_variables
 
 
@@ -78,6 +79,37 @@ def test_tree_structure_helpers():
     assert tree_size(EXAMPLE) == 6
     assert tree_variables(EXAMPLE) == {"x"}
     assert tree_to_infix(EXAMPLE) == "((x * x) + (-0.5))"
+
+
+@pytest.mark.parametrize(
+    "node, where",
+    [
+        ({"type": "pow", "left": {"type": "const", "value": 2.0}, "right": {"type": "var", "name": "x"}},
+         r"\$: unknown node type 'pow'"),
+        ({"type": "neg", "child": {"type": "var"}}, r"\$\.child \(var\): missing field 'name'"),
+        ({"type": "add", "left": {"type": "var", "name": "x"}, "right": {"type": "const", "value": "1"}},
+         r"\$\.right \(const\): field 'value' has type str"),
+        ({"type": "mul", "left": {"type": "const", "value": True}, "right": {"type": "var", "name": "x"}},
+         r"\$\.left \(const\): field 'value' has type bool"),
+        ({"type": "sub", "left": {"type": "var", "name": "x"}}, r"\$ \(sub\): missing field 'right'"),
+        ({"type": "neg", "child": [1, 2]}, r"\$ \(neg\): field 'child' has type list"),
+        ({"type": ["add"]}, r"\$: unknown node type \['add'\]"),
+        ([1.0], r"\$: unknown node type None"),
+    ],
+    ids=["unknown-type", "missing-name", "str-value", "bool-value", "missing-right",
+         "list-child", "list-type", "not-an-object"],
+)
+def test_json_rejects_unknown_and_malformed_nodes(node, where):
+    with pytest.raises(SchemaError, match=where):
+        tree_from_json(json.dumps(node))
+
+
+def test_evolve_without_feature_columns_raises_config_error():
+    data = Dataset("d", {"y": [0.0, 0.5, 1.0]}, "y")
+    with pytest.raises(ConfigError, match="no feature columns"):
+        evolve(data, GAConfig(population=4, max_generations=1))
+    with pytest.raises(ArityError, match="no columns"):
+        eval_tree_columns(("const", 1.0), {})
 
 
 def test_json_round_trip_exact():
@@ -155,9 +187,14 @@ def test_crossover_and_mutation_produce_valid_trees():
 
 def test_crossover_of_identical_parents_is_identity():
     rng = random.Random(4)
+    ref = random.Random()
     for _ in range(30):
         t = random_tree(rng, ["x"], 4)
+        ref.setstate(rng.getstate())
         assert crossover(t, t, rng) == t
+        # the shortcut still draws the crossover point, and only that
+        ref.randrange(tree_size(t))
+        assert rng.getstate() == ref.getstate()
 
 
 def test_evolution_is_deterministic_per_seed():
@@ -454,3 +491,74 @@ def test_ga_trajectory_is_pinned():
         assert rec.feasible_fraction == frac
         assert rec.best_train_rmse == pytest.approx(rmse, rel=1e-12, abs=0)
         assert rec.best_scale == pytest.approx(scale, rel=1e-12, abs=0)
+
+
+def tournament_oracle(rng, fitness, k):
+    """Tournament selection through ``rng.randrange``, as every draw was made before."""
+    best = rng.randrange(len(fitness))
+    for _ in range(k - 1):
+        i = rng.randrange(len(fitness))
+        if fitness[i] < fitness[best]:
+            best = i
+    return best
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 150, 256, 500])
+def test_tournament_draws_as_randrange(n, k):
+    values = random.Random(n * 8 + k)
+    ours, ref = random.Random(n), random.Random(n)
+    for _ in range(40):
+        # few distinct values, so ties (which keep the earlier draw) are common
+        fitness = [values.choice((0.5, 1.0, 2.0, math.inf)) for _ in range(n)]
+        for _ in range(5):
+            assert scsr._tournament(ours, fitness, k) == tournament_oracle(ref, fitness, k)
+            assert ours.getstate() == ref.getstate()
+
+
+# The perfbench SCSR config, GAConfig(population=150, max_generations=100,
+# seed=0), on seed-0 corpus datasets 000 and 018, unit-scaled, eq1: the last
+# record's (best_tree, best_train_rmse, best_scale) and the feasible count
+# out of 150 of every generation.  The population converges early, so most
+# of these generations breed copies of the same few trees.
+PINNED_CONVERGED = {
+    0: (
+        ("neg", ("add", ("var", "p"), ("mul", ("neg", ("const", -1.439380490350969)),
+                                        ("mul", ("const", 1.1096138623753697), ("var", "T"))))),
+        0.005891502548882768,
+        (0.0841239623389155, 0.6296397889239184),
+        [81, 134, 149, 145, 144, 141, 147, 140, 146, 146, 143, 145, 141, 142, 144, 144, 144,
+         145, 148, 143, 144, 148, 143, 145, 139, 140, 136, 144, 143, 145, 144, 142, 143, 142,
+         142, 142, 145, 144, 136, 144, 140, 144, 144, 144, 145, 145, 141, 146, 145, 141, 142,
+         133, 141, 142, 144, 145, 140, 142, 141, 144, 145, 140, 139, 138, 144, 141, 143, 140,
+         140, 142, 140, 140, 142, 137, 139, 140, 143, 140, 138, 143, 141, 140, 138, 143, 139,
+         138, 147, 142, 141, 144, 148, 141, 144, 140, 141, 137, 142, 141, 142, 145],
+    ),
+    18: (
+        ("add", ("var", "p"), ("mul", ("var", "T"), ("const", 0.8161708352768231))),
+        0.006716269623860351,
+        (-0.10586898899026434, 0.46947682776109545),
+        [81, 130, 149, 141, 146, 145, 145, 145, 146, 141, 143, 142, 145, 145, 142, 145, 144,
+         148, 144, 144, 143, 144, 144, 144, 141, 147, 144, 146, 148, 148, 149, 142, 145, 145,
+         145, 142, 144, 144, 141, 147, 144, 144, 142, 143, 147, 147, 143, 146, 145, 145, 147,
+         139, 144, 145, 142, 147, 145, 145, 144, 144, 138, 144, 145, 142, 148, 146, 148, 142,
+         142, 138, 139, 144, 147, 142, 144, 146, 142, 143, 138, 142, 145, 147, 145, 145, 147,
+         146, 142, 142, 145, 145, 148, 145, 144, 146, 142, 144, 143, 147, 140, 143],
+    ),
+}
+
+
+@pytest.mark.parametrize("index", sorted(PINNED_CONVERGED))
+def test_converged_ga_run_is_pinned(index):
+    ds = make_corpus(18, 35, seed=0)[index]
+    scaled, _ = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    )
+    config = GAConfig(population=150, max_generations=100, seed=0)
+    history = evolve(scaled, config, spec.constraints)
+    tree, rmse, scale, feasible = PINNED_CONVERGED[index]
+    assert history[-1].best_tree == tree
+    assert history[-1].best_train_rmse == pytest.approx(rmse, rel=1e-12, abs=0)
+    assert history[-1].best_scale == pytest.approx(scale, rel=1e-12, abs=0)
+    assert [r.feasible_fraction for r in history] == [n / 150 for n in feasible]
