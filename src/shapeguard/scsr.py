@@ -220,7 +220,13 @@ def tree_from_json(text: str) -> tuple:
         if not isinstance(kind, str) or kind not in _ARITY:
             raise SchemaError(f"tree node {where}: unknown node type {kind!r}")
         if kind == "const":
-            return ("const", float(required(obj, where, "value", (int, float))))
+            value = required(obj, where, "value", (int, float))
+            try:
+                return ("const", float(value))
+            except OverflowError:
+                raise SchemaError(
+                    f"tree node {where} (const): field 'value' is too large for a float"
+                ) from None
         if kind == "var":
             return ("var", required(obj, where, "name", str))
         if kind == "neg":
@@ -259,15 +265,8 @@ def _sub(x, y):
 
 
 def _mul(x, y):
-    # _mul_ep(., 0.0) is 0.0, so a _ZERO factor gives _ZERO; when no endpoint
-    # is 0.0 or -0.0, _mul_ep is the plain product
-    if x is _ZERO or y is _ZERO:
-        return _ZERO
     (a, b), (c, d) = x, y
-    if a and b and c and d:
-        p = (a * c, a * d, b * c, b * d)
-    else:
-        p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
+    p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
     return min(p), max(p)
 
 
@@ -470,11 +469,8 @@ def crossover(t1: tuple, t2: tuple, rng: random.Random) -> tuple:
     """One-point crossover at an aligned position.
 
     Identical parents produce a child identical to them (the donated subtree
-    equals the replaced one), so for them only the crossover point is drawn.
+    equals the replaced one).
     """
-    if t1 == t2:
-        rng.randrange(tree_size(t1))
-        return t1
     path = _aligned_path(t1, t2, rng.randrange(_aligned_size(t1, t2)))
     return _replace_at(t1, path, _subtree_at(t2, path))
 
@@ -616,7 +612,7 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
             child = p1
             if rng.random() < config.crossover_prob:
                 p2 = pop[_tournament(rng, fitness, config.tournament_size)]
-                if p1 == p2:  # crossover's identical-parent case, on the known size
+                if p1 == p2:  # crossover would return p1; draw its point on the known size
                     rng.randrange(sizes[p1])
                 else:
                     child = crossover(p1, p2, rng)

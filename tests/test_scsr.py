@@ -95,9 +95,11 @@ def test_tree_structure_helpers():
         ({"type": "neg", "child": [1, 2]}, r"\$ \(neg\): field 'child' has type list"),
         ({"type": ["add"]}, r"\$: unknown node type \['add'\]"),
         ([1.0], r"\$: unknown node type None"),
+        ({"type": "neg", "child": {"type": "const", "value": 10**400}},
+         r"\$\.child \(const\): field 'value' is too large for a float"),
     ],
     ids=["unknown-type", "missing-name", "str-value", "bool-value", "missing-right",
-         "list-child", "list-type", "not-an-object"],
+         "list-child", "list-type", "not-an-object", "huge-int-value"],
 )
 def test_json_rejects_unknown_and_malformed_nodes(node, where):
     with pytest.raises(SchemaError, match=where):
@@ -192,7 +194,8 @@ def test_crossover_of_identical_parents_is_identity():
         t = random_tree(rng, ["x"], 4)
         ref.setstate(rng.getstate())
         assert crossover(t, t, rng) == t
-        # the shortcut still draws the crossover point, and only that
+        # identical parents draw only the crossover point, as evolve's
+        # shortcut for them does on the cached size
         ref.randrange(tree_size(t))
         assert rng.getstate() == ref.getstate()
 
