@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,16 @@ def _binomials(d: int) -> np.ndarray:
     return np.array([[math.comb(m, k) for k in range(d + 1)] for m in range(d + 1)], dtype=float)
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+# The matrices below depend only on a degree and a constraint's region, never
+# on data, so few distinct ones occur: they are cached, and so read-only.
+
+
+@lru_cache(maxsize=256)
 def _bernstein_matrix(lo: float, width: float, d: int) -> np.ndarray:
     """Matrix taking the power coefficients of x to degree-d Bernstein
     coefficients on [lo, lo + width].
@@ -116,9 +127,10 @@ def _bernstein_matrix(lo: float, width: float, d: int) -> np.ndarray:
     k, j = np.indices((d + 1, d + 1))
     lo_pow = np.cumprod(np.r_[1.0, np.full(d, lo)])
     width_pow = np.cumprod(np.r_[1.0, np.full(d, width)])
-    return (binom / binom[d]) @ (binom[j, k] * lo_pow[np.maximum(j - k, 0)] * width_pow[k])
+    return _read_only((binom / binom[d]) @ (binom[j, k] * lo_pow[np.maximum(j - k, 0)] * width_pow[k]))
 
 
+@lru_cache(maxsize=64)
 def _split_matrix(d: int) -> np.ndarray:
     """De Casteljau at t = 1/2: rows 0..d give the left half's coefficients,
     rows d+1..2d+1 the right half's.  The entries are dyadic, so exact, and
@@ -126,7 +138,7 @@ def _split_matrix(d: int) -> np.ndarray:
     binom = _binomials(d)
     m, j = np.indices((d + 1, d + 1))
     right = binom[d - m, np.maximum(j - m, 0)] * (j >= m) / 2.0 ** (d - m)
-    return np.vstack([binom / 2.0**m, right])
+    return _read_only(np.vstack([binom / 2.0**m, right]))
 
 
 def _bernstein(deriv: PolyModel, lo: np.ndarray, hi: np.ndarray, order: int):

@@ -35,6 +35,16 @@ minimizer.  Every solve ends in a KKT check, and SolverError when it fails.
 When the least-distance problem on the rows has no solution, InfeasibleError
 is raised.
 
+A fit reuses what its earlier rounds computed.  Its solves share one scaled
+design and one SVD per set of free columns.  Each round's NNLS starts from
+the rows that bound the round before, and the outer solve from the rows
+that bound the same round's inner one (Bro & De Jong, *J. Chemometrics*
+1997).  A box keeps its node values, so a round builds rows only for the
+children of the boxes it split.  All of this lives in the fit and goes when
+it returns.  Only pure matrices are cached across fits: the node, split and
+Bernstein matrices, and a constraint's whole-region rows, keyed by degree
+and box.  They are read-only.
+
 ``compile_constraints`` discretizes constraints on tensor grids instead: its
 rows hold the derivative at sample points only.
 """
@@ -43,11 +53,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .certify import _bernstein_matrix, _split_matrix
+from .certify import _bernstein_matrix, _read_only, _split_matrix
 from .datasets import Dataset
 from .errors import (
     BudgetError,
@@ -100,12 +111,12 @@ class SCPRConfig:
             raise SchemaError(f"degree must be >= 1, got {self.degree}")
         if not 0.0 <= self.alpha <= 1.0:
             raise SchemaError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.lam < 0.0:
-            raise SchemaError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
         if self.refine_rounds < 0:
             raise SchemaError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
-        if not self.solver_tol > 0.0:
-            raise SchemaError(f"solver_tol must be > 0, got {self.solver_tol}")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0.0):
+            raise SchemaError(f"solver_tol must be finite and > 0, got {self.solver_tol}")
         if self.max_iter < 1:
             raise SchemaError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -218,10 +229,12 @@ def compile_constraints(
 @dataclass
 class _Partition:
     """Boxes covering one constraint's region, with the tensor Bernstein
-    coefficients of the constrained derivative on each as rows in theta."""
+    coefficients of the constrained derivative on each, and its values at the
+    box's nodes, as rows in theta."""
 
     bound: Interval
     coeffs: np.ndarray  # (boxes, d_1 + 1, ..., d_n + 1, coefficients of theta)
+    values: np.ndarray  # same shape: the values at the nodes of each box
     side: np.ndarray  # (boxes, n) side lengths, 0 on axes of degree 0
     degrees: list
     corner: np.ndarray  # per coefficient of a box: is it a corner value?
@@ -231,31 +244,53 @@ class _Partition:
         return len(self.corner) * int(np.isfinite([self.bound.lo, self.bound.hi]).sum())
 
 
-def _whole_region(constraint, variables, basis) -> _Partition:
+def _whole_region(constraint, variables, degree: int) -> _Partition:
     """One box, the constraint's region; degrees and coefficients as in certify."""
-    factors = _derivative_row_factors(basis, constraint.derivative_tuple(variables))
+    lo = tuple(constraint.region[v].lo for v in variables)
+    hi = tuple(constraint.region[v].hi for v in variables)
+    coeffs, values, corner, degrees = _region_rows(constraint.derivative_tuple(variables), lo, hi, degree)
+    side = np.where(np.array(degrees) > 0, np.subtract(hi, lo), 0.0)
+    return _Partition(constraint.bound, coeffs, values, side[None], list(degrees), corner)
+
+
+@lru_cache(maxsize=256)
+def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int) -> tuple:
+    """The Bernstein coefficients and node values, as rows in theta, of the
+    dtuple-derivative of a degree-``degree`` polynomial on the box [lo, hi];
+    also each coefficient's corner flag and the degree per axis.  Cached, so
+    read-only: they depend on the constraint and the degree only."""
+    basis = monomial_basis(len(dtuple), degree)
+    factors = _derivative_row_factors(basis, dtuple)
     live = [(j, f, reduced) for j, (f, reduced) in enumerate(factors) if f]
-    degrees = [max((r[i] for _, _, r in live), default=0) for i in range(len(variables))]
+    degrees = tuple(max((r[i] for _, _, r in live), default=0) for i in range(len(dtuple)))
     coeffs = np.zeros([d + 1 for d in degrees] + [len(basis)])
     for j, f, reduced in live:
         coeffs[reduced + (j,)] = f
-    lo = np.array([constraint.region[v].lo for v in variables])
-    hi = np.array([constraint.region[v].hi for v in variables])
     for axis, d in enumerate(degrees):
         matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
         coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
     corner = np.zeros(coeffs.shape[:-1], dtype=bool)
     corner[np.ix_(*[[0, d] if d else [0] for d in degrees])] = True
-    side = np.where(np.array(degrees) > 0, hi - lo, 0.0)
-    return _Partition(constraint.bound, coeffs[None], side[None], degrees, corner.reshape(-1))
+    coeffs = coeffs[None]
+    values = _values_at_nodes(coeffs, degrees)
+    return _read_only(coeffs), _read_only(values), _read_only(corner.reshape(-1)), degrees
 
 
+@lru_cache(maxsize=64)
 def _node_values(d: int) -> np.ndarray:
     """Matrix taking degree-d Bernstein coefficients to the polynomial's
-    values at the d + 1 equally spaced nodes of the interval, ends included."""
+    values at the d + 1 equally spaced nodes of the interval, ends included.
+    Cached, so read-only."""
     t = np.linspace(0.0, 1.0, d + 1)[:, None]
     k = np.arange(d + 1)
-    return np.array([math.comb(d, j) for j in k]) * t**k * (1.0 - t) ** (d - k)
+    return _read_only(np.array([math.comb(d, j) for j in k]) * t**k * (1.0 - t) ** (d - k))
+
+
+def _values_at_nodes(coeffs: np.ndarray, degrees) -> np.ndarray:
+    """The node values of boxes, from their coefficients (boxes first)."""
+    for axis, d in enumerate(degrees):
+        coeffs = np.moveaxis(np.tensordot(_node_values(d), coeffs, axes=(1, axis + 1)), 0, axis + 1)
+    return coeffs
 
 
 def _bernstein_system(parts, m):
@@ -272,10 +307,7 @@ def _bernstein_system(parts, m):
     first = 0
     for part in parts:
         M = part.coeffs.reshape(-1, m)
-        values = part.coeffs
-        for axis, d in enumerate(part.degrees):
-            values = np.moveaxis(np.tensordot(_node_values(d), values, axes=(1, axis + 1)), 0, axis + 1)
-        values = values.reshape(-1, m)
+        values = part.values.reshape(-1, m)
         ids = np.repeat(np.arange(first, first + len(part.side)), len(part.corner))
         at_corner = np.tile(part.corner, len(part.side))
         for sign, bound in ((1.0, part.bound.lo), (-1.0, part.bound.hi)):
@@ -303,7 +335,9 @@ def _split_boxes(parts, chosen) -> bool:
     if not any(pick.any() for pick in picks) or rows > MAX_FIT_ROWS:
         return False
     for part, pick in zip(parts, picks):
-        coeffs, side = [part.coeffs[~pick]], [part.side[~pick]]
+        if not pick.any():
+            continue
+        children, side = [], [part.side[~pick]]
         widest = np.argmax(part.side, axis=1)
         for axis, d in enumerate(part.degrees):
             sel = pick & (widest == axis)
@@ -312,11 +346,15 @@ def _split_boxes(parts, chosen) -> bool:
             # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
             halves = np.tensordot(_split_matrix(d), part.coeffs[sel], axes=(1, axis + 1))
             halves = halves.reshape(2, d + 1, *halves.shape[1:])
-            coeffs.append(np.moveaxis(halves, 1, axis + 2).reshape(-1, *part.coeffs.shape[1:]))
+            children.append(np.moveaxis(halves, 1, axis + 2).reshape(-1, *part.coeffs.shape[1:]))
             half = part.side[sel].copy()
             half[:, axis] /= 2.0
             side.append(np.tile(half, (2, 1)))
-        part.coeffs, part.side = np.concatenate(coeffs), np.concatenate(side)
+        children = np.concatenate(children)
+        # only the children need node values; the other boxes keep theirs
+        part.values = np.concatenate([part.values[~pick], _values_at_nodes(children, part.degrees)])
+        part.coeffs = np.concatenate([part.coeffs[~pick], children])
+        part.side = np.concatenate(side)
     return True
 
 
@@ -343,17 +381,35 @@ def _objective(X, y, theta, lam, alpha):
     )
 
 
-def _nnls(E: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
+def _nnls(
+    E: np.ndarray, f: np.ndarray, max_iter: int, start: np.ndarray | None = None
+) -> tuple[np.ndarray, int, bool]:
     """Lawson–Hanson active-set solution of min ||E u - f|| subject to u >= 0.
 
-    Returns (u, least-squares subproblems solved, finished); finished is
-    False when max_iter subproblems did not reach the optimum.
+    ``start`` (a mask over the columns) guesses the columns positive at the
+    optimum (Bro & De Jong, *J. Chemometrics* 1997).  Least squares on it,
+    dropping the columns that come out nonpositive until none does, gives
+    the point the loop starts from: the optimum on its columns, as after
+    every step of the loop.  The loop and its stopping test are those of a
+    cold start, so every guess reaches the same optimum.  Returns (u,
+    least-squares subproblems solved, finished); finished is False when
+    max_iter subproblems did not reach the optimum.
     """
     u = np.zeros(E.shape[1])
-    passive = np.zeros(E.shape[1], dtype=bool)
+    passive = np.zeros(E.shape[1], dtype=bool) if start is None else start.copy()
     tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.abs(E).sum(axis=0).max()
-    w = E.T @ f
     iterations = 0
+    while passive.any():
+        if iterations >= max_iter:
+            return u, iterations, False
+        iterations += 1
+        idx = np.flatnonzero(passive)
+        sol = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
+        if (sol > 0.0).all():
+            u[idx] = sol
+            break
+        passive[idx[sol <= 0.0]] = False
+    w = E.T @ (f - E @ u)
     while True:
         j = int(np.argmax(np.where(passive, -np.inf, w)))
         if passive[j] or w[j] <= tol:
@@ -387,7 +443,7 @@ def _nnls(E: np.ndarray, f: np.ndarray, max_iter: int) -> tuple[np.ndarray, int,
 
 
 def _least_distance(
-    G: np.ndarray, h: np.ndarray, max_iter: int
+    G: np.ndarray, h: np.ndarray, max_iter: int, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """min ||z|| subject to G z >= h, through NNLS on its dual.
 
@@ -395,7 +451,8 @@ def _least_distance(
     u >= 0 minimizing ||[G^T; h^T] u - e_last||, residual r, the solution is
     z = -r[:-1] / r[-1], and r == 0 means the rows are inconsistent.
     Returns (z, the rows' multipliers mu >= 0, NNLS iterations), where
-    2 z = G^T mu and only rows that hold with equality have mu > 0.
+    2 z = G^T mu and only rows that hold with equality have mu > 0.  NNLS
+    starts from the rows ``start`` (a mask) guesses will have mu > 0.
     SolverError means NNLS did not finish within max_iter iterations.
     """
     norms = np.linalg.norm(G, axis=1)
@@ -412,7 +469,7 @@ def _least_distance(
     E = np.vstack([G.T, h / scale])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
-    u, iterations, finished = _nnls(E, f, max_iter)
+    u, iterations, finished = _nnls(E, f, max_iter, None if start is None else start[~zero])
     if not finished:
         raise SolverError(f"NNLS did not finish within {max_iter} iterations")
     r = E @ u - f
@@ -424,7 +481,16 @@ def _least_distance(
     return -scale * r[:-1] / r[-1], mu, iterations
 
 
-def _solve_least_squares(E, f, c, G, h, max_iter) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def _factor(E: np.ndarray, f: np.ndarray) -> tuple:
+    """The SVD of E, with U^T f in place of U: what _solve_least_squares
+    needs of E and f."""
+    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    return U.T @ f, sv, Vt
+
+
+def _solve_least_squares(
+    E, f, c, G, h, max_iter, factor=None, start=None
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """min ||E x - f||^2 + c @ x subject to G x >= h.
 
     With E = U S V^T, W = V S^-1 and x0 = W (U^T f - W^T c / 2), the
@@ -435,19 +501,20 @@ def _solve_least_squares(E, f, c, G, h, max_iter) -> tuple[np.ndarray, np.ndarra
     NULL_WEIGHT * S[0], a ridge that leads to the minimum-norm one, and the
     exact minimizer on the rows that bind there (least squares in the null
     space of those rows, minimum norm again) replaces it when it is feasible
-    and closer to stationary.  Returns (x, the rows' multipliers, NNLS
-    iterations, whether E has full rank).
+    and closer to stationary.  ``factor`` is _factor(E, f) when already
+    known, and ``start`` the rows the least-distance NNLS starts from.
+    Returns (x, the rows' multipliers, NNLS iterations, whether E has full
+    rank).
     """
-    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    Utf, sv, Vt = factor if factor is not None else _factor(E, f)
     keep = sv > sv[0] * max(E.shape) * np.finfo(float).eps
-    Utf = U.T @ f
     x0 = Vt[keep].T @ (Utf[keep] / sv[keep])
     W = Vt.T / np.where(keep, sv, NULL_WEIGHT * sv[0])
     if c.any():
         x0 = x0 - W @ (W.T @ c) / 2.0
     if not len(G):
         return x0, np.zeros(0), 0, bool(keep.all())
-    z, mu, iterations = _least_distance(G @ W, h - G @ x0, max_iter)
+    z, mu, iterations = _least_distance(G @ W, h - G @ x0, max_iter, start)
     x = x0 + W @ z
     if keep.all():
         return x, mu, iterations, True
@@ -479,6 +546,43 @@ def _solve_least_squares(E, f, c, G, h, max_iter) -> tuple[np.ndarray, np.ndarra
     return x, mu, iterations + its, False
 
 
+@dataclass
+class _Reuse:
+    """What the solves of one fit share.  fit_constrained makes one and drops
+    it when it returns, so nothing in it outlives the fit."""
+
+    scaled: tuple | None = None  # (s, E, f) of the fit's X, y, lam and alpha
+    factors: dict = field(default_factory=dict)  # free-column mask -> _factor
+    start: np.ndarray | None = None  # rows of A the next solve's NNLS starts from
+    binding: np.ndarray | None = None  # rows of A with mu > 0 in the last solve
+
+    def factor(self, free):
+        """_factor of the scaled design's free columns."""
+        key = free.tobytes()
+        if key not in self.factors:
+            _, E, f = self.scaled
+            self.factors[key] = _factor(E[:, free], f)
+        return self.factors[key]
+
+
+def _scale(X, y, lam, alpha) -> tuple:
+    """Column scales s and the stacked design (E, f) of solve_elastic_net."""
+    n, m = X.shape
+    s = np.sqrt((X * X).mean(axis=0))
+    s = np.where(s > 1e-12, s, 1.0)
+    E = X / (s * np.sqrt(n))
+    f = y / np.sqrt(n)
+    ridge = lam * (1.0 - alpha)
+    if ridge:
+        E = np.vstack([E, np.sqrt(ridge / 2.0) * np.eye(m)[1:] / s])
+        f = np.concatenate([f, np.zeros(m - 1)])
+    if E.shape[0] < m:
+        # zero rows give a wide design's SVD a basis of the whole null space
+        E = np.vstack([E, np.zeros((m - E.shape[0], m))])
+        f = np.concatenate([f, np.zeros(m - len(f))])
+    return s, E, f
+
+
 def solve_elastic_net(
     X: np.ndarray,
     y: np.ndarray,
@@ -489,6 +593,7 @@ def solve_elastic_net(
     *,
     solver_tol: float = 1e-8,
     max_iter: int = 50000,
+    _reuse: _Reuse | None = None,
 ) -> SolveResult:
     """Exact elastic-net QP solver.
 
@@ -515,33 +620,33 @@ def solve_elastic_net(
     within KKT_TOL of the objective's scale.  SolverError means a check
     failed, NNLS ran out of iterations or the orthant steps came back to a
     sign pattern; InfeasibleError means the rows admit no solution.
+
+    ``_reuse`` carries what the solves of one fit share (_Reuse): the scaled
+    design, its factorizations, and the rows NNLS starts from.  Each orthant
+    step's NNLS starts from the rows that bound the step before.
     """
     n, m = X.shape
     if A is None or A.shape[0] == 0:
         A = np.zeros((0, m))
         b = np.zeros(0)
     k = A.shape[0]
-    s = np.sqrt((X * X).mean(axis=0))
-    s = np.where(s > 1e-12, s, 1.0)
-    E = X / (s * np.sqrt(n))
-    f = y / np.sqrt(n)
-    ridge = lam * (1.0 - alpha)
-    if ridge:
-        E = np.vstack([E, np.sqrt(ridge / 2.0) * np.eye(m)[1:] / s])
-        f = np.concatenate([f, np.zeros(m - 1)])
-    if E.shape[0] < m:
-        # zero rows give a wide design's SVD a basis of the whole null space
-        E = np.vstack([E, np.zeros((m - E.shape[0], m))])
-        f = np.concatenate([f, np.zeros(m - len(f))])
+    reuse = _reuse if _reuse is not None else _Reuse()
+    if reuse.scaled is None:
+        reuse.scaled = _scale(X, y, lam, alpha)
+    s, E, f = reuse.scaled
     G = A / s
     w = np.zeros(m)
     w[1:] = lam * alpha / s[1:]
-    x, mu, iterations, full_rank = _solve_least_squares(E, f, np.zeros(m), G, b, max_iter)
+    free = np.ones(m, dtype=bool)
+    x, mu, iterations, full_rank = _solve_least_squares(
+        E, f, np.zeros(m), G, b, max_iter, reuse.factor(free), reuse.start
+    )
     sign = np.ones(m)
     at_zero = np.zeros(m, dtype=bool)
     if w.any():
         sign[1:] = np.where(x[1:] < 0.0, -1.0, 1.0)
         free = np.arange(m) == 0
+        held = np.zeros(m, dtype=bool)  # coefficients whose sign row bound the step before
         seen = set()
         while True:
             state = free.tobytes() + sign.tobytes()
@@ -551,10 +656,13 @@ def solve_elastic_net(
                 )
             seen.add(state)
             rows = np.vstack([G[:, free], np.diag(sign[free])[1:]])
+            # NNLS starts from the rows that bound the step before
+            start = np.concatenate([mu > 0.0, held[free][1:]])
             try:
                 x_free, mu, its, _ = _solve_least_squares(
                     E[:, free], f, (w * sign)[free], rows,
                     np.concatenate([b, np.zeros(free.sum() - 1)]), max_iter - iterations,
+                    reuse.factor(free), start,
                 )
             except InfeasibleError:
                 if free.all():
@@ -566,6 +674,7 @@ def solve_elastic_net(
             x[free] = x_free
             at_zero = ~free
             at_zero[np.flatnonzero(free)[1:]] = mu[k:] > 0.0
+            held = free & at_zero
             mu = mu[:k]
             nu = sign * (2.0 * E.T @ (E @ x - f) - G.T @ mu) + w
             flip = at_zero & (nu > 2.0 * (1.0 + KKT_TOL) * w)
@@ -575,6 +684,7 @@ def solve_elastic_net(
             sign[flip] = -sign[flip]
             free = (free & ~at_zero) | flip | enter
             free[0] = True
+    reuse.binding = mu > 0.0
     theta = x / s
     violation = float(max((b - A @ theta).max(initial=-np.inf), 0.0))
     residual = terms = gap = scale = 0.0
@@ -671,38 +781,45 @@ def fit_constrained(
     if not constraints:
         return fit_unconstrained(data, config, variables, target)
     X, y = build_design_matrix(data, variables, target, config.degree)
-    basis = monomial_basis(len(variables), config.degree)
-    parts = [_whole_region(c, variables, basis) for c in constraints]
+    parts = [_whole_region(c, variables, config.degree) for c in constraints]
+    reuse = _Reuse()
 
-    def solve(A, b):
+    def solve(A, b, start):
+        reuse.start = start
+        # through the module attribute, so wrappers of solve_elastic_net see every solve
         return solve_elastic_net(
             X, y, config.lam, config.alpha, A, b,
-            solver_tol=config.solver_tol, max_iter=config.max_iter,
+            solver_tol=config.solver_tol, max_iter=config.max_iter, _reuse=reuse,
         )
+
+    def binding(A, b, theta):
+        # a row binds when its slack is within solver_tol, relative to the
+        # size of its terms
+        return A @ theta - b <= config.solver_tol * (1.0 + np.abs(A) @ np.abs(theta))
 
     best = None  # (inner solve, gap) of the round the fit is taken from
     for _round in range(config.refine_rounds + 1):
-        A, V, b, box, corner = _bernstein_system(parts, len(basis))
+        A, V, b, box, corner = _bernstein_system(parts, X.shape[1])
         try:
-            inner = solve(A, b)
+            # the previous round's fit meets the children's rows too; start
+            # NNLS from those it meets with equality
+            inner = solve(A, b, None if best is None else binding(A, b, best[0].theta))
             if best is not None and inner.objective > best[0].objective * (1.0 + 1e-9):
                 # a finer partition cannot raise the optimum: the solves are
                 # inexact, and refining further cannot close the gap
                 break
-            # a row binds when its slack is within solver_tol, relative to the
-            # size of its terms; with only corner rows binding, the inner
-            # optimum is the outer one
-            slack = A @ inner.theta - b
-            split = ~corner & (slack <= config.solver_tol * (1.0 + np.abs(A) @ np.abs(inner.theta)))
+            # with only corner rows binding, the inner optimum is the outer one
+            split = ~corner & binding(A, b, inner.theta)
             gap = 0.0
             if split.any() and inner.objective > 0.0:
-                outer = solve(V, b)
+                # V's rows are in A's order, so start from the rows inner bound by
+                outer = solve(V, b, reuse.binding)
                 gap = max(inner.objective - outer.objective, 0.0) / inner.objective
             best = (inner, gap)
             if gap <= GAP_TOL:
                 break
         except InfeasibleError:
-            solve(V, b)  # raises when the node values admit no solution
+            solve(V, b, None)  # raises when the node values admit no solution
             split = ~corner
         except SolverError:
             if best is None:

@@ -21,7 +21,7 @@ from . import scpr as scpr_mod
 from . import scsr as scsr_mod
 from .certify import certify as run_certification
 from .datasets import Dataset, scale_unit
-from .errors import ConfigError, DegenerateError, GridError, SchemaError, SolverError
+from .errors import ConfigError, DataError, DegenerateError, GridError, SchemaError, SolverError
 from .poly import PolyModel
 
 __all__ = [
@@ -60,8 +60,7 @@ class ValidationConfig:
     target: str | None = None
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ConfigError("threshold must be > 0")
+        _check_threshold(self.threshold)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         cls = ALGORITHMS[self.algorithm].config
@@ -144,10 +143,19 @@ def score_segments(predictions, data: Dataset, segments) -> list:
     ]
 
 
+def _check_threshold(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"threshold must be finite and > 0, got {t}")
+
+
 def classify(segment_rmses, t: float) -> str:
-    """'invalid' iff any segment RMSE strictly exceeds t."""
-    if t <= 0:
-        raise ConfigError("threshold must be > 0")
+    """'invalid' iff any segment RMSE strictly exceeds t.
+
+    DataError when an RMSE is not finite: no threshold can judge it.
+    """
+    _check_threshold(t)
+    if not all(math.isfinite(r) for r in segment_rmses):
+        raise DataError(f"non-finite segment RMSE in {list(segment_rmses)}")
     score = max(segment_rmses, default=0.0)
     return "invalid" if score > t else "valid"
 

@@ -364,7 +364,17 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("refine_rounds", -1), ("solver_tol", -1.0), ("solver_tol", 0.0), ("max_iter", 0)],
+    [
+        ("refine_rounds", -1),
+        ("solver_tol", -1.0),
+        ("solver_tol", 0.0),
+        ("solver_tol", math.inf),
+        ("solver_tol", math.nan),
+        ("lam", -1.0),
+        ("lam", math.inf),
+        ("lam", math.nan),
+        ("max_iter", 0),
+    ],
 )
 def test_config_rejects_settings_that_break_the_fit(field, value):
     from shapeguard import SchemaError
@@ -391,10 +401,8 @@ def random_constraint(rng, variables, region):
     return ShapeConstraint(derivative, bound, region)
 
 
-def test_random_fits_are_certified_and_bound_their_breach():
-    # every returned model meets its constraints on the whole region, and
-    # the reported Bernstein-row violation bounds the breach on a dense grid
-    # (up to the rounding of that grid's evaluation)
+def random_fit_problems():
+    """30 (trial, dataset, constraints, degree) with one to three variables."""
     rng = np.random.default_rng(9)
     for trial in range(30):
         n_vars = 1 + trial % 3
@@ -404,9 +412,18 @@ def test_random_fits_are_certified_and_bound_their_breach():
         waves = sum(np.sin(rng.uniform(1.0, 4.0) * cols[v] + rng.normal()) for v in variables)
         d = Dataset("d", dict(cols, y=0.5 * waves + rng.normal(0.0, 0.1, 60)), "y")
         cons = [random_constraint(rng, variables, region) for _ in range(1 + trial % 3)]
-        degree = int(rng.integers(2, 6 - n_vars + 1))
+        yield trial, d, cons, int(rng.integers(2, 6 - n_vars + 1))
+
+
+def test_random_fits_are_certified_and_bound_their_breach():
+    # every returned model meets its constraints on the whole region, and
+    # the reported Bernstein-row violation bounds the breach on a dense grid
+    # (up to the rounding of that grid's evaluation)
+    for trial, d, cons, degree in random_fit_problems():
         model, report = fit_constrained(d, SCPRConfig(degree=degree, lam=1e-6), cons)
         assert certify(model, cons).all_certified, (trial, [c.describe() for c in cons])
+        n_vars = len(model.variables)
+        variables = model.variables
         axes = np.meshgrid(*[np.linspace(-1.0, 1.0, 41)] * n_vars, indexing="ij")
         grid = {v: a.reshape(-1) for v, a in zip(variables, axes)}
         for c in cons:
@@ -472,3 +489,137 @@ def test_monotone_cubic_fit_is_near_the_exact_optimum():
     assert exact_rmse <= report.train_rmse <= exact_rmse * (1.0 + 1e-3)
     assert 0.0 <= report.optimality_gap <= 1e-3
 
+
+
+# ---------------------------------------------------------------------------
+# what a fit reuses: warm-started NNLS, cached matrices, one factorization
+# ---------------------------------------------------------------------------
+
+
+def nnls_problems():
+    """(E, f, whether u is unique): tall, square, the wide duals of
+    least-distance problems, and one with a repeated column."""
+    rng = np.random.default_rng(4)
+    for rows, cols in [(30, 8), (12, 12)]:
+        for _ in range(4):
+            yield rng.normal(size=(rows, cols)), rng.normal(size=rows), True
+    for dim, k in [(7, 40), (20, 300)]:
+        for _ in range(4):
+            # G z >= h holds at z0 with slack, so the dual's residual is not 0
+            G = rng.normal(size=(k, dim))
+            h = G @ rng.normal(size=dim) - rng.exponential(size=k)
+            yield np.vstack([G.T, h]), np.eye(dim + 1)[-1], True
+    E = rng.normal(size=(10, 25))
+    E[:, 7] = E[:, 3]  # the shared face rows of two halves give such columns
+    yield E, rng.normal(size=10), False
+
+
+def test_nnls_from_any_start_set_reaches_the_cold_start_optimum():
+    from shapeguard.scpr import _nnls
+
+    rng = np.random.default_rng(5)
+    for E, f, unique in nnls_problems():
+        cold, _, finished = _nnls(E, f, 10**5)
+        assert finished
+        optimum = cold > 0.0
+        cols = E.shape[1]
+        starts = [
+            np.zeros(cols, dtype=bool),
+            optimum,
+            optimum | (rng.random(cols) < 0.3),  # columns that must leave
+            rng.random(cols) < 0.5,  # more columns than rows when E is wide
+            np.ones(cols, dtype=bool),
+        ] + [rng.random(cols) < p for p in (0.1, 0.2, 0.8)]
+        for start in starts:
+            u, _, finished = _nnls(E, f, 10**5, start)
+            assert finished
+            scale = 1e-12 * max(1.0, np.abs(cold).max())
+            # a repeated column leaves u free to shift between its copies, never E u
+            assert np.abs(E @ u - E @ cold).max() <= scale * np.abs(E).max()
+            if unique:
+                assert np.abs(u - cold).max() <= scale
+
+
+def test_cached_matrices_are_read_only_and_equal_fresh_ones():
+    from shapeguard.certify import _bernstein_matrix, _split_matrix
+    from shapeguard.scpr import _node_values, _region_rows
+
+    calls = [(_node_values, (d,)) for d in range(7)] + [(_split_matrix, (d,)) for d in range(7)]
+    calls += [(_bernstein_matrix, (lo, w, d)) for lo, w in [(0.0, 1.0), (-1.0, 2.0), (0.25, 0.125)] for d in range(7)]
+    for fn, args in calls:
+        for cached in (fn(*args), fn(*args)):  # the first call may fill the cache
+            assert np.array_equal(cached, fn.__wrapped__(*args))
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+    args = ((1, 0, 2), (0.0, -1.0, 0.0), (1.0, 1.0, 0.5), 4)
+    *cached, degrees = _region_rows(*args)
+    *fresh, fresh_degrees = _region_rows.__wrapped__(*args)
+    assert degrees == fresh_degrees == (1, 1, 1)
+    for a, b in zip(cached, fresh):
+        assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def cold_start_solves(monkeypatch):
+    """Make every solve of a fit start from nothing, as a lone solve does."""
+    import shapeguard.scpr as scpr
+
+    solve = scpr.solve_elastic_net
+
+    def cold(*args, _reuse=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scpr, "solve_elastic_net", cold)
+
+
+def eq1_dataset(index):
+    from importlib import resources
+
+    from shapeguard import make_corpus, parse_constraints, scale_unit
+
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
+    data = make_corpus(18, 35, seed=0)[index]
+    scaled, _ = scale_unit(data, [c for c in data.columns if c != spec.target])
+    return scaled, spec
+
+
+def test_fit_with_reuse_equals_fit_with_cold_solves(monkeypatch):
+    scaled, spec = eq1_dataset(19)  # stuck: 16 rounds of refinement
+    problems = [(scaled, spec.constraints, 3, spec.target)]
+    problems += [(d, cons, degree, None) for _, d, cons, degree in random_fit_problems()]
+    fits = []
+    for data, cons, degree, target in problems:
+        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons, target=target)
+        fits.append((model.coefficient_vector(), report.optimality_gap, certify(model, cons)))
+    cold_start_solves(monkeypatch)
+    for (theta, gap, cert), (data, cons, degree, target) in zip(fits, problems):
+        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons, target=target)
+        np.testing.assert_allclose(theta, model.coefficient_vector(), rtol=1e-9, atol=1e-9 * np.abs(theta).max())
+        assert report.optimality_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+        assert [e.verdict for e in certify(model, cons).entries] == [e.verdict for e in cert.entries]
+
+
+def test_probes_of_solve_elastic_net_see_every_solve(monkeypatch):
+    # perfbench replaces scpr.solve_elastic_net with a wrapper and reads A as
+    # the fifth positional argument; a fit that bypassed the module attribute
+    # would leave its solve probes reading zero
+    import shapeguard.scpr as scpr
+
+    calls, rounds = [], []
+    solve, system = scpr.solve_elastic_net, scpr._bernstein_system
+
+    def probe(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    def count_round(*args):
+        rounds.append(args)
+        return system(*args)
+
+    monkeypatch.setattr(scpr, "solve_elastic_net", probe)
+    monkeypatch.setattr(scpr, "_bernstein_system", count_round)
+    scaled, spec = eq1_dataset(19)
+    fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target)
+    assert len(rounds) > 1
+    assert len(calls) == 2 * len(rounds)  # the inner and the outer solve of each round
+    assert all(len(args) == 6 and args[4].shape == (len(args[5]), 20) for args in calls)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from shapeguard import (
     ConfigError,
+    DataError,
     Dataset,
     DegenerateError,
     GAConfig,
@@ -102,6 +103,37 @@ def test_classify_strict_threshold():
     assert classify([], 0.05) == "valid"
     with pytest.raises(ConfigError):
         classify([0.1], 0.0)
+
+
+@pytest.mark.parametrize("rmses", [[math.nan, 0.01], [0.01, math.nan], [0.01, math.inf]])
+def test_classify_rejects_a_non_finite_rmse(rmses):
+    # max() over a NaN depends on its position, and both orders once read valid
+    with pytest.raises(DataError, match="non-finite"):
+        classify(rmses, 0.05)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_threshold_must_be_finite_and_positive(t):
+    with pytest.raises(ConfigError, match="threshold"):
+        classify([0.01], t)
+    with pytest.raises(ConfigError, match="threshold"):
+        ValidationConfig(threshold=t, controlled_variables=["p", "v"], algorithm="pr")
+
+
+def test_corpus_records_a_nan_prediction_as_a_failed_dataset(monkeypatch):
+    entry = validation.ALGORITHMS["pr"]
+
+    def nan_fit(train, *args):
+        model, predict, info = entry.fit(train, *args)
+        return model, lambda cols: np.full(train.n_rows, math.nan), info
+
+    monkeypatch.setitem(validation.ALGORITHMS, "pr", replace(entry, fit=nan_fit))
+    config = ValidationConfig(
+        threshold=0.05, controlled_variables=["p", "v"], algorithm="pr", target="mu_dyn"
+    )
+    (report,), _, _ = validate_corpus([synth_generate("friction_valid", 1)], config)
+    assert report.error.startswith("DataError")
+    assert (report.score, report.verdict) == (math.inf, "invalid")
 
 
 def test_roc_known_small_case():
