@@ -24,7 +24,7 @@ from . import validation as validation_mod
 from .certify import certify as run_certification
 from .constraints import parse_constraints
 from .datasets import load_csv
-from .errors import ConfigError, ShapeguardError
+from .errors import ConfigError, SchemaError, ShapeguardError
 from .poly import PolyModel
 from .validation import ALGORITHMS
 
@@ -63,11 +63,17 @@ def _write_report(path, subcommand, result, seed=None, extra_metadata=None):
     return report
 
 
+def _parse_json(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} is not valid JSON: {exc}") from None
+
+
 def _load_config(path) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _parse_json(Path(path).read_text(encoding="utf-8"), f"--config {path}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -123,7 +129,7 @@ def _pop_wall_time(fit_report):
 
 
 def _cmd_synth(args) -> int:
-    params = json.loads(args.params) if args.params else None
+    params = _parse_json(args.params, "--params") if args.params else None
     if args.kind == "corpus":
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +232,9 @@ def _load_corpus(data_dir, target):
     datasets = []
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for entry in manifest:
+        for i, entry in enumerate(manifest):
+            if not isinstance(entry, dict) or "file" not in entry:
+                raise SchemaError(f'{manifest_path} entry {i} names no "file": {entry!r}')
             ds = _load_data(data_dir / entry["file"], target)
             ds.name = entry.get("name", entry["file"])
             ds.label = entry.get("label")
@@ -300,8 +308,8 @@ def _cmd_roc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, data=True):
-    p.add_argument("--constraints", help="constraint spec file")
+def _add_common(p, data=True, spec_required=False):
+    p.add_argument("--constraints", required=spec_required, help="constraint spec file")
     p.add_argument("--target", help="target column (default: spec target or last column)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file overriding algorithm defaults")
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify constraints on a saved polynomial model")
     p.add_argument("--model", required=True, help="model JSON file")
-    _add_common(p, data=False)
+    _add_common(p, data=False, spec_required=True)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="classify one dataset as valid/invalid")

@@ -50,6 +50,19 @@ def monomial_basis(n_vars: int, d: int) -> list[MultiIndex]:
     return out
 
 
+def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0):
+    """The wrt-derivative of coeff * x**alpha as (coefficient, exponents), or
+    None when it is zero because some exponent is below its order."""
+    exponents = []
+    for e, k in zip(alpha, wrt):
+        if e < k:
+            return None
+        for j in range(k):
+            coeff *= e - j
+        exponents.append(e - k)
+    return coeff, tuple(exponents)
+
+
 @dataclass(frozen=True)
 class PolyModel:
     """Polynomial of bounded total degree with named variables."""
@@ -131,22 +144,12 @@ class PolyModel:
         wrt = tuple(int(e) for e in wrt)
         if len(wrt) != len(self.variables):
             raise ArityError("derivative multi-index arity mismatch")
-        order = sum(wrt)
         coeffs = {}
         for alpha, c in self.coeffs.items():
-            new_alpha = []
-            factor = c
-            ok = True
-            for e, k in zip(alpha, wrt):
-                if e < k:
-                    ok = False
-                    break
-                for j in range(k):
-                    factor *= e - j
-                new_alpha.append(e - k)
-            if ok and factor != 0.0:
-                coeffs[tuple(new_alpha)] = coeffs.get(tuple(new_alpha), 0.0) + factor
-        return PolyModel(self.variables, max(self.degree - order, 0), coeffs)
+            term = _monomial_derivative(alpha, wrt, c)
+            if term is not None and term[0] != 0.0:
+                coeffs[term[1]] = coeffs.get(term[1], 0.0) + term[0]
+        return PolyModel(self.variables, max(self.degree - sum(wrt), 0), coeffs)
 
     def derivative_of_var(self, var: str, order: int = 1) -> "PolyModel":
         wrt = tuple(order if v == var else 0 for v in self.variables)

@@ -46,14 +46,15 @@ Bernstein matrices, and a constraint's whole-region rows, keyed by degree
 and box.  They are read-only.
 
 ``compile_constraints`` discretizes constraints on tensor grids instead: its
-rows hold the derivative at sample points only.
+rows hold the derivative at sample points only.  No fit calls it; it stays
+for API callers and for perfbench's probe list.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +69,7 @@ from .errors import (
     SolverError,
 )
 from .intervals import Interval
-from .poly import PolyModel, monomial_basis
+from .poly import PolyModel, _monomial_derivative, monomial_basis
 
 __all__ = [
     "SCPRConfig",
@@ -131,14 +132,7 @@ class FitReport:
     optimality_gap: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "train_rmse": self.train_rmse,
-            "objective_value": self.objective_value,
-            "iterations": self.iterations,
-            "max_sampled_violation": self.max_sampled_violation,
-            "wall_time_seconds": self.wall_time_seconds,
-            "optimality_gap": self.optimality_gap,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -170,24 +164,6 @@ def build_design_matrix(data: Dataset, variables, target: str, d: int):
     return X, data.columns[target].copy()
 
 
-def _derivative_row_factors(basis, dtuple):
-    """Per basis monomial: (factor, reduced exponents) of its dtuple-derivative."""
-    factors = []
-    for alpha in basis:
-        factor = 1.0
-        reduced = []
-        for e, k in zip(alpha, dtuple):
-            if e < k:
-                factor = 0.0
-                reduced.append(0)
-                continue
-            for j in range(k):
-                factor *= e - j
-            reduced.append(e - k)
-        factors.append((factor, tuple(reduced)))
-    return factors
-
-
 def compile_constraints(
     constraints, variables, degree: int, grid_points_per_dim: int = 8
 ) -> LinearConstraintSystem:
@@ -213,9 +189,11 @@ def compile_constraints(
             )
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(variables))
         M = np.zeros((len(points), len(basis)))
-        for j, (factor, reduced) in enumerate(_derivative_row_factors(basis, c.derivative_tuple(variables))):
-            if factor:
-                M[:, j] = factor * np.prod(points ** np.array(reduced), axis=1)
+        dtuple = c.derivative_tuple(variables)
+        for j, alpha in enumerate(basis):
+            term = _monomial_derivative(alpha, dtuple)
+            if term is not None:
+                M[:, j] = term[0] * np.prod(points ** np.array(term[1]), axis=1)
         rows.append(np.stack([sign * M for sign, _ in sides], axis=1).reshape(-1, len(basis)))
         rhs.append(np.tile([r for _, r in sides], len(points)))
     return LinearConstraintSystem(np.vstack(rows), np.concatenate(rhs))
@@ -260,8 +238,8 @@ def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int) -> tuple:
     also each coefficient's corner flag and the degree per axis.  Cached, so
     read-only: they depend on the constraint and the degree only."""
     basis = monomial_basis(len(dtuple), degree)
-    factors = _derivative_row_factors(basis, dtuple)
-    live = [(j, f, reduced) for j, (f, reduced) in enumerate(factors) if f]
+    terms = [(j, _monomial_derivative(alpha, dtuple)) for j, alpha in enumerate(basis)]
+    live = [(j, *term) for j, term in terms if term is not None]
     degrees = tuple(max((r[i] for _, _, r in live), default=0) for i in range(len(dtuple)))
     coeffs = np.zeros([d + 1 for d in degrees] + [len(basis)])
     for j, f, reduced in live:
@@ -721,41 +699,11 @@ def solve_elastic_net(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_columns(data: Dataset, variables, target):
-    target = target or data.target
-    if variables is None:
-        variables = [c for c in data.columns if c != target]
-    return list(variables), target
-
-
-def _report(X, y, result: SolveResult, t0) -> FitReport:
-    resid = X @ result.theta - y
-    return FitReport(
-        train_rmse=float(np.sqrt(np.mean(resid**2))),
-        objective_value=result.objective,
-        iterations=result.iterations,
-        max_sampled_violation=result.max_violation,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
-
-
 def fit_unconstrained(
     data: Dataset, config: SCPRConfig, variables=None, target=None
 ) -> tuple[PolyModel, FitReport]:
     """Elastic-net polynomial regression without shape constraints."""
-    t0 = time.perf_counter()
-    variables, target = _resolve_columns(data, variables, target)
-    X, y = build_design_matrix(data, variables, target, config.degree)
-    result = solve_elastic_net(
-        X,
-        y,
-        config.lam,
-        config.alpha,
-        solver_tol=config.solver_tol,
-        max_iter=config.max_iter,
-    )
-    model = PolyModel.from_coefficient_vector(variables, config.degree, result.theta)
-    return model, _report(X, y, result, t0)
+    return fit_constrained(data, config, (), variables, target)
 
 
 def fit_constrained(
@@ -768,29 +716,30 @@ def fit_constrained(
     """Shape-constrained fit on Bernstein-coefficient rows.
 
     Every iterate satisfies the constraints on their whole regions; see the
-    module docstring for the refinement.  The report's max_sampled_violation
-    is the largest breach of a Bernstein row, an upper bound on the model's
-    breach, and optimality_gap is the relative gap to the lower bound when
-    refinement stopped.  InfeasibleError means the node values alone admit
-    no solution, or the rows of every partition tried did not; SolverError
-    means the first solve that admitted a fit failed its KKT check.
+    module docstring for the refinement.  An empty constraint list is the
+    unconstrained fit.  The report's max_sampled_violation is the largest
+    breach of a Bernstein row, an upper bound on the model's breach,
+    optimality_gap is the relative gap to the lower bound when refinement
+    stopped, and iterations sums the NNLS iterations of all its solves.
+    InfeasibleError means the node values alone admit no solution, or the
+    rows of every partition tried did not; SolverError means the first solve
+    that admitted a fit failed its KKT check.
     """
     t0 = time.perf_counter()
-    variables, target = _resolve_columns(data, variables, target)
-    constraints = list(constraints)
-    if not constraints:
-        return fit_unconstrained(data, config, variables, target)
+    target = target or data.target
+    variables = [c for c in data.columns if c != target] if variables is None else list(variables)
     X, y = build_design_matrix(data, variables, target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
-    reuse = _Reuse()
+    reuse, solves = _Reuse(), []
 
     def solve(A, b, start):
         reuse.start = start
         # through the module attribute, so wrappers of solve_elastic_net see every solve
-        return solve_elastic_net(
+        solves.append(solve_elastic_net(
             X, y, config.lam, config.alpha, A, b,
             solver_tol=config.solver_tol, max_iter=config.max_iter, _reuse=reuse,
-        )
+        ))
+        return solves[-1]
 
     def binding(A, b, theta):
         # a row binds when its slack is within solver_tol, relative to the
@@ -835,6 +784,12 @@ def fit_constrained(
         )
     inner, gap = best
     model = PolyModel.from_coefficient_vector(variables, config.degree, inner.theta)
-    report = _report(X, y, inner, t0)
-    report.optimality_gap = float(gap)
-    return model, report
+    resid = X @ inner.theta - y
+    return model, FitReport(
+        train_rmse=float(np.sqrt(np.mean(resid**2))),
+        objective_value=inner.objective,
+        iterations=sum(r.iterations for r in solves),
+        max_sampled_violation=inner.max_violation,
+        wall_time_seconds=time.perf_counter() - t0,
+        optimality_gap=float(gap),
+    )

@@ -196,7 +196,10 @@ def synth_generate(kind: str, seed: int, params=None) -> Dataset:
 def make_corpus(n_valid: int = 18, n_invalid: int = 35, seed: int = 0, params=None) -> list:
     """Labeled friction corpus; dataset i uses derived seed ``seed ^ i``.
 
-    Invalid datasets cycle through the documented error kinds.
+    Invalid datasets cycle through the documented error kinds.  Seeds that
+    differ only in their low bits therefore share datasets: seeds 0 and 1
+    share all 18 valid ones.  Multiples of 64 give disjoint corpora of up to
+    64 datasets.
     """
     corpus = []
     for i in range(n_valid):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from functools import partial
 
 import numpy as np
@@ -80,16 +80,7 @@ class ValidationReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "segment_rmses": self.segment_rmses,
-            "score": self.score,
-            "verdict": self.verdict,
-            "fit_report": self.fit_report,
-            "certification": self.certification,
-            "label": self.label,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -216,7 +207,7 @@ def monotone_from_constraints(constraints) -> dict:
 # and reads that argument.
 def _fit_poly(constrained: bool):
     def fit(train, config, constraints, target):
-        if constrained and constraints:
+        if constrained:
             model, report = scpr_mod.fit_constrained(train, config, constraints, target=target)
         else:
             model, report = scpr_mod.fit_unconstrained(train, config, target=target)

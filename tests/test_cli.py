@@ -274,3 +274,45 @@ def test_saved_model_reproduces_reported_train_rmse(tmp_path, eq1_path, algo):
     ds = load_csv(data, target="mu_dyn")
     preds = loaders[algo](model.read_text())(ds.columns)
     assert abs(float(np.sqrt(np.mean((preds - ds.y) ** 2))) - reported) <= 1e-12
+
+
+def assert_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr, proc.stderr
+
+
+def test_certify_without_constraints_is_a_usage_error(tmp_path):
+    data, model = tmp_path / "d.csv", tmp_path / "model.json"
+    run("synth", "--kind", "cubic_fig1", "--seed", "5", "--out", str(data))
+    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+    proc = run("certify", "--model", str(model))
+    assert_error_line(proc, 2)
+    assert "--constraints" in proc.stderr
+
+
+def test_manifest_entry_without_file_is_a_schema_error(tmp_path, eq1_path):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "1", "--n-invalid", "1")
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    del manifest[1]["file"]
+    (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+    proc = run("roc", "--algo", "pr", "--data-dir", str(corpus_dir), "--constraints", str(eq1_path))
+    assert_error_line(proc, 1)
+    assert "SchemaError" in proc.stderr and "entry 1" in proc.stderr
+
+
+def test_malformed_config_json_is_a_config_error(tmp_path):
+    data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+    run("synth", "--kind", "cubic_fig1", "--seed", "5", "--out", str(data))
+    cfg.write_text('{"degree": 3,}')
+    proc = run("fit", "--algo", "pr", "--data", str(data), "--config", str(cfg))
+    assert_error_line(proc, 1)
+    assert "ConfigError: --config" in proc.stderr
+
+
+def test_malformed_synth_params_is_a_config_error(tmp_path):
+    proc = run("synth", "--kind", "cubic_fig1", "--out", str(tmp_path / "d.csv"), "--params", "{n: 5}")
+    assert_error_line(proc, 1)
+    assert "ConfigError: --params" in proc.stderr

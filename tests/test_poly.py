@@ -137,3 +137,16 @@ def test_property_eval_linearity(coefs, x):
     v1 = m1.evaluate({"x": x})
     v2 = m2.evaluate({"x": x})
     assert v2 == pytest.approx(2 * v1, rel=1e-9, abs=1e-9)
+
+
+def test_monomial_derivative_is_the_power_rule():
+    from shapeguard.poly import _monomial_derivative
+
+    for alpha in monomial_basis(3, 4):
+        for wrt in monomial_basis(3, 2):  # every order of total at most 2
+            got = _monomial_derivative(alpha, wrt)
+            if any(e < k for e, k in zip(alpha, wrt)):
+                assert got is None, (alpha, wrt)
+            else:
+                factor = float(math.prod(math.perm(e, k) for e, k in zip(alpha, wrt)))
+                assert got == (factor, tuple(e - k for e, k in zip(alpha, wrt))), (alpha, wrt)

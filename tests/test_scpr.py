@@ -623,3 +623,36 @@ def test_probes_of_solve_elastic_net_see_every_solve(monkeypatch):
     assert len(rounds) > 1
     assert len(calls) == 2 * len(rounds)  # the inner and the outer solve of each round
     assert all(len(args) == 6 and args[4].shape == (len(args[5]), 20) for args in calls)
+
+
+def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
+    import shapeguard.scpr as scpr
+
+    results, solve = [], scpr.solve_elastic_net
+
+    def probe(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scpr, "solve_elastic_net", probe)
+    scaled, spec = eq1_dataset(19)  # stuck: 16 rounds, an inner and an outer solve each
+    _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target)
+    assert len(results) > 2
+    assert report.iterations == sum(r.iterations for r in results)
+
+
+@pytest.mark.parametrize("case", ["alpha=0", "alpha=0.5", "wide"])
+def test_fit_unconstrained_is_fit_constrained_without_constraints(case):
+    from dataclasses import replace
+
+    if case == "wide":  # the rank-deficient design of test_constrained_fit_of_a_wide_design
+        x = np.array([0.1, 0.5, 0.9])
+        d, config = Dataset("d", {"x": x, "y": -x}, "y"), SCPRConfig(degree=4, lam=0.0)
+    else:
+        rng = np.random.default_rng(5)
+        d = dataset_1d(rng, n=60, f=lambda x: 0.5 * x**3 + 0.1 * x, noise=0.3, lo=-2, hi=2)
+        config = SCPRConfig(degree=3, lam=0.1, alpha=float(case.split("=")[1]))
+    model_u, report_u = fit_unconstrained(d, config)
+    model_c, report_c = fit_constrained(d, config, [])
+    np.testing.assert_array_equal(model_u.coefficient_vector(), model_c.coefficient_vector())
+    assert replace(report_u, wall_time_seconds=0.0) == replace(report_c, wall_time_seconds=0.0)
