@@ -22,9 +22,7 @@ for line in spec_text.strip().splitlines():
     print(f"  {line}")
 
 data = synth_generate("friction_valid", seed=1)
-model, report = fit_constrained(
-    data, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target
-)
+model, report = fit_constrained(data, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
 print(f"\nfitted degree-3 surface: train RMSE {report.train_rmse:.5f}, "
       f"violation bound {report.max_sampled_violation:.2e}, "
       f"optimality gap {report.optimality_gap:.1e}")

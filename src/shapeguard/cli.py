@@ -95,18 +95,17 @@ def _algo_config(algorithm: str, overrides: dict, seed):
     return cls(**kwargs)
 
 
-def _load_spec(path):
-    if not path:
-        return None
-    return parse_constraints(Path(path).read_text(encoding="utf-8"))
+def _inputs(args):
+    """The spec's constraints, the target column and the --config overrides.
 
-
-def _resolve_target(args, spec) -> str | None:
-    if getattr(args, "target", None):
-        return args.target
-    if spec is not None:
-        return spec.target
-    return None
+    The target is --target, else the spec's target, else None, which
+    _load_data reads as the CSV's last column.
+    """
+    constraints, target = [], getattr(args, "target", None)
+    if args.constraints:
+        spec = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
+        constraints, target = spec.constraints, target or spec.target
+    return constraints, target, _load_config(args.config)
 
 
 def _load_data(path, target):
@@ -158,14 +157,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    spec = _load_spec(args.constraints)
-    target = _resolve_target(args, spec)
+    constraints, target, overrides = _inputs(args)
     data = _load_data(args.data, target)
-    overrides = _load_config(args.config)
     config = _algo_config(args.algo, overrides, args.seed)
-    constraints = spec.constraints if spec else []
     entry = ALGORITHMS[args.algo]
-    model, predict, fit_info = entry.fit(data, config, constraints, data.target)
+    model, predict, fit_info = entry.fit(data, config, constraints)
     wall = _pop_wall_time(fit_info)
     model_file = None
     if args.model_out:
@@ -183,18 +179,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    spec = _load_spec(args.constraints)
+    constraints, _, overrides = _inputs(args)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    overrides = _load_config(args.config)
     _reject_unknown_keys(overrides, {"cert_tol"}, "certify")
-    report = run_certification(model, spec.constraints, tol=float(overrides.get("cert_tol", 1e-9)))
+    report = run_certification(model, constraints, tol=float(overrides.get("cert_tol", 1e-9)))
     _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")
     return EXIT_OK
 
 
-def _validation_config(args, spec, overrides):
+def _validation_config(args, constraints, overrides):
     controlled = [c for c in args.controlled.split(",") if c]
     algo_config = _algo_config(args.algo, overrides, args.seed)
     return validation_mod.ValidationConfig(
@@ -202,17 +197,14 @@ def _validation_config(args, spec, overrides):
         controlled_variables=controlled,
         algorithm=args.algo,
         algorithm_config=algo_config,
-        constraints=spec.constraints if spec else [],
-        target=spec.target if spec else None,
+        constraints=constraints,
     )
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_spec(args.constraints)
-    target = _resolve_target(args, spec)
+    constraints, target, overrides = _inputs(args)
     data = _load_data(args.data, target)
-    overrides = _load_config(args.config)
-    config = _validation_config(args, spec, overrides)
+    config = _validation_config(args, constraints, overrides)
     report = validation_mod.validate_dataset(data, config)
     wall = _pop_wall_time(report.fit_report)
     _write_report(
@@ -231,9 +223,14 @@ def _load_corpus(data_dir, target):
     manifest_path = data_dir / "manifest.json"
     datasets = []
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{manifest_path} is not valid JSON: {exc}") from None
+        if not isinstance(manifest, list):
+            raise SchemaError(f"{manifest_path} must hold a JSON list of entries")
         for i, entry in enumerate(manifest):
-            if not isinstance(entry, dict) or "file" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
                 raise SchemaError(f'{manifest_path} entry {i} names no "file": {entry!r}')
             ds = _load_data(data_dir / entry["file"], target)
             ds.name = entry.get("name", entry["file"])
@@ -243,13 +240,13 @@ def _load_corpus(data_dir, target):
     else:
         for path in sorted(data_dir.glob("*.csv")):
             datasets.append(_load_data(path, target))
+    if not datasets:
+        raise SchemaError(f"{data_dir} holds no datasets")
     return datasets
 
 
 def _cmd_gridsearch(args) -> int:
-    spec = _load_spec(args.constraints)
-    target = _resolve_target(args, spec)
-    overrides = _load_config(args.config)
+    constraints, target, overrides = _inputs(args)
     datasets = _load_corpus(args.data_dir, target)
     datasets = [d for d in datasets if d.label in (None, "valid")]
     fixed = dict(overrides)
@@ -261,8 +258,7 @@ def _cmd_gridsearch(args) -> int:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
     cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]
     best, table = validation_mod.grid_search(
-        datasets, args.algo, cells, folds=args.folds,
-        constraints=spec.constraints if spec else (), target=target,
+        datasets, args.algo, cells, folds=args.folds, constraints=constraints
     )
     result = {"best_params": best, "table": table}
     _write_report(args.out, "gridsearch", result, seed=args.seed)
@@ -275,11 +271,9 @@ def _cmd_gridsearch(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    spec = _load_spec(args.constraints)
-    target = _resolve_target(args, spec)
-    overrides = _load_config(args.config)
+    constraints, target, overrides = _inputs(args)
     datasets = _load_corpus(args.data_dir, target)
-    config = _validation_config(args, spec, overrides)
+    config = _validation_config(args, constraints, overrides)
     reports, confusion, curve = validation_mod.validate_corpus(datasets, config)
     for r in reports:
         _pop_wall_time(r.fit_report)
@@ -298,8 +292,15 @@ def _cmd_roc(args) -> int:
     _write_report(args.out, "roc", result, seed=args.seed)
     if args.csv_out and curve:
         Path(args.csv_out).write_text(curve.to_csv(), encoding="utf-8")
+    failed = [r for r in reports if r.error]
+    if len(failed) == len(reports):  # _load_corpus returns at least one dataset
+        print(f"error: every dataset failed; {failed[0].dataset}: {failed[0].error}", file=sys.stderr)
+        return EXIT_ERROR
     auc_text = f"{curve.auc:.4f}" if curve else "n/a"
-    print(f"validated {len(reports)} datasets; confusion {confusion}; AUC {auc_text}")
+    print(
+        f"validated {len(reports)} datasets, {len(failed)} failed; "
+        f"confusion {confusion}; AUC {auc_text}"
+    )
     return EXIT_OK
 
 
@@ -308,9 +309,10 @@ def _cmd_roc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, data=True, spec_required=False):
+def _add_common(p, data=True, spec_required=False, target=True):
     p.add_argument("--constraints", required=spec_required, help="constraint spec file")
-    p.add_argument("--target", help="target column (default: spec target or last column)")
+    if target:
+        p.add_argument("--target", help="target column (default: spec target or last column)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file overriding algorithm defaults")
     p.add_argument("--out", help="JSON report destination")
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify constraints on a saved polynomial model")
     p.add_argument("--model", required=True, help="model JSON file")
-    _add_common(p, data=False, spec_required=True)
+    _add_common(p, data=False, spec_required=True, target=False)  # reads no data
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="classify one dataset as valid/invalid")

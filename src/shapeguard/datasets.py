@@ -76,7 +76,8 @@ def load_csv(path, target: str, label: str | None = None, name: str | None = Non
     """Load a headered CSV of IEEE doubles.
 
     Raises DataError with (row, column) for unparseable or non-finite cells
-    and SchemaError for a missing target or an empty table.
+    and SchemaError for a repeated column name, a missing target or an empty
+    table.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -85,6 +86,9 @@ def load_csv(path, target: str, label: str | None = None, name: str | None = Non
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         if target not in header:
             raise SchemaError(f"{path}: target column {target!r} not in header {header}")
         rows = []

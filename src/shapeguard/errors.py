@@ -14,7 +14,7 @@ class ArityError(ShapeguardError):
 
 
 class SchemaError(ShapeguardError):
-    """A dataset or serialized tree lacks required columns, rows or fields, or has ill-typed ones."""
+    """A dataset or serialized model lacks required columns, rows or fields, or has ill-typed ones."""
 
 
 class DataError(ShapeguardError):

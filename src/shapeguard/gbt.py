@@ -307,14 +307,9 @@ def _predict_tree(node: RegTreeNode, cols, n: int) -> np.ndarray:
     return out
 
 
-def fit_gbt(data: Dataset, config: GBTConfig, features=None, target=None) -> GBTEnsemble:
-    """Boost squared-error trees on residuals; monotone splits enforced."""
-    target = target or data.target
-    if features is None:
-        features = [c for c in data.columns if c != target]
-    for name in list(features) + [target]:
-        if name not in data.columns:
-            raise SchemaError(f"column {name!r} not present")
+def fit_gbt(data: Dataset, config: GBTConfig) -> GBTEnsemble:
+    """Boost squared-error trees of ``data.target`` on ``data.feature_names``; monotone splits enforced."""
+    features = data.feature_names
     if data.n_rows < config.min_samples_leaf:
         raise SchemaError("fewer rows than min_samples_leaf")
     unknown = set(config.monotone) - set(features)
@@ -331,7 +326,7 @@ def fit_gbt(data: Dataset, config: GBTConfig, features=None, target=None) -> GBT
     ensemble = GBTEnsemble(
         base_score=base,
         learning_rate=config.learning_rate,
-        features=list(features),
+        features=features,
         monotone=dict(config.monotone),
     )
     stumped = False

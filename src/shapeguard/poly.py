@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityError, DomainError
+from .errors import ArityError, DomainError, SchemaError
 from .intervals import Interval
 
 __all__ = ["MultiIndex", "monomial_basis", "PolyModel"]
@@ -61,6 +61,22 @@ def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0)
             coeff *= e - j
         exponents.append(e - k)
     return coeff, tuple(exponents)
+
+
+def _json_field(obj, where: str, name: str, types, items=None):
+    """obj[name]; SchemaError when obj is no object, lacks the field, or the
+    field (or, given ``items``, one of its items) has another type."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} has type {type(obj).__name__}, not object")
+    if name not in obj:
+        raise SchemaError(f"{where}: missing field {name!r}")
+    value = obj[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SchemaError(f"{where}: field {name!r} has type {type(value).__name__}")
+    for item in value if items is not None else ():
+        if not isinstance(item, items) or isinstance(item, bool):
+            raise SchemaError(f"{where}: field {name!r} holds an item of type {type(item).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -193,9 +209,21 @@ class PolyModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PolyModel":
-        obj = json.loads(text)
-        coeffs = {tuple(t["exponents"]): float(t["coeff"]) for t in obj["terms"]}
-        return cls(tuple(obj["variables"]), int(obj["degree"]), coeffs)
+        """Inverse of to_json; SchemaError names a missing or ill-typed field."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"model is not valid JSON: {exc}") from None
+        variables = _json_field(obj, "model", "variables", list, str)
+        degree = _json_field(obj, "model", "degree", int)
+        coeffs = {}
+        for i, term in enumerate(_json_field(obj, "model", "terms", list)):
+            exponents = tuple(_json_field(term, f"model term {i}", "exponents", list, int))
+            try:
+                coeffs[exponents] = float(_json_field(term, f"model term {i}", "coeff", (int, float)))
+            except OverflowError:
+                raise SchemaError(f"model term {i}: field 'coeff' is too large for a float") from None
+        return cls(tuple(variables), degree, coeffs)
 
     @classmethod
     def from_coefficient_vector(

@@ -699,21 +699,13 @@ def solve_elastic_net(
 # ---------------------------------------------------------------------------
 
 
-def fit_unconstrained(
-    data: Dataset, config: SCPRConfig, variables=None, target=None
-) -> tuple[PolyModel, FitReport]:
+def fit_unconstrained(data: Dataset, config: SCPRConfig) -> tuple[PolyModel, FitReport]:
     """Elastic-net polynomial regression without shape constraints."""
-    return fit_constrained(data, config, (), variables, target)
+    return fit_constrained(data, config, ())
 
 
-def fit_constrained(
-    data: Dataset,
-    config: SCPRConfig,
-    constraints,
-    variables=None,
-    target=None,
-) -> tuple[PolyModel, FitReport]:
-    """Shape-constrained fit on Bernstein-coefficient rows.
+def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[PolyModel, FitReport]:
+    """Shape-constrained fit of ``data.target`` on ``data.feature_names``, on Bernstein rows.
 
     Every iterate satisfies the constraints on their whole regions; see the
     module docstring for the refinement.  An empty constraint list is the
@@ -726,9 +718,8 @@ def fit_constrained(
     that admitted a fit failed its KKT check.
     """
     t0 = time.perf_counter()
-    target = target or data.target
-    variables = [c for c in data.columns if c != target] if variables is None else list(variables)
-    X, y = build_design_matrix(data, variables, target, config.degree)
+    variables = data.feature_names
+    X, y = build_design_matrix(data, variables, data.target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
     reuse, solves = _Reuse(), []
 

@@ -57,7 +57,7 @@ class ValidationConfig:
     algorithm: str  # a key of ALGORITHMS
     algorithm_config: object = None  # the algorithm's config, or a dict of its fields
     constraints: list = field(default_factory=list)
-    target: str | None = None
+    target: str | None = None  # replaces the dataset's target in validate_dataset when set
 
     def __post_init__(self):
         _check_threshold(self.threshold)
@@ -206,24 +206,24 @@ def monotone_from_constraints(constraints) -> dict:
 # call time, and pass evolve its config by keyword: perfbench wraps those names
 # and reads that argument.
 def _fit_poly(constrained: bool):
-    def fit(train, config, constraints, target):
+    def fit(train, config, constraints):
         if constrained:
-            model, report = scpr_mod.fit_constrained(train, config, constraints, target=target)
+            model, report = scpr_mod.fit_constrained(train, config, constraints)
         else:
-            model, report = scpr_mod.fit_unconstrained(train, config, target=target)
+            model, report = scpr_mod.fit_unconstrained(train, config)
         return model, model.evaluate_columns, report.to_dict()
 
     return fit
 
 
-def _fit_gbt(train, config, constraints, target):
+def _fit_gbt(train, config, constraints):
     if not config.monotone and constraints:
         config = dc_replace(config, monotone=monotone_from_constraints(constraints))
-    ensemble = gbt_mod.fit_gbt(train, config, target=target)
+    ensemble = gbt_mod.fit_gbt(train, config)
     return ensemble, partial(gbt_mod.predict_gbt, ensemble), {"n_trees": len(ensemble.trees)}
 
 
-def _fit_scsr(train, config, constraints, target):
+def _fit_scsr(train, config, constraints):
     best = scsr_mod.evolve(train, config=config, constraints=constraints)[-1]
     if best.feasible_fraction == 0.0:
         raise SolverError(
@@ -237,9 +237,10 @@ def _fit_scsr(train, config, constraints, target):
 
 @dataclass(frozen=True)
 class Algorithm:
-    """``fit(train, config, constraints, target)`` returns ``(model, predict, info)``.
+    """``fit(train, config, constraints)`` returns ``(model, predict, info)``.
 
-    ``fit`` is given no test rows, so only training rows can shape the model.
+    ``fit`` models ``train.target`` on ``train.feature_names``.  It is given
+    no test rows, so only training rows can shape the model.
     """
 
     config: type
@@ -289,12 +290,13 @@ def _contiguous_folds(data: Dataset, folds: int):
     return out
 
 
-def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=(), target=None):
+def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=()):
     """Sum of fold test RMSE per grid cell across all valid datasets.
 
-    Folds are contiguous (unshuffled) row splits.  Ties break toward the
-    smallest degree, then the largest lambda; failed cells are excluded.
-    Returns (best params, result table).
+    Each dataset's own target is fitted and scored.  Folds are contiguous
+    (unshuffled) row splits.  Ties break toward the smallest degree, then the
+    largest lambda; failed cells are excluded.  Returns (best params, result
+    table).
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -315,7 +317,7 @@ def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=(), 
                 train = ds.select_rows(train_idx)
                 test = ds.select_rows(test_idx)
                 try:
-                    _, predict, _ = entry.fit(train, entry.config(**cell), constraints, target)
+                    _, predict, _ = entry.fit(train, entry.config(**cell), constraints)
                     preds = predict(test.columns)
                     rmse = float(np.sqrt(np.mean((preds - test.y) ** 2)))
                     if not math.isfinite(rmse):
@@ -363,22 +365,21 @@ def grid_table_to_csv(table) -> str:
 def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationReport:
     """Train a constrained model on the full dataset and threshold segment RMSE.
 
-    Inputs are unit-scaled before fitting; RMSE is normalized by the target
-    range so one threshold is comparable across datasets.
+    A set ``config.target`` replaces ``data.target`` here, once (SchemaError if
+    no column has that name).  Inputs are unit-scaled before fitting; RMSE is
+    normalized by the target range so one threshold is comparable across datasets.
     """
-    target = config.target or data.target
-    features = [c for c in data.columns if c != target]
-    scaled, _ = scale_unit(data, features)
-    y = scaled.columns[target]
+    if config.target is not None and config.target != data.target:
+        data = dc_replace(data, target=config.target)
+    scaled, _ = scale_unit(data, data.feature_names)
+    y = scaled.y
     y_range = float(y.max() - y.min())
     if y_range <= 0:
         y_range = 1.0
 
     segments = segment(scaled, config.controlled_variables)
     entry = ALGORITHMS[config.algorithm]
-    model, predict, fit_info = entry.fit(
-        scaled, config.algorithm_config, config.constraints, target
-    )
+    model, predict, fit_info = entry.fit(scaled, config.algorithm_config, config.constraints)
     preds = predict(scaled.columns)
     rmses = [r / y_range for r in score_segments(preds, scaled, segments)]
     verdict = classify(rmses, config.threshold)

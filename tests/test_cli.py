@@ -316,3 +316,91 @@ def test_malformed_synth_params_is_a_config_error(tmp_path):
     proc = run("synth", "--kind", "cubic_fig1", "--out", str(tmp_path / "d.csv"), "--params", "{n: 5}")
     assert_error_line(proc, 1)
     assert "ConfigError: --params" in proc.stderr
+
+
+def rename_target(csv_path, name):
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text(lines[0].replace("mu_dyn", name) + "".join(lines[1:]))
+
+
+def test_validate_and_roc_fit_the_target_flag_beside_a_spec(tmp_path, eq1_path):
+    # eq1.spec names mu_dyn; --target must win for the fit and the scores
+    data = tmp_path / "d.csv"
+    run("synth", "--kind", "friction_valid", "--seed", "7", "--out", str(data))
+    rename_target(data, "friction")
+    rep = tmp_path / "val.json"
+    proc = run(
+        "validate", "--data", str(data), "--constraints", str(eq1_path), "--target", "friction",
+        "--algo", "pr", "--t", "0.05", "--out", str(rep),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(rep.read_text())["result"]["error"] is None
+
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "2", "--n-invalid", "2")
+    for path in corpus_dir.glob("*.csv"):
+        rename_target(path, "friction")
+    rep = tmp_path / "roc.json"
+    proc = run(
+        "roc", "--data-dir", str(corpus_dir), "--constraints", str(eq1_path),
+        "--target", "friction", "--algo", "pr", "--out", str(rep),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ", 0 failed;" in proc.stdout
+    assert [r["error"] for r in json.loads(rep.read_text())["result"]["reports"]] == [None] * 4
+
+
+def test_certify_takes_no_target(tmp_path, eq1_path):
+    data, model = tmp_path / "d.csv", tmp_path / "model.json"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+    proc = run("certify", "--model", str(model), "--constraints", str(eq1_path), "--target", "y")
+    assert_error_line(proc, 2)
+    assert "--target" in proc.stderr
+
+
+def test_malformed_model_file_is_a_schema_error(tmp_path, eq1_path):
+    model = tmp_path / "model.json"
+    cases = (
+        ("degree: 3\n", "model is not valid JSON"),
+        (json.dumps({"variables": ["v", "p", "T"], "degree": 3}), "model: missing field 'terms'"),
+    )
+    for text, message in cases:
+        model.write_text(text)
+        proc = run("certify", "--model", str(model), "--constraints", str(eq1_path))
+        assert_error_line(proc, 1)
+        assert f"SchemaError: {message}" in proc.stderr
+
+
+def test_manifest_that_is_not_a_json_list_is_a_schema_error(tmp_path, eq1_path):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "1", "--n-invalid", "1")
+    manifest = corpus_dir / "manifest.json"
+    cases = (("[{", "is not valid JSON"), ('{"file": "a.csv"}', "JSON list"), ('[{"file": 3}]', "entry 0"))
+    for text, message in cases:
+        manifest.write_text(text)
+        proc = run("roc", "--algo", "pr", "--data-dir", str(corpus_dir), "--constraints", str(eq1_path))
+        assert_error_line(proc, 1)
+        assert "SchemaError" in proc.stderr and "manifest.json" in proc.stderr and message in proc.stderr
+
+
+def test_roc_fails_when_every_dataset_failed(tmp_path, eq1_path):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "2", "--n-invalid", "2")
+    rep = tmp_path / "roc.json"
+    proc = run(
+        "roc", "--data-dir", str(corpus_dir), "--constraints", str(eq1_path),
+        "--controlled", "a,b", "--algo", "pr", "--out", str(rep),
+    )
+    assert_error_line(proc, 1)
+    assert "controlled column 'a' not present" in proc.stderr
+    assert "AUC" not in proc.stdout
+    reports = json.loads(rep.read_text())["result"]["reports"]
+    assert len(reports) == 4 and all(r["error"] for r in reports)
+
+    proc = run("roc", "--data-dir", str(tmp_path / "missing"), "--algo", "pr")
+    assert_error_line(proc, 1)
+    assert "holds no datasets" in proc.stderr

@@ -67,6 +67,10 @@ def test_load_csv_reports_bad_cells(tmp_path):
     with pytest.raises(SchemaError):
         load_csv(path, target="y")
 
+    path.write_text("a, y,a \n1.0,2.0,3.0\n")  # the second a would replace the first
+    with pytest.raises(SchemaError, match="'a' appears more than once"):
+        load_csv(path, target="y")
+
 
 def test_scale_unit_and_unscale_round_trip():
     d = make(30, seed=5)

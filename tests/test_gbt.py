@@ -342,7 +342,7 @@ def test_corpus_fits_emit_no_runtime_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for data in make_corpus(1, 4, seed=0):
             for config in configs:
-                fit_gbt(data, config, target="mu_dyn")
+                fit_gbt(data, config)
 
 
 def test_split_between_adjacent_floats_separates_them():
@@ -366,9 +366,9 @@ def test_identical_columns_split_on_the_first():
     rng = np.random.default_rng(7)
     x = rng.choice([0.0, 0.25, 0.5, 1.0], 200)
     y = 3.0 * x + rng.normal(0, 0.05, 200)
-    d = Dataset("d", {"a": x, "b": x.copy(), "y": y}, "y")
     for first, second in (("a", "b"), ("b", "a")):
-        ens = fit_gbt(d, GBTConfig(n_trees=5), features=[first, second])
+        d = Dataset("d", {first: x, second: x.copy(), "y": y}, "y")
+        ens = fit_gbt(d, GBTConfig(n_trees=5))
         stack = list(ens.trees)
         assert not stack[0].is_leaf
         while stack:

@@ -469,7 +469,7 @@ def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config):
     spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
     data = make_corpus(18, 35, seed=0)[0]
     scaled, _ = scale_unit(data, [c for c in data.columns if c != spec.target])
-    model, report = fit_constrained(scaled, config, spec.constraints, target=spec.target)
+    model, report = fit_constrained(scaled, config, spec.constraints)
     assert report.max_sampled_violation <= config.solver_tol
     assert certify(model, spec.constraints).all_certified
 
@@ -585,15 +585,15 @@ def eq1_dataset(index):
 
 def test_fit_with_reuse_equals_fit_with_cold_solves(monkeypatch):
     scaled, spec = eq1_dataset(19)  # stuck: 16 rounds of refinement
-    problems = [(scaled, spec.constraints, 3, spec.target)]
-    problems += [(d, cons, degree, None) for _, d, cons, degree in random_fit_problems()]
+    problems = [(scaled, spec.constraints, 3)]
+    problems += [(d, cons, degree) for _, d, cons, degree in random_fit_problems()]
     fits = []
-    for data, cons, degree, target in problems:
-        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons, target=target)
+    for data, cons, degree in problems:
+        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons)
         fits.append((model.coefficient_vector(), report.optimality_gap, certify(model, cons)))
     cold_start_solves(monkeypatch)
-    for (theta, gap, cert), (data, cons, degree, target) in zip(fits, problems):
-        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons, target=target)
+    for (theta, gap, cert), (data, cons, degree) in zip(fits, problems):
+        model, report = fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons)
         np.testing.assert_allclose(theta, model.coefficient_vector(), rtol=1e-9, atol=1e-9 * np.abs(theta).max())
         assert report.optimality_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
         assert [e.verdict for e in certify(model, cons).entries] == [e.verdict for e in cert.entries]
@@ -619,7 +619,7 @@ def test_probes_of_solve_elastic_net_see_every_solve(monkeypatch):
     monkeypatch.setattr(scpr, "solve_elastic_net", probe)
     monkeypatch.setattr(scpr, "_bernstein_system", count_round)
     scaled, spec = eq1_dataset(19)
-    fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target)
+    fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(rounds) > 1
     assert len(calls) == 2 * len(rounds)  # the inner and the outer solve of each round
     assert all(len(args) == 6 and args[4].shape == (len(args[5]), 20) for args in calls)
@@ -636,7 +636,7 @@ def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
 
     monkeypatch.setattr(scpr, "solve_elastic_net", probe)
     scaled, spec = eq1_dataset(19)  # stuck: 16 rounds, an inner and an outer solve each
-    _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints, target=spec.target)
+    _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(results) > 2
     assert report.iterations == sum(r.iterations for r in results)
 

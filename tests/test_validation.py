@@ -15,6 +15,7 @@ from shapeguard import (
     DegenerateError,
     GAConfig,
     Interval,
+    SCPRConfig,
     SchemaError,
     ShapeConstraint,
     SolverError,
@@ -26,6 +27,7 @@ from shapeguard import (
     roc,
     score_segments,
     segment,
+    serialize_constraints,
     synth_generate,
     validate_corpus,
     validate_dataset,
@@ -278,3 +280,62 @@ def test_scsr_fit_without_feasible_individual_raises():
         validate_dataset(ds, config)
     (report,), _, _ = validate_corpus([ds], config)
     assert report.error.startswith("SolverError") and report.segment_rmses == []
+
+
+SMALL_CONFIGS = {
+    "pr": {"degree": 3},
+    "gbt": {"n_trees": 5},
+    "scsr": {"population": 30, "max_generations": 5},
+}
+
+
+def fit_and_score(data, algorithm, target):
+    config = ValidationConfig(
+        threshold=0.05,
+        controlled_variables=["p", "v"],
+        algorithm=algorithm,
+        algorithm_config=SMALL_CONFIGS[algorithm],
+        target=target,
+    )
+    report = validate_dataset(data, config).to_dict()
+    report["fit_report"].pop("wall_time_seconds", None)
+    return report
+
+
+@pytest.mark.parametrize("algorithm", sorted(SMALL_CONFIGS))
+def test_config_target_fits_and_scores_that_column(algorithm):
+    # one config must pose one problem: fitting alt and scoring mu_dyn, or
+    # fitting mu_dyn, would give another report
+    data = synth_generate("friction_valid", 1)
+    data = replace(data, columns=dict(data.columns, alt=0.5 * data.y))
+    expected = fit_and_score(replace(data, target="alt"), algorithm, None)
+    assert fit_and_score(data, algorithm, "alt") == expected
+    assert fit_and_score(data, algorithm, "mu_dyn") == fit_and_score(data, algorithm, None)
+
+
+def test_config_target_naming_no_column_is_a_schema_error():
+    with pytest.raises(SchemaError, match="'friction'"):
+        fit_and_score(synth_generate("friction_valid", 1), "pr", "friction")
+
+
+SHIPPED_SPECS = sorted(
+    f.name for f in resources.files("shapeguard.resources").iterdir() if f.name.endswith(".spec")
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SPECS)
+def test_shipped_spec_round_trips_and_an_scpr_fit_certifies_it(name):
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath(name).read_text())
+    again = parse_constraints(serialize_constraints(spec))
+    assert (again.target, again.box, again.constraints) == (spec.target, spec.box, spec.constraints)
+    config = ValidationConfig(
+        threshold=0.05,
+        controlled_variables=["p", "v"],
+        algorithm="scpr",
+        algorithm_config=SCPRConfig(degree=3, lam=1e-6),
+        constraints=spec.constraints,
+        target=spec.target,
+    )
+    report = validate_dataset(make_corpus(18, 35, seed=0)[0], config)
+    verdicts = [e["verdict"] for e in report.certification["constraints"]]
+    assert verdicts == ["CERTIFIED"] * len(spec.constraints)
