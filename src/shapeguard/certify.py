@@ -1,11 +1,10 @@
 """Sound post-fit certification of shape constraints on polynomial models.
 
 Each constraint bounds a derivative polynomial of the model over a box.  The
-polynomial is rewritten in the tensor Bernstein basis of the box.  Its
-Bernstein coefficients enclose its range there, and the coefficients at the
-vertices of the coefficient array are its values at the box's corners
-(Garloff 1986; Ray & Nataraj 2009).  Certification is a branch and bound on
-these coefficients, run level by level over one array of equal-shaped boxes:
+polynomial's tensor Bernstein coefficients on the box (the Bernstein form of
+``poly``) enclose its range there, and its vertex coefficients are its values
+at the box's corners.  Certification is a branch and bound on these
+coefficients, run level by level over one array of equal-shaped boxes:
 
 * a box whose coefficients, widened by their rounding-error bound, lie inside
   the bound widened by ``tol`` is closed;
@@ -30,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .constraints import ShapeConstraint
 from .errors import ArityError
 from .intervals import Interval
-from .poly import PolyModel
+from .poly import PolyModel, _bernstein, _gamma, _halve
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
 
@@ -94,82 +92,12 @@ class CertificationReport:
         }
 
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k: bounds the relative error of k float64 roundings."""
-    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
-
-
-def _binomials(d: int) -> np.ndarray:
-    return np.array([[math.comb(m, k) for k in range(d + 1)] for m in range(d + 1)], dtype=float)
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix.flags.writeable = False
-    return matrix
-
-
-# The matrices below depend only on a degree and a constraint's region, never
-# on data, so few distinct ones occur: they are cached, and so read-only.
-
-
-@lru_cache(maxsize=256)
-def _bernstein_matrix(lo: float, width: float, d: int) -> np.ndarray:
-    """Matrix taking the power coefficients of x to degree-d Bernstein
-    coefficients on [lo, lo + width].
-
-    It is ``E @ P``: P[k, j] = C(j, k) lo**(j-k) width**k rewrites x**j in
-    t with x = lo + width * t, and E[m, k] = C(m, k) / C(d, k) takes t**k to
-    the Bernstein basis.  Against the same sum built from |lo|, each entry
-    carries at most 3d + 2 roundings: width once, and its powers d - 1 times
-    more, lo's powers d - 1 times, two products, one division, d + 1 terms.
-    """
-    binom = _binomials(d)
-    k, j = np.indices((d + 1, d + 1))
-    lo_pow = np.cumprod(np.r_[1.0, np.full(d, lo)])
-    width_pow = np.cumprod(np.r_[1.0, np.full(d, width)])
-    return _read_only((binom / binom[d]) @ (binom[j, k] * lo_pow[np.maximum(j - k, 0)] * width_pow[k]))
-
-
-@lru_cache(maxsize=64)
-def _split_matrix(d: int) -> np.ndarray:
-    """De Casteljau at t = 1/2: rows 0..d give the left half's coefficients,
-    rows d+1..2d+1 the right half's.  The entries are dyadic, so exact, and
-    each row is nonnegative and sums to 1."""
-    binom = _binomials(d)
-    m, j = np.indices((d + 1, d + 1))
-    right = binom[d - m, np.maximum(j - m, 0)] * (j >= m) / 2.0 ** (d - m)
-    return _read_only(np.vstack([binom / 2.0**m, right]))
-
-
-def _bernstein(deriv: PolyModel, lo: np.ndarray, hi: np.ndarray, order: int):
-    """Bernstein coefficients of ``deriv`` on the box [lo, hi], with a bound
-    on their absolute error against the exact derivative of the model that
-    ``deriv`` was computed from by ``order`` differentiations."""
-    degrees = [max((a[i] for a in deriv.coeffs), default=0) for i in range(len(lo))]
-    coeffs = np.zeros([d + 1 for d in degrees])
-    for alpha, c in deriv.coeffs.items():
-        coeffs[alpha] = c
-    for axis, d in enumerate(degrees):
-        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
-        coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
-    # Each coefficient's rounding error is gamma_k times the same mode
-    # products applied to |c| and the |lo| matrices, whose entries are at most
-    # (|lo| + |hi|)**j.  k counts order roundings in the derivative's
-    # coefficients, 3d + 2 per matrix entry and d + 1 per mode product; it is
-    # doubled, plus two, to cover the rounding in computing the bound itself.
-    radius = np.abs(lo) + np.abs(hi)
-    magnitude = sum(abs(c) * float(np.prod(radius ** np.array(a))) for a, c in deriv.coeffs.items())
-    roundings = order + sum(4 * d + 3 for d in degrees)
-    return coeffs[None], np.array([_gamma(2 * roundings + 2) * magnitude]), degrees
-
-
 def _certify_one(model: PolyModel, c: ShapeConstraint, tol: float, max_boxes: int):
     wrt = c.derivative_tuple(model.variables)
     deriv = model.derivative(wrt)
     lo = np.array([c.region[v].lo for v in model.variables])
     hi = np.array([c.region[v].hi for v in model.variables])
     coeffs, err, degrees = _bernstein(deriv, lo, hi, sum(wrt))
-    splits = [_split_matrix(d) for d in degrees]
     vertices = [[0, d] if d else [0] for d in degrees]
     corner = lo[None]  # lower corner of each box
     side = np.where(np.array(degrees) > 0, hi - lo, 0.0)  # splittable side lengths
@@ -205,14 +133,10 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, tol: float, max_boxes: in
         if side[axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
             verdict = "UNDECIDED"
             break
-        d = degrees[axis]
         # split rows are exact and stochastic, so the error grows by gamma_{d+1}
         # max|B|; gamma_{d+2} also covers rounding the bound itself
-        err = np.tile(err + _gamma(d + 2) * np.abs(flat).max(axis=1), 2)
-        # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
-        halves = np.tensordot(splits[axis], coeffs, axes=(1, axis + 1))
-        halves = halves.reshape(2, d + 1, *halves.shape[1:])
-        coeffs = np.moveaxis(halves, 1, axis + 2).reshape(-1, *coeffs.shape[1:])
+        err = np.tile(err + _gamma(degrees[axis] + 2) * np.abs(flat).max(axis=1), 2)
+        coeffs = _halve(coeffs, axis)
         side[axis] /= 2
         right = corner.copy()
         right[:, axis] += side[axis]

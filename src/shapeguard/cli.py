@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -85,11 +86,24 @@ def _reject_unknown_keys(overrides: dict, allowed, reader: str):
         raise ConfigError(f"unknown --config keys for {reader}: {', '.join(unknown)}")
 
 
+# JSON types a --config value may have, per type of the field it sets
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), dict: ((dict,), "an object")}
+
+
+def _typed(key: str, value, kind):
+    """value, or ConfigError when its JSON type does not fit a field of type kind."""
+    types, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"--config key {key!r} must be {name}, got {json.dumps(value)}")
+    return value
+
+
 def _algo_config(algorithm: str, overrides: dict, seed):
     cls = ALGORITHMS[algorithm].config
     names = {f.name for f in dc_fields(cls)}
     _reject_unknown_keys(overrides, names, repr(algorithm))
-    kwargs = {k: v for k, v in overrides.items() if k in names}
+    hints = get_type_hints(cls)
+    kwargs = {k: _typed(k, v, hints[k]) for k, v in overrides.items() if k in names}
     if seed is not None and "seed" in names:
         kwargs.setdefault("seed", seed)
     return cls(**kwargs)
@@ -182,7 +196,8 @@ def _cmd_certify(args) -> int:
     constraints, _, overrides = _inputs(args)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     _reject_unknown_keys(overrides, {"cert_tol"}, "certify")
-    report = run_certification(model, constraints, tol=float(overrides.get("cert_tol", 1e-9)))
+    tol = float(_typed("cert_tol", overrides.get("cert_tol", 1e-9), float))
+    report = run_certification(model, constraints, tol=tol)
     _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")

@@ -35,6 +35,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError, SchemaError
+from .poly import _json_field, _json_float, _json_loads
 
 __all__ = ["GBTConfig", "RegTreeNode", "GBTEnsemble", "fit_gbt", "predict_gbt", "monotonicity_audit"]
 
@@ -92,14 +93,15 @@ class RegTreeNode:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "RegTreeNode":
-        if "variable" not in obj:
-            return cls(weight=float(obj["weight"]))
+    def from_dict(cls, obj: dict, where: str = "tree") -> "RegTreeNode":
+        """Inverse of to_dict; SchemaError names a missing or ill-typed field."""
+        if not isinstance(obj, dict) or "variable" not in obj:
+            return cls(weight=_json_float(obj, where, "weight"))
         return cls(
-            variable=obj["variable"],
-            threshold=float(obj["threshold"]),
-            left=cls.from_dict(obj["left"]),
-            right=cls.from_dict(obj["right"]),
+            variable=_json_field(obj, where, "variable", str),
+            threshold=_json_float(obj, where, "threshold"),
+            left=cls.from_dict(_json_field(obj, where, "left", dict), where + ".left"),
+            right=cls.from_dict(_json_field(obj, where, "right", dict), where + ".right"),
         )
 
 
@@ -124,13 +126,17 @@ class GBTEnsemble:
 
     @classmethod
     def from_json(cls, text: str) -> "GBTEnsemble":
-        obj = json.loads(text)
+        """Inverse of to_json; SchemaError names a missing or ill-typed field."""
+        obj = _json_loads(text, "model")
         return cls(
-            base_score=float(obj["base_score"]),
-            learning_rate=float(obj["learning_rate"]),
-            features=list(obj["features"]),
-            monotone={k: int(v) for k, v in obj.get("monotone", {}).items()},
-            trees=[RegTreeNode.from_dict(t) for t in obj["trees"]],
+            base_score=_json_float(obj, "model", "base_score"),
+            learning_rate=_json_float(obj, "model", "learning_rate"),
+            features=list(_json_field(obj, "model", "features", list, str)),
+            monotone=dict(_json_field(obj, "model", "monotone", dict, int)) if "monotone" in obj else {},
+            trees=[
+                RegTreeNode.from_dict(t, f"model tree {i}")
+                for i, t in enumerate(_json_field(obj, "model", "trees", list))
+            ],
         )
 
 

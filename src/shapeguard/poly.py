@@ -5,6 +5,12 @@ coefficient per multi-index (missing indices mean zero).  Graded-lex order is
 the canonical serialization order: terms sorted by total degree, then by
 exponent tuple with earlier variables first (so for (x, y), degree 2 reads
 ``1, x, y, x^2, x*y, y^2``).
+
+Bernstein form: a polynomial's coefficients in the tensor Bernstein basis of
+a box enclose its range there, and those at the vertices of the coefficient
+array are its values at the box's corners (Garloff 1986; Ray & Nataraj
+2009).  De Casteljau's algorithm halves a box.  ``certify``, the SCPR fit and
+``PolyModel.interval_bound`` all bound polynomials this way.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,9 +70,18 @@ def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0)
     return coeff, tuple(exponents)
 
 
+def _json_loads(text: str, what: str):
+    """json.loads; SchemaError when the text is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _json_field(obj, where: str, name: str, types, items=None):
     """obj[name]; SchemaError when obj is no object, lacks the field, or the
-    field (or, given ``items``, one of its items) has another type."""
+    field (or, given ``items``, one of its items or object values) has
+    another type."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} has type {type(obj).__name__}, not object")
     if name not in obj:
@@ -73,10 +89,19 @@ def _json_field(obj, where: str, name: str, types, items=None):
     value = obj[name]
     if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"{where}: field {name!r} has type {type(value).__name__}")
-    for item in value if items is not None else ():
+    for item in (value.values() if isinstance(value, dict) else value) if items is not None else ():
         if not isinstance(item, items) or isinstance(item, bool):
             raise SchemaError(f"{where}: field {name!r} holds an item of type {type(item).__name__}")
     return value
+
+
+def _json_float(obj, where: str, name: str) -> float:
+    """obj[name], a JSON number, as a float; SchemaError as _json_field, or
+    when it is too large for a float."""
+    try:
+        return float(_json_field(obj, where, name, (int, float)))
+    except OverflowError:
+        raise SchemaError(f"{where}: field {name!r} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -111,10 +136,11 @@ class PolyModel:
         return self.coeffs.get(tuple(alpha), 0.0)
 
     def _require(self, point: Mapping) -> list:
+        """The point's (or region's) entries in variable order."""
         try:
             return [point[v] for v in self.variables]
         except KeyError as exc:
-            raise ArityError(f"point is missing variable {exc.args[0]!r}") from exc
+            raise ArityError(f"missing variable {exc.args[0]!r}") from exc
 
     def evaluate(self, point: Mapping) -> float:
         """Sum of coeff * x**alpha at a single point."""
@@ -172,25 +198,15 @@ class PolyModel:
         return self.derivative(wrt)
 
     def interval_bound(self, region: Mapping) -> Interval:
-        """Sound enclosure of the range over a box, term by term.
-
-        Integer powers use the exact power rule, so single-variable
-        monomials are bounded tightly; cross-term dependency is not tracked
-        (plain interval arithmetic).
-        """
-        ivs = []
-        for v in self.variables:
-            if v not in region:
-                raise ArityError(f"region missing variable {v!r}")
-            ivs.append(region[v])
-        total = Interval.point(0.0)
-        for alpha, c in self.coeffs.items():
-            term = Interval.point(c)
-            for iv, e in zip(ivs, alpha):
-                if e:
-                    term = term * iv.pow_int(e)
-            total = total + term
-        return total
+        """Enclosure of the range over a bounded box: the extreme tensor
+        Bernstein coefficients on it, widened by their rounding-error bound
+        (the first box of ``certify``)."""
+        box = self._require(region)
+        if not all(iv.is_finite() for iv in box):
+            raise DomainError(f"interval_bound needs a bounded box, got {region}")
+        lo, hi = np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
+        coeffs, err, _ = _bernstein(self, lo, hi, 0)
+        return Interval(float(coeffs.min() - err[0]), float(coeffs.max() + err[0]))
 
     # -- serialization -------------------------------------------------------
 
@@ -210,19 +226,13 @@ class PolyModel:
     @classmethod
     def from_json(cls, text: str) -> "PolyModel":
         """Inverse of to_json; SchemaError names a missing or ill-typed field."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model is not valid JSON: {exc}") from None
+        obj = _json_loads(text, "model")
         variables = _json_field(obj, "model", "variables", list, str)
         degree = _json_field(obj, "model", "degree", int)
         coeffs = {}
         for i, term in enumerate(_json_field(obj, "model", "terms", list)):
             exponents = tuple(_json_field(term, f"model term {i}", "exponents", list, int))
-            try:
-                coeffs[exponents] = float(_json_field(term, f"model term {i}", "coeff", (int, float)))
-            except OverflowError:
-                raise SchemaError(f"model term {i}: field 'coeff' is too large for a float") from None
+            coeffs[exponents] = _json_float(term, f"model term {i}", "coeff")
         return cls(tuple(variables), degree, coeffs)
 
     @classmethod
@@ -238,3 +248,99 @@ class PolyModel:
     def coefficient_vector(self) -> np.ndarray:
         basis = monomial_basis(len(self.variables), self.degree)
         return np.array([self.coefficient(a) for a in basis])
+
+
+# ---------------------------------------------------------------------------
+# Bernstein form
+# ---------------------------------------------------------------------------
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k: bounds the relative error of k float64 roundings."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _binomials(d: int) -> np.ndarray:
+    return np.array([[math.comb(m, k) for k in range(d + 1)] for m in range(d + 1)], dtype=float)
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+# The matrices below depend only on a degree and a box, never on data, so few
+# distinct ones occur: they are cached, and so read-only.
+
+
+@lru_cache(maxsize=256)
+def _bernstein_matrix(lo: float, width: float, d: int) -> np.ndarray:
+    """Matrix taking the power coefficients of x to degree-d Bernstein
+    coefficients on [lo, lo + width].
+
+    It is ``E @ P``: P[k, j] = C(j, k) lo**(j-k) width**k rewrites x**j in
+    t with x = lo + width * t, and E[m, k] = C(m, k) / C(d, k) takes t**k to
+    the Bernstein basis.  Against the same sum built from |lo|, each entry
+    carries at most 3d + 2 roundings: width once, and its powers d - 1 times
+    more, lo's powers d - 1 times, two products, one division, d + 1 terms.
+    """
+    binom = _binomials(d)
+    k, j = np.indices((d + 1, d + 1))
+    lo_pow = np.cumprod(np.r_[1.0, np.full(d, lo)])
+    width_pow = np.cumprod(np.r_[1.0, np.full(d, width)])
+    return _read_only((binom / binom[d]) @ (binom[j, k] * lo_pow[np.maximum(j - k, 0)] * width_pow[k]))
+
+
+@lru_cache(maxsize=64)
+def _split_matrix(d: int) -> np.ndarray:
+    """De Casteljau at t = 1/2: rows 0..d give the left half's coefficients,
+    rows d+1..2d+1 the right half's.  The entries are dyadic, so exact, and
+    each row is nonnegative and sums to 1."""
+    binom = _binomials(d)
+    m, j = np.indices((d + 1, d + 1))
+    right = binom[d - m, np.maximum(j - m, 0)] * (j >= m) / 2.0 ** (d - m)
+    return _read_only(np.vstack([binom / 2.0**m, right]))
+
+
+def _to_bernstein(coeffs: np.ndarray, lo, hi, degrees) -> np.ndarray:
+    """Tensor Bernstein coefficients on the box [lo, hi] from power
+    coefficients: axis i of ``coeffs`` holds the powers 0..d_i of variable i;
+    trailing axes ride along."""
+    for axis, d in enumerate(degrees):
+        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
+        coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
+    return coeffs
+
+
+def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Halve every box along variable ``axis`` by de Casteljau's algorithm.
+
+    ``coeffs`` holds boxes first, then one axis per variable, then any
+    trailing axes.  All left halves come first, in box order, then the right
+    ones: ``certify`` and the SCPR fit share this order.
+    """
+    d = coeffs.shape[axis + 1] - 1
+    # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
+    halves = np.tensordot(_split_matrix(d), coeffs, axes=(1, axis + 1))
+    halves = halves.reshape(2, d + 1, *halves.shape[1:])
+    return np.moveaxis(halves, 1, axis + 2).reshape(-1, *coeffs.shape[1:])
+
+
+def _bernstein(deriv: PolyModel, lo: np.ndarray, hi: np.ndarray, order: int):
+    """Bernstein coefficients of ``deriv`` on the box [lo, hi], with a bound
+    on their absolute error against the exact derivative of the model that
+    ``deriv`` was computed from by ``order`` differentiations."""
+    degrees = [max((a[i] for a in deriv.coeffs), default=0) for i in range(len(lo))]
+    coeffs = np.zeros([d + 1 for d in degrees])
+    for alpha, c in deriv.coeffs.items():
+        coeffs[alpha] = c
+    coeffs = _to_bernstein(coeffs, lo, hi, degrees)
+    # Each coefficient's rounding error is gamma_k times the same mode
+    # products applied to |c| and the |lo| matrices, whose entries are at most
+    # (|lo| + |hi|)**j.  k counts order roundings in the derivative's
+    # coefficients, 3d + 2 per matrix entry and d + 1 per mode product; it is
+    # doubled, plus two, to cover the rounding in computing the bound itself.
+    radius = np.abs(lo) + np.abs(hi)
+    magnitude = sum(abs(c) * float(np.prod(radius ** np.array(a))) for a, c in deriv.coeffs.items())
+    roundings = order + sum(4 * d + 3 for d in degrees)
+    return coeffs[None], np.array([_gamma(2 * roundings + 2) * magnitude]), degrees

@@ -59,7 +59,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certify import _bernstein_matrix, _read_only, _split_matrix
 from .datasets import Dataset
 from .errors import (
     BudgetError,
@@ -69,7 +68,7 @@ from .errors import (
     SolverError,
 )
 from .intervals import Interval
-from .poly import PolyModel, _monomial_derivative, monomial_basis
+from .poly import PolyModel, _halve, _monomial_derivative, _read_only, _to_bernstein, monomial_basis
 
 __all__ = [
     "SCPRConfig",
@@ -244,9 +243,7 @@ def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int) -> tuple:
     coeffs = np.zeros([d + 1 for d in degrees] + [len(basis)])
     for j, f, reduced in live:
         coeffs[reduced + (j,)] = f
-    for axis, d in enumerate(degrees):
-        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
-        coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
+    coeffs = _to_bernstein(coeffs, lo, hi, degrees)
     corner = np.zeros(coeffs.shape[:-1], dtype=bool)
     corner[np.ix_(*[[0, d] if d else [0] for d in degrees])] = True
     coeffs = coeffs[None]
@@ -317,14 +314,11 @@ def _split_boxes(parts, chosen) -> bool:
             continue
         children, side = [], [part.side[~pick]]
         widest = np.argmax(part.side, axis=1)
-        for axis, d in enumerate(part.degrees):
+        for axis in range(len(part.degrees)):
             sel = pick & (widest == axis)
             if not sel.any():
                 continue
-            # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
-            halves = np.tensordot(_split_matrix(d), part.coeffs[sel], axes=(1, axis + 1))
-            halves = halves.reshape(2, d + 1, *halves.shape[1:])
-            children.append(np.moveaxis(halves, 1, axis + 2).reshape(-1, *part.coeffs.shape[1:]))
+            children.append(_halve(part.coeffs[sel], axis))
             half = part.side[sel].copy()
             half[:, axis] /= 2.0
             side.append(np.tile(half, (2, 1)))

@@ -13,7 +13,7 @@ per ``evolve`` call and its result reused by every copy of it; its node count
 is likewise computed once per call.  ``evolve`` groups the constraints into
 a plan once per run: one interval walk per differentiated variable and
 region, at the highest derivative order the constraints on it need.  Walks
-run on (lo, hi) float pairs with the endpoint formulas of ``Interval``, and a
+run interval arithmetic on (lo, hi) float pairs, rounded to nearest, and a
 tree's check stops at the first group that is unbounded or out of bounds
 (the interval check of Kronberger et al., Evolutionary Computation 30(1),
 2022).
@@ -45,7 +45,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ArityError, ConfigError, SchemaError
-from .intervals import Interval, _div_ep, _mul_ep
+from .intervals import Interval
+from .poly import _json_field, _json_float, _json_loads
 
 __all__ = [
     "GAConfig",
@@ -205,36 +206,21 @@ def tree_to_json(t: tuple) -> str:
 def tree_from_json(text: str) -> tuple:
     """Inverse of tree_to_json; SchemaError names the node of an unknown type or a bad field."""
 
-    def required(obj, where, name, types):
-        if name not in obj:
-            raise SchemaError(f"tree node {where} ({obj['type']}): missing field {name!r}")
-        value = obj[name]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise SchemaError(
-                f"tree node {where} ({obj['type']}): field {name!r} has type {type(value).__name__}"
-            )
-        return value
-
     def conv(obj, where):
         kind = obj.get("type") if isinstance(obj, dict) else None
         if not isinstance(kind, str) or kind not in _ARITY:
             raise SchemaError(f"tree node {where}: unknown node type {kind!r}")
+        node = f"tree node {where} ({kind})"
         if kind == "const":
-            value = required(obj, where, "value", (int, float))
-            try:
-                return ("const", float(value))
-            except OverflowError:
-                raise SchemaError(
-                    f"tree node {where} (const): field 'value' is too large for a float"
-                ) from None
+            return ("const", _json_float(obj, node, "value"))
         if kind == "var":
-            return ("var", required(obj, where, "name", str))
+            return ("var", _json_field(obj, node, "name", str))
         if kind == "neg":
-            return ("neg", conv(required(obj, where, "child", dict), where + ".child"))
-        left = conv(required(obj, where, "left", dict), where + ".left")
-        return (kind, left, conv(required(obj, where, "right", dict), where + ".right"))
+            return ("neg", conv(_json_field(obj, node, "child", dict), where + ".child"))
+        left = conv(_json_field(obj, node, "left", dict), where + ".left")
+        return (kind, left, conv(_json_field(obj, node, "right", dict), where + ".right"))
 
-    return conv(json.loads(text), "$")
+    return conv(_json_loads(text, "tree"), "$")
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +232,23 @@ class _UnboundedDerivative(Exception):
     pass
 
 
-# Enclosures are (lo, hi) float pairs.  Each operation computes its endpoints
-# with the float operations of the matching ``Interval`` operation, in the
-# same order, so they come out bit for bit as an ``Interval`` walk's without
-# building an object per operation.
+# Enclosures are (lo, hi) float pairs, with endpoints rounded to nearest.  An
+# operation with no enclosure raises _UnboundedDerivative.
 _ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
+
+
+def _mul_ep(a: float, b: float) -> float:
+    # 0 * inf is 0 here: the scalar product of 0 with any finite value is 0,
+    # and an infinite endpoint only widens the interval elsewhere.
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+def _div_ep(a: float, b: float) -> float:
+    # b is a nonzero endpoint; dividing by an infinite one gives 0, also for
+    # an infinite a, as the product a * (1/b) with 0 * inf == 0 does.
+    return 0.0 if math.isinf(b) else a / b
 
 
 def _add(x, y):
@@ -274,6 +272,8 @@ def _div(x, y):
     (a, b), (c, d) = x, y
     if c <= 0.0 <= d:  # quotient enclosures fail when the denominator may be zero
         raise _UnboundedDerivative
+    # endpoint quotients, monotone in each argument: a subnormal divisor's
+    # reciprocal overflows where the quotient may not (5e-324 / 5e-324 == 1)
     q = (_div_ep(a, c), _div_ep(a, d), _div_ep(b, c), _div_ep(b, d))
     return min(q), max(q)
 
@@ -389,13 +389,18 @@ def _feasible(t: tuple, plan, scale) -> bool:
 def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
     """Interval feasibility of the (affinely scaled) tree: (feasible, enclosure per constraint).
 
-    Conservative: interval enclosures may reject trees that actually satisfy
-    the constraints, never the converse.  Constraints on the same variable
-    (value constraints count as variable ``""``) over the same region share
-    one walk at the highest order among them.  A walk through a division
-    whose denominator may be zero, or through inf - inf (NaN), gives every
-    constraint of its group the unbounded interval, so the tree is
-    infeasible.
+    Interval enclosures may reject trees that actually satisfy the
+    constraints.  Their endpoints round to nearest, so a tree whose bound
+    holds only up to rounding may pass although its exact value breaks the
+    bound: ``x + 0.2`` on x in [0.1, 1] passes ``value >= 0.1 + 0.2``, yet
+    is below the float 0.1 + 0.2 at x = 0.1.  A rounding-aware check is
+    planned (ROADMAP.md, "SCSR feasibility that holds under rounding").
+
+    Constraints on the same variable (value constraints count as variable
+    ``""``) over the same region share one walk at the highest order among
+    them.  A walk through a division whose denominator may be zero, or
+    through inf - inf (NaN), gives every constraint of its group the
+    unbounded interval, so the tree is infeasible.
     """
     constraints = list(constraints)
     enclosures = [None] * len(constraints)

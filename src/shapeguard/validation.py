@@ -304,6 +304,9 @@ def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=()):
     valid_datasets, constraints = list(valid_datasets), list(constraints)
     if len(valid_datasets) < 2:
         raise ConfigError("grid search needs >= 2 valid datasets")
+    rows = min(ds.n_rows for ds in valid_datasets)
+    if not 2 <= folds <= rows:
+        raise ConfigError(f"folds must lie in [2, {rows}], the smallest dataset's rows; got {folds}")
     cells = _expand_grid(param_grid)
     if not cells:
         raise ConfigError("empty parameter grid")

@@ -20,7 +20,7 @@ from shapeguard import (
     parse_constraints,
     scale_unit,
 )
-from shapeguard.certify import _bernstein
+from shapeguard.poly import _bernstein
 
 
 def region1d(lo=-1.0, hi=1.0):

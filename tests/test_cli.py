@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, report schema."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +13,17 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 MONO_SPEC = "target y\nbox x in [-2, 2]\nd1 x >= 0\n"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "shapeguard.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -316,6 +321,28 @@ def test_malformed_synth_params_is_a_config_error(tmp_path):
     proc = run("synth", "--kind", "cubic_fig1", "--out", str(tmp_path / "d.csv"), "--params", "{n: 5}")
     assert_error_line(proc, 1)
     assert "ConfigError: --params" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand, algo, config", [
+    ("certify", None, {"cert_tol": "abc"}),
+    ("certify", None, {"cert_tol": None}),
+    ("fit", "scpr", {"degree": "3"}),
+    ("fit", "scpr", {"lam": True}),
+    ("fit", "scsr", {"population": 2.5}),
+    ("fit", "gbt", {"monotone": [1]}),
+])
+def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, subcommand, algo, config):
+    data, model, cfg = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "cfg.json"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    cfg.write_text(json.dumps(config))
+    if subcommand == "certify":
+        run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+        args = ["certify", "--model", str(model)]
+    else:
+        args = ["fit", "--algo", algo, "--data", str(data)]
+    proc = run(*args, "--constraints", str(eq1_path), "--config", str(cfg))
+    assert_error_line(proc, 1)
+    assert f"ConfigError: --config key {next(iter(config))!r}" in proc.stderr
 
 
 def rename_target(csv_path, name):

@@ -1,5 +1,6 @@
 """Gradient-boosted trees: boosting behaviour and monotone constraints."""
 
+import json
 import math
 import warnings
 from importlib import resources
@@ -117,6 +118,35 @@ def test_json_round_trip_predictions_exact():
     cols = {"a": d.columns["a"], "b": d.columns["b"]}
     np.testing.assert_array_equal(predict_gbt(back, cols), predict_gbt(ens, cols))
     assert back.monotone == ens.monotone
+
+
+ENSEMBLE = {"base_score": 0.5, "learning_rate": 0.1, "features": ["a"], "trees": [
+    {"variable": "a", "threshold": 0.5, "left": {"weight": -1.0}, "right": {"weight": 1.0}}]}
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("nope", "not valid JSON"),
+        ("[1]", "model has type list"),
+        ("{}", "'base_score'"),
+        (json.dumps(dict(ENSEMBLE, learning_rate="0.1")), "'learning_rate' has type str"),
+        (json.dumps(dict(ENSEMBLE, features=[1])), "'features' holds an item of type int"),
+        (json.dumps(dict(ENSEMBLE, monotone={"a": "up"})), "'monotone' holds an item of type str"),
+        (json.dumps(dict(ENSEMBLE, trees=[{"variable": "a", "left": {}, "right": {}}])),
+         r"model tree 0: missing field 'threshold'"),
+        (json.dumps(dict(ENSEMBLE, trees=[dict(ENSEMBLE["trees"][0], right={"weight": 10**400})])),
+         r"model tree 0\.right: field 'weight' is too large"),
+        (json.dumps(dict(ENSEMBLE, trees=[dict(ENSEMBLE["trees"][0], left=[])])),
+         r"model tree 0: field 'left' has type list"),
+    ],
+    ids=["not-json", "not-object", "no-base-score", "str-rate", "int-feature", "str-direction",
+         "no-threshold", "huge-weight", "list-child"],
+)
+def test_from_json_names_the_bad_field(text, field):
+    assert GBTEnsemble.from_json(json.dumps(ENSEMBLE)).trees[0].threshold == 0.5
+    with pytest.raises(SchemaError, match=field):
+        GBTEnsemble.from_json(text)
 
 
 def test_config_validation():

@@ -1,6 +1,8 @@
 """Polynomial model: evaluation, derivatives, bounds, serialization."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +111,37 @@ def test_interval_bound_encloses_dense_sample():
         tol = 1e-9 * max(1.0, abs(bound.lo), abs(bound.hi))
         assert bound.lo - tol <= vals.min()
         assert vals.max() <= bound.hi + tol
+
+
+def exact_value(model, point):
+    """The model's value at a point of floats, in rationals."""
+    total = Fraction(0)
+    for alpha, c in model.coeffs.items():
+        term = Fraction(c)
+        for v, e in zip(model.variables, alpha):
+            term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+def test_interval_bound_encloses_exact_values():
+    # the float sum 0.1 + 0.2 rounds up, past the exact value at x = 1
+    model = PolyModel(("x",), 1, {(0,): 0.1, (1,): 0.2})
+    bound = model.interval_bound({"x": Interval(1.0, 1.0)})
+    assert Fraction(bound.lo) <= exact_value(model, {"x": 1.0}) <= Fraction(bound.hi)
+    with pytest.raises(DomainError, match="bounded box"):
+        model.interval_bound({"x": Interval(0.0, math.inf)})
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        n_vars, degree = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        model = random_model(rng, n_vars=n_vars, degree=degree)
+        region = {v: Interval(*sorted(rng.uniform(-2, 2, size=2))) for v in model.variables}
+        bound = model.interval_bound(region)
+        corners = itertools.product(*([iv.lo, iv.hi] for iv in region.values()))
+        inside = [[rng.uniform(iv.lo, iv.hi) for iv in region.values()] for _ in range(5)]
+        for point in [*corners, *inside]:
+            value = exact_value(model, dict(zip(model.variables, point)))
+            assert Fraction(bound.lo) <= value <= Fraction(bound.hi)
 
 
 def test_json_round_trip_is_exact():

@@ -541,7 +541,7 @@ def test_nnls_from_any_start_set_reaches_the_cold_start_optimum():
 
 
 def test_cached_matrices_are_read_only_and_equal_fresh_ones():
-    from shapeguard.certify import _bernstein_matrix, _split_matrix
+    from shapeguard.poly import _bernstein_matrix, _split_matrix
     from shapeguard.scpr import _node_values, _region_rows
 
     calls = [(_node_values, (d,)) for d in range(7)] + [(_split_matrix, (d,)) for d in range(7)]

@@ -106,6 +106,11 @@ def test_json_rejects_unknown_and_malformed_nodes(node, where):
         tree_from_json(json.dumps(node))
 
 
+def test_json_rejects_text_that_is_not_json():
+    with pytest.raises(SchemaError, match="tree is not valid JSON"):
+        tree_from_json("nope")
+
+
 def test_evolve_without_feature_columns_raises_config_error():
     data = Dataset("d", {"y": [0.0, 0.5, 1.0]}, "y")
     with pytest.raises(ConfigError, match="no feature columns"):
@@ -279,58 +284,6 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
         assert scale == rec.best_scale
 
 
-class _Unbounded(Exception):
-    pass
-
-
-def interval_walk(t, region, var, order):
-    """(value, d/dvar, d2/dvar2)[:order+1] as ``Interval`` objects, one object per operation."""
-    kind = t[0]
-    zero = Interval.point(0.0)
-    if kind == "const":
-        return (Interval.point(float(t[1])), zero, zero)[: order + 1]
-    if kind == "var":
-        d = Interval.point(1.0) if t[1] == var else zero
-        return (region[t[1]], d, zero)[: order + 1]
-    if kind == "neg":
-        return tuple(-x for x in interval_walk(t[1], region, var, order))
-    a = interval_walk(t[1], region, var, order)
-    b = interval_walk(t[2], region, var, order)
-    if kind == "add":
-        return tuple(x + y for x, y in zip(a, b))
-    if kind == "sub":
-        return tuple(x - y for x, y in zip(a, b))
-    if kind == "mul":
-        out = [a[0] * b[0]]
-        if order >= 1:
-            out.append(a[0] * b[1] + a[1] * b[0])
-        if order >= 2:
-            out.append(a[0] * b[2] + 2 * (a[1] * b[1]) + a[2] * b[0])
-        return tuple(out)
-    if b[0].contains(0.0):
-        raise _Unbounded
-    f = a[0] / b[0]
-    out = [f]
-    if order >= 1:
-        f1 = (a[1] - f * b[1]) / b[0]
-        out.append(f1)
-    if order >= 2:
-        out.append((a[2] - f * b[2] - 2 * (f1 * b[1])) / b[0])
-    return tuple(out)
-
-
-def _per_constraint_enclosure(t, c, scale):
-    """One full ``Interval`` walk per constraint: the check before walks were shared."""
-    a, b = scale
-    try:
-        if c.order == 0:
-            return interval_walk(t, c.region, "", 0)[0] * a + b
-        (var, k), = c.derivative.items()
-        return interval_walk(t, c.region, var, k)[k] * a
-    except _Unbounded:
-        return Interval.whole()
-
-
 def _same(x, y):
     return (x.lo.hex(), x.hi.hex()) == (y.lo.hex(), y.hi.hex())
 
@@ -348,19 +301,20 @@ def test_shared_walks_match_one_walk_per_constraint():
     for _ in range(400):
         t = random_tree(rng, ["p", "v", "T"], 4)
         ok, encs = check_constraints(t, cons, scale)
-        oracle = [_per_constraint_enclosure(t, c, scale) for c in cons]
-        assert ok == all(c.bound.encloses(e) for c, e in zip(cons, oracle))
-        for enc, ref in zip(encs, oracle):
+        # each constraint checked alone walks at its own order, sharing nothing
+        alone = [check_constraints(t, [c], scale) for c in cons]
+        assert ok == all(f for f, _ in alone)
+        for enc, (_, (ref,)) in zip(encs, alone):
             assert _same(enc, ref)
         region = cons[0].region
         for var in ("p", "v", "T"):
             try:
-                ref = interval_walk(t, region, var, 1)
-            except _Unbounded:
-                ref = (Interval.whole(),) * 2
+                ref = [Interval(*e) for e in scsr._ieval(t, scsr._pairs(region), var, 2)]
+            except scsr._UnboundedDerivative:
+                ref = [Interval.whole()] * 3
             assert _same(tree_value_interval(t, region), ref[0])
             assert _same(tree_derivative_interval(t, var, region), ref[1])
-        unbounded += any(e == Interval.whole() for e in oracle)
+        unbounded += any(e == Interval.whole() for _, (e,) in alone)
         feasible += ok
     # the cases cover zero-containing denominators and both verdicts
     assert unbounded > 20 and 0 < feasible < 400

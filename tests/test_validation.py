@@ -237,6 +237,14 @@ def test_grid_search_skips_failing_cells():
         grid_search(datasets[:1], "pr", {"degree": [2]}, folds=2)
 
 
+@pytest.mark.parametrize("folds", [-1, 0, 1, 9])
+def test_grid_search_rejects_fold_counts_it_cannot_split(folds):
+    datasets = [synth_generate("cubic_fig1", s, {"n": n}) for s, n in ((0, 8), (1, 12))]
+    with pytest.raises(ConfigError, match=r"folds must lie in \[2, 8\]"):
+        grid_search(datasets, "pr", {"degree": [2]}, folds=folds)
+    assert grid_search(datasets, "pr", {"degree": [1]}, folds=8)[0] == {"degree": 1}
+
+
 def test_grid_search_test_fold_cannot_choose_the_scsr_model(monkeypatch):
     entry = validation.ALGORITHMS["scsr"]
 
