@@ -8,8 +8,8 @@ thresholding per-segment training error.
 """
 
 from .certify import CertificationReport, ConstraintCertificate, certify
-from .constraints import ConstraintSpec, ShapeConstraint, parse_constraints, serialize_constraints
-from .datasets import Dataset, ScalingRecord, load_csv, scale_unit, unscale
+from .constraints import ConstraintSpec, ShapeConstraint, parse_constraints
+from .datasets import Dataset, load_csv, scale_unit
 from .errors import (
     ArityError,
     BudgetError,
@@ -43,11 +43,9 @@ from .scsr import (
     eval_tree,
     eval_tree_columns,
     evolve,
-    tree_derivative_interval,
     tree_from_json,
     tree_to_infix,
     tree_to_json,
-    tree_value_interval,
 )
 from .synth import friction_generating_model, make_corpus, synth_generate
 from .validation import (
@@ -90,7 +88,6 @@ __all__ = [
     "PolyModel",
     "RocCurve",
     "SCPRConfig",
-    "ScalingRecord",
     "SchemaError",
     "Segment",
     "ShapeConstraint",
@@ -121,15 +118,11 @@ __all__ = [
     "scale_unit",
     "score_segments",
     "segment",
-    "serialize_constraints",
     "solve_elastic_net",
     "synth_generate",
-    "tree_derivative_interval",
     "tree_from_json",
     "tree_to_infix",
     "tree_to_json",
-    "tree_value_interval",
-    "unscale",
     "validate_corpus",
     "validate_dataset",
 ]

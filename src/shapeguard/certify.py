@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ShapeConstraint
-from .errors import ArityError
+from .errors import ArityError, ConfigError
 from .intervals import Interval
 from .poly import PolyModel, _bernstein, _gamma, _halve
 
@@ -153,7 +153,14 @@ def certify(
     tol: float = 1e-9,
     max_boxes: int = 4000,
 ) -> CertificationReport:
-    """Certify each constraint on the model; see module docstring for verdicts."""
+    """Certify each constraint on the model; see module docstring for verdicts.
+
+    Raises ConfigError unless ``tol`` is finite and >= 0 and ``max_boxes`` >= 1.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"certify tol must be finite and >= 0, got {tol}")
+    if max_boxes < 1:
+        raise ConfigError(f"certify max_boxes must be >= 1, got {max_boxes}")
     report = CertificationReport()
     for c in constraints:
         missing = [v for v in model.variables if v not in c.region]

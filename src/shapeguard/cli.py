@@ -26,7 +26,7 @@ from .certify import certify as run_certification
 from .constraints import parse_constraints
 from .datasets import load_csv
 from .errors import ConfigError, SchemaError, ShapeguardError
-from .poly import PolyModel
+from .poly import PolyModel, _typed
 from .validation import ALGORITHMS
 
 __all__ = ["main"]
@@ -86,24 +86,12 @@ def _reject_unknown_keys(overrides: dict, allowed, reader: str):
         raise ConfigError(f"unknown --config keys for {reader}: {', '.join(unknown)}")
 
 
-# JSON types a --config value may have, per type of the field it sets
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), dict: ((dict,), "an object")}
-
-
-def _typed(key: str, value, kind):
-    """value, or ConfigError when its JSON type does not fit a field of type kind."""
-    types, name = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"--config key {key!r} must be {name}, got {json.dumps(value)}")
-    return value
-
-
 def _algo_config(algorithm: str, overrides: dict, seed):
     cls = ALGORITHMS[algorithm].config
     names = {f.name for f in dc_fields(cls)}
     _reject_unknown_keys(overrides, names, repr(algorithm))
     hints = get_type_hints(cls)
-    kwargs = {k: _typed(k, v, hints[k]) for k, v in overrides.items() if k in names}
+    kwargs = {k: _typed(f"--config key {k!r}", v, hints[k]) for k, v in overrides.items()}
     if seed is not None and "seed" in names:
         kwargs.setdefault("seed", seed)
     return cls(**kwargs)
@@ -196,8 +184,11 @@ def _cmd_certify(args) -> int:
     constraints, _, overrides = _inputs(args)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     _reject_unknown_keys(overrides, {"cert_tol"}, "certify")
-    tol = float(_typed("cert_tol", overrides.get("cert_tol", 1e-9), float))
-    report = run_certification(model, constraints, tol=tol)
+    tol = float(_typed("--config key 'cert_tol'", overrides.get("cert_tol", 1e-9), float))
+    try:
+        report = run_certification(model, constraints, tol=tol)
+    except ConfigError as exc:  # with the default box budget, only the tolerance can be bad
+        raise ConfigError(f"--config key 'cert_tol': {exc}") from None
     _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")
@@ -272,6 +263,8 @@ def _cmd_gridsearch(args) -> int:
     if not grid:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
     cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]
+    for cell in cells:  # a bad grid value is the user's error, not a failed cell
+        _algo_config(args.algo, cell, None)
     best, table = validation_mod.grid_search(
         datasets, args.algo, cells, folds=args.folds, constraints=constraints
     )

@@ -22,10 +22,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import DomainError, ParseError
 from .intervals import INF, Interval
 
-__all__ = ["ShapeConstraint", "ConstraintSpec", "parse_constraints", "serialize_constraints"]
+__all__ = ["ShapeConstraint", "ConstraintSpec", "parse_constraints"]
 
 
 @dataclass(frozen=True)
@@ -193,37 +193,3 @@ def _parse_bound(rest: str, lineno: int, allow_interval: bool) -> Interval:
         return Interval(-INF, _parse_number(rest[2:].strip(), lineno))
     raise ParseError(f"malformed bound {rest!r}", line=lineno)
 
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
-def serialize_constraints(spec: ConstraintSpec) -> str:
-    """Inverse of parse_constraints (up to whitespace and comments)."""
-    lines = [f"target {spec.target}"]
-    for var, iv in spec.box.items():
-        lines.append(f"box {var} in [{_fmt(iv.lo)}, {_fmt(iv.hi)}]")
-    for c in spec.constraints:
-        if len(c.derivative) > 1:
-            raise ConfigError(f"the spec format has no mixed derivatives: {c.describe()}")
-        if not c.derivative:
-            head = "value"
-        else:
-            (var, order), = c.derivative.items()
-            head = f"d{order} {var}"
-        lo, hi = c.bound.lo, c.bound.hi
-        if math.isinf(lo):
-            body = f"{head} <= {_fmt(hi)}"
-        elif math.isinf(hi):
-            body = f"{head} >= {_fmt(lo)}"
-        else:
-            body = f"{head} in [{_fmt(lo)}, {_fmt(hi)}]"
-        suffix = ""
-        for var, iv in c.region.items():
-            base = spec.box.get(var)
-            if base is None or base != iv:
-                suffix += f" on {var} in [{_fmt(iv.lo)}, {_fmt(iv.hi)}]"
-        lines.append(body + suffix)
-    return "\n".join(lines) + "\n"

@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, SchemaError
 
-__all__ = ["Dataset", "ScalingRecord", "load_csv", "scale_unit", "unscale"]
+__all__ = ["Dataset", "load_csv", "scale_unit"]
 
 
 @dataclass
@@ -116,38 +116,16 @@ def load_csv(path, target: str, label: str | None = None, name: str | None = Non
     return Dataset(name=name or str(path), columns=columns, target=target, label=label)
 
 
-@dataclass
-class ScalingRecord:
-    """Per-column (min, max) used for [0, 1] scaling; constant columns map to 0."""
-
-    ranges: dict = field(default_factory=dict)
-    constant_columns: set = field(default_factory=set)
-
-
-def scale_unit(data: Dataset, columns) -> tuple[Dataset, ScalingRecord]:
-    """Scale the named columns to [0, 1] individually."""
-    record = ScalingRecord()
+def scale_unit(data: Dataset, columns) -> Dataset:
+    """Scale the named columns to [0, 1] individually; a constant column maps to 0."""
     new_cols = dict(data.columns)
     for c in columns:
         if c not in data.columns:
             raise SchemaError(f"column {c!r} not present")
         col = data.columns[c]
         lo, hi = float(col.min()), float(col.max())
-        record.ranges[c] = (lo, hi)
         if hi > lo:
             new_cols[c] = (col - lo) / (hi - lo)
         else:
-            record.constant_columns.add(c)
             new_cols[c] = np.zeros_like(col)
-    return replace(data, columns=new_cols), record
-
-
-def unscale(data: Dataset, record: ScalingRecord) -> Dataset:
-    """Invert scale_unit using the recorded ranges."""
-    new_cols = dict(data.columns)
-    for c, (lo, hi) in record.ranges.items():
-        if c in record.constant_columns:
-            new_cols[c] = np.full_like(data.columns[c], lo)
-        else:
-            new_cols[c] = data.columns[c] * (hi - lo) + lo
     return replace(data, columns=new_cols)

@@ -36,18 +36,11 @@ class Interval:
         object.__setattr__(self, "hi", hi)
 
     @classmethod
-    def point(cls, v: float) -> "Interval":
-        return cls(v, v)
-
-    @classmethod
     def whole(cls) -> "Interval":
         return cls(-INF, INF)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityError, DomainError, SchemaError
+from .errors import ArityError, ConfigError, DomainError, SchemaError
 from .intervals import Interval
 
 __all__ = ["MultiIndex", "monomial_basis", "PolyModel"]
@@ -102,6 +102,20 @@ def _json_float(obj, where: str, name: str) -> float:
         return float(_json_field(obj, where, name, (int, float)))
     except OverflowError:
         raise SchemaError(f"{where}: field {name!r} is too large for a float") from None
+
+
+# JSON types a config value may have, per type of the field it sets
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), dict: ((dict,), "an object")}
+
+
+def _typed(where: str, value, kind):
+    """value, or ConfigError naming ``where`` when its JSON type does not fit
+    a field of type kind: an int field takes an int, a float field a number,
+    and a bool is neither."""
+    types, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value, default=repr)}")
+    return value
 
 
 @dataclass(frozen=True)

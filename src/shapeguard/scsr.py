@@ -54,12 +54,9 @@ __all__ = [
     "eval_tree",
     "eval_tree_columns",
     "tree_size",
-    "tree_variables",
     "tree_to_infix",
     "tree_to_json",
     "tree_from_json",
-    "tree_derivative_interval",
-    "tree_value_interval",
     "check_constraints",
     "evolve",
 ]
@@ -164,17 +161,6 @@ def tree_size(t: tuple) -> int:
     if kind == "neg":
         return 1 + tree_size(t[1])
     return 1 + tree_size(t[1]) + tree_size(t[2])
-
-
-def tree_variables(t: tuple) -> set:
-    kind = t[0]
-    if kind == "const":
-        return set()
-    if kind == "var":
-        return {t[1]}
-    if kind == "neg":
-        return tree_variables(t[1])
-    return tree_variables(t[1]) | tree_variables(t[2])
 
 
 def tree_to_infix(t: tuple) -> str:
@@ -318,28 +304,6 @@ def _pairs(region) -> dict:
     return {name: (iv.lo, iv.hi) for name, iv in region.items()}
 
 
-def _interval(t: tuple, region, var: str, k: int) -> Interval:
-    try:
-        return Interval(*_ieval(t, _pairs(region), var, k)[k])
-    except _UnboundedDerivative:
-        return Interval.whole()
-
-
-def tree_value_interval(t: tuple, region) -> Interval:
-    """Sound enclosure of the tree's value over the box; see tree_derivative_interval."""
-    return _interval(t, region, "", 0)
-
-
-def tree_derivative_interval(t: tuple, var: str, region) -> Interval:
-    """Sound enclosure of d(tree)/d(var) over the box.
-
-    A division whose denominator enclosure contains zero, or an operation
-    with no enclosure (inf - inf), yields the unbounded interval, which
-    marks the individual infeasible.
-    """
-    return _interval(t, region, var, 1)
-
-
 def _compile(constraints) -> list:
     """Constraints grouped by (variable, region), value constraints under variable ``""``.
 
@@ -388,6 +352,10 @@ def _feasible(t: tuple, plan, scale) -> bool:
 
 def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
     """Interval feasibility of the (affinely scaled) tree: (feasible, enclosure per constraint).
+
+    This is the one public enclosure of a tree: a value constraint, or a
+    ``{var: 1}`` constraint, with the default scale gives the enclosure of
+    the tree's value, or of d(tree)/d(var), over its region.
 
     Interval enclosures may reject trees that actually satisfy the
     constraints.  Their endpoints round to nearest, so a tree whose bound

@@ -25,7 +25,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError
-from .poly import PolyModel
+from .poly import PolyModel, _typed
 
 __all__ = [
     "synth_generate",
@@ -60,14 +60,27 @@ ERROR_KINDS = ("outlier", "stuck", "drift", "inverted")
 _KINDS = ("cubic_fig1", "friction_valid") + tuple(f"friction_{e}" for e in ERROR_KINDS)
 
 
+# the range of a float param, where it is narrower than the reals; int params are counts, >= 1
+_RANGES = {"sigma": (0.0, math.inf), "outlier_fraction": (0.0, 1.0)}
+
+
 def _merged(defaults: dict, params) -> dict:
-    merged = dict(defaults)
-    if params:
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown params {sorted(unknown)}")
-        merged.update(params)
-    return merged
+    """defaults updated by params; ConfigError names a key that is unknown,
+    not of its default's type, or outside its range in _RANGES."""
+    if params is None:
+        return dict(defaults)
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown params {sorted(unknown)}")
+    for key, value in params.items():
+        kind = type(defaults[key])
+        _typed(f"params key {key!r}", value, kind)
+        lo, hi = (1, math.inf) if kind is int else _RANGES.get(key, (-math.inf, math.inf))
+        if not lo <= value <= hi:
+            raise ConfigError(f"params key {key!r} must lie in [{lo}, {hi}], got {value}")
+    return {**defaults, **params}
 
 
 def _friction_coefficients(seed: int, params: dict) -> dict:
@@ -201,6 +214,9 @@ def make_corpus(n_valid: int = 18, n_invalid: int = 35, seed: int = 0, params=No
     share all 18 valid ones.  Multiples of 64 give disjoint corpora of up to
     64 datasets.
     """
+    for name, count in (("n_valid", n_valid), ("n_invalid", n_invalid)):
+        if count < 0:
+            raise ConfigError(f"{name} must be >= 0, got {count}")
     corpus = []
     for i in range(n_valid):
         corpus.append(synth_generate("friction_valid", seed ^ i, params))

@@ -9,6 +9,7 @@ over corpus scores yields the ROC curve; ``invalid`` is the positive class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace as dc_replace
@@ -270,12 +271,17 @@ ALGORITHMS = {
 
 
 def _expand_grid(param_grid):
+    """The cells of a grid: an object of value lists (their product) or a list of objects."""
     if isinstance(param_grid, dict):
-        import itertools
-
+        for key, values in param_grid.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"grid key {key!r} must be a list of values, got {values!r}")
         keys = list(param_grid)
-        cells = [dict(zip(keys, combo)) for combo in itertools.product(*param_grid.values())]
-        return cells
+        return [dict(zip(keys, combo)) for combo in itertools.product(*param_grid.values())]
+    if not isinstance(param_grid, (list, tuple)) or not all(isinstance(c, dict) for c in param_grid):
+        raise ConfigError(
+            f"grid must be an object of value lists or a list of objects, got {param_grid!r}"
+        )
     return [dict(c) for c in param_grid]
 
 
@@ -374,7 +380,7 @@ def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationRepor
     """
     if config.target is not None and config.target != data.target:
         data = dc_replace(data, target=config.target)
-    scaled, _ = scale_unit(data, data.feature_names)
+    scaled = scale_unit(data, data.feature_names)
     y = scaled.y
     y_range = float(y.max() - y.min())
     if y_range <= 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from shapeguard import (
+    ConfigError,
     Interval,
     PolyModel,
     SCPRConfig,
@@ -173,7 +174,7 @@ def assert_entry_sound(model, c, entry, per_dim):
     assert vals.max() - slack <= entry.enclosure.hi
     if entry.verdict == "VIOLATED":
         assert entry.worst_violation > 1e-9
-        assert all(c.region[v].contains(x) for v, x in entry.worst_point.items())
+        assert all(c.region[v].lo <= x <= c.region[v].hi for v, x in entry.worst_point.items())
         assert breach_at(deriv, c, entry.worst_point) == entry.worst_violation
     else:
         assert entry.worst_violation == 0.0 and entry.worst_point is None
@@ -199,7 +200,7 @@ def test_corpus_fit_witnesses_breach():
     constraints = parse_constraints(text).constraints
     violated = 0
     for ds in make_corpus(18, 35, seed=0)[:5]:
-        scaled, _ = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
+        scaled = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
         model, _ = fit_unconstrained(scaled, SCPRConfig(degree=3, lam=1e-6))
         for c, entry in zip(constraints, certify(model, constraints).entries):
             violated += entry.verdict == "VIOLATED"
@@ -262,6 +263,17 @@ def test_undecided_stays_within_box_budget(max_boxes):
     assert entry.verdict == "UNDECIDED"
     assert 1 <= entry.boxes_examined <= max_boxes
     assert_entry_sound(model, cons[0], entry, 2001)
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_boxes": 0},
+], ids=["tol-negative", "tol-inf", "tol-nan", "max_boxes-0"])
+def test_rejects_a_tolerance_or_box_budget_it_cannot_use(setting):
+    # an infinite tol would certify any bound, a negative one violate all of them
+    model = PolyModel(("x",), 1, {(1,): 1.0})
+    cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        certify(model, cons, **setting)
 
 
 def test_zero_width_axis():

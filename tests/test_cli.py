@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report schema."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -343,6 +344,64 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, subcommand
     proc = run(*args, "--constraints", str(eq1_path), "--config", str(cfg))
     assert_error_line(proc, 1)
     assert f"ConfigError: --config key {next(iter(config))!r}" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("corpus")
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "3", "--n-invalid", "2")
+    return corpus_dir
+
+
+@pytest.fixture(scope="module")
+def pr_model(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("model")
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(folder / "d.csv"))
+    run("fit", "--algo", "pr", "--data", str(folder / "d.csv"), "--model-out", str(folder / "m.json"))
+    return folder / "m.json"
+
+
+@pytest.mark.parametrize("setting, key", [
+    ({"cert_tol": -1}, "'cert_tol'"),
+    ({"cert_tol": math.inf}, "'cert_tol'"),
+    ({"grid": 5}, "grid"),
+    ({"grid": {"degree": 3}}, "'degree'"),
+    ({"grid": [1]}, "grid"),
+    ({"grid": {"degree": ["3"]}}, "'degree'"),
+    ({"grid": {"degreee": [3]}}, "degreee"),
+    ({"p_levels": "4"}, "'p_levels'"),
+    ({"sigma": None}, "'sigma'"),
+    ({"v_levels": 0}, "'v_levels'"),
+    ({"rows_per_segment": -3}, "'rows_per_segment'"),
+    ({"sigma": -1}, "'sigma'"),
+    ({"outlier_fraction": 2}, "'outlier_fraction'"),
+    ({"n": 2.5}, "'n'"),
+    ({"n_valid": -2}, "n_valid"),
+], ids=["cert_tol-negative", "cert_tol-inf", "grid-number", "grid-value-not-list",
+        "grid-list-of-numbers", "grid-str-value", "grid-unknown-key", "p_levels-str", "sigma-null",
+        "v_levels-0", "rows_per_segment-negative", "sigma-negative", "outlier_fraction-2",
+        "n-fraction", "n_valid-negative"])
+def test_bad_setting_is_one_config_error_line_naming_the_key(
+    tmp_path, eq1_path, small_corpus, pr_model, setting, key
+):
+    (name, value), = setting.items()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    out = str(tmp_path / "out")
+    if name == "cert_tol":
+        proc = run("certify", "--model", str(pr_model), "--constraints", str(eq1_path),
+                   "--config", str(cfg))
+    elif name == "grid":
+        proc = run("gridsearch", "--algo", "pr", "--data-dir", str(small_corpus), "--config", str(cfg))
+    elif name == "n_valid":
+        proc = run("synth", "--kind", "corpus", "--out", out, "--n-valid", str(value))
+    else:
+        kind = "cubic_fig1" if name == "n" else "friction_outlier"
+        proc = run("synth", "--kind", kind, "--out", out, "--params", json.dumps(setting))
+    assert proc.returncode == 1, proc.stderr
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error: ConfigError: ") and key in line, line
 
 
 def rename_target(csv_path, name):

@@ -1,19 +1,15 @@
-"""Constraint DSL: parsing, validation, serialization round trip."""
+"""Constraint DSL: parsing and validation."""
 
 import math
-import re
 
 import pytest
 
 from shapeguard import (
-    ConfigError,
-    ConstraintSpec,
     DomainError,
     Interval,
     ParseError,
     ShapeConstraint,
     parse_constraints,
-    serialize_constraints,
 )
 
 SPEC = """
@@ -77,22 +73,6 @@ def test_derivative_tuple_alignment():
     assert c.order == 2
     with pytest.raises(DomainError):
         c.derivative_tuple(("a", "c"))
-
-
-def test_serialize_round_trip():
-    spec = parse_constraints(SPEC)
-    text = serialize_constraints(spec)
-    again = parse_constraints(text)
-    assert again.target == spec.target
-    assert again.box == spec.box
-    assert again.constraints == spec.constraints
-
-
-def test_serialize_rejects_mixed_derivative():
-    box = {"p": Interval(0, 1), "v": Interval(0, 1)}
-    c = ShapeConstraint({"p": 1, "v": 1}, Interval(0, math.inf), box)
-    with pytest.raises(ConfigError, match=re.escape(c.describe())):
-        serialize_constraints(ConstraintSpec("mu", box, [c]))
 
 
 def test_describe_is_stable():

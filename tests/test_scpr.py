@@ -468,7 +468,7 @@ def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config):
 
     spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
     data = make_corpus(18, 35, seed=0)[0]
-    scaled, _ = scale_unit(data, [c for c in data.columns if c != spec.target])
+    scaled = scale_unit(data, [c for c in data.columns if c != spec.target])
     model, report = fit_constrained(scaled, config, spec.constraints)
     assert report.max_sampled_violation <= config.solver_tol
     assert certify(model, spec.constraints).all_certified
@@ -579,7 +579,7 @@ def eq1_dataset(index):
 
     spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
     data = make_corpus(18, 35, seed=0)[index]
-    scaled, _ = scale_unit(data, [c for c in data.columns if c != spec.target])
+    scaled = scale_unit(data, [c for c in data.columns if c != spec.target])
     return scaled, spec
 
 
