@@ -14,9 +14,9 @@ import datetime
 import json
 import math
 import sys
+import time
 from dataclasses import fields as dc_fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .certify import certify as run_certification
 from .constraints import parse_constraints
 from .datasets import load_csv
 from .errors import ConfigError, SchemaError, ShapeguardError
-from .poly import PolyModel, _typed
+from .poly import PolyModel, _json_loads, _settings
 from .validation import ALGORITHMS
 
 __all__ = ["main"]
@@ -80,21 +80,10 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _reject_unknown_keys(overrides: dict, allowed, reader: str):
-    unknown = sorted(set(overrides) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown --config keys for {reader}: {', '.join(unknown)}")
-
-
-def _algo_config(algorithm: str, overrides: dict, seed):
-    cls = ALGORITHMS[algorithm].config
-    names = {f.name for f in dc_fields(cls)}
-    _reject_unknown_keys(overrides, names, repr(algorithm))
-    hints = get_type_hints(cls)
-    kwargs = {k: _typed(f"--config key {k!r}", v, hints[k]) for k, v in overrides.items()}
-    if seed is not None and "seed" in names:
-        kwargs.setdefault("seed", seed)
-    return cls(**kwargs)
+def _seeded(args, overrides: dict) -> dict:
+    """--config's settings, with --seed as the seed of a config that has one unless they set it."""
+    has_seed = "seed" in {f.name for f in dc_fields(ALGORITHMS[args.algo].config)}
+    return {**overrides, "seed": overrides.get("seed", args.seed)} if has_seed else overrides
 
 
 def _inputs(args):
@@ -116,12 +105,6 @@ def _load_data(path, target):
             header = next(csv.reader(fh))
         target = header[-1].strip()
     return load_csv(path, target=target)
-
-
-def _pop_wall_time(fit_report):
-    if isinstance(fit_report, dict):
-        return fit_report.pop("wall_time_seconds", None)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +144,11 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     constraints, target, overrides = _inputs(args)
     data = _load_data(args.data, target)
-    config = _algo_config(args.algo, overrides, args.seed)
+    config = validation_mod._config_from_settings(args.algo, _seeded(args, overrides), "--config")
     entry = ALGORITHMS[args.algo]
+    t0 = time.perf_counter()
     model, predict, fit_info = entry.fit(data, config, constraints)
-    wall = _pop_wall_time(fit_info)
+    wall = time.perf_counter() - t0
     model_file = None
     if args.model_out:
         model_file = str(args.model_out)
@@ -183,8 +167,7 @@ def _cmd_fit(args) -> int:
 def _cmd_certify(args) -> int:
     constraints, _, overrides = _inputs(args)
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    _reject_unknown_keys(overrides, {"cert_tol"}, "certify")
-    tol = float(_typed("--config key 'cert_tol'", overrides.get("cert_tol", 1e-9), float))
+    tol = float(_settings("--config", overrides, {"cert_tol": float}).get("cert_tol", 1e-9))
     try:
         report = run_certification(model, constraints, tol=tol)
     except ConfigError as exc:  # with the default box budget, only the tolerance can be bad
@@ -197,7 +180,7 @@ def _cmd_certify(args) -> int:
 
 def _validation_config(args, constraints, overrides):
     controlled = [c for c in args.controlled.split(",") if c]
-    algo_config = _algo_config(args.algo, overrides, args.seed)
+    algo_config = validation_mod._config_from_settings(args.algo, _seeded(args, overrides), "--config")
     return validation_mod.ValidationConfig(
         threshold=args.t,
         controlled_variables=controlled,
@@ -211,8 +194,9 @@ def _cmd_validate(args) -> int:
     constraints, target, overrides = _inputs(args)
     data = _load_data(args.data, target)
     config = _validation_config(args, constraints, overrides)
+    t0 = time.perf_counter()
     report = validation_mod.validate_dataset(data, config)
-    wall = _pop_wall_time(report.fit_report)
+    wall = time.perf_counter() - t0
     _write_report(
         args.out,
         "validate",
@@ -229,10 +213,7 @@ def _load_corpus(data_dir, target):
     manifest_path = data_dir / "manifest.json"
     datasets = []
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{manifest_path} is not valid JSON: {exc}") from None
+        manifest = _json_loads(manifest_path.read_text(encoding="utf-8"), str(manifest_path))
         if not isinstance(manifest, list):
             raise SchemaError(f"{manifest_path} must hold a JSON list of entries")
         for i, entry in enumerate(manifest):
@@ -255,16 +236,12 @@ def _cmd_gridsearch(args) -> int:
     constraints, target, overrides = _inputs(args)
     datasets = _load_corpus(args.data_dir, target)
     datasets = [d for d in datasets if d.label in (None, "valid")]
-    fixed = dict(overrides)
+    fixed = _seeded(args, overrides)  # a grid cell's seed wins
     grid = fixed.pop("grid", ALGORITHMS[args.algo].grid)
-    config = _algo_config(args.algo, fixed, args.seed)  # rejects unknown keys and bad values up front
-    if "seed" in {f.name for f in dc_fields(config)}:
-        fixed["seed"] = config.seed  # --seed unless --config sets one; a grid cell's seed wins
+    validation_mod._config_from_settings(args.algo, fixed, "--config")  # names a bad fixed key
     if not grid:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
     cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]
-    for cell in cells:  # a bad grid value is the user's error, not a failed cell
-        _algo_config(args.algo, cell, None)
     best, table = validation_mod.grid_search(
         datasets, args.algo, cells, folds=args.folds, constraints=constraints
     )
@@ -283,8 +260,6 @@ def _cmd_roc(args) -> int:
     datasets = _load_corpus(args.data_dir, target)
     config = _validation_config(args, constraints, overrides)
     reports, confusion, curve = validation_mod.validate_corpus(datasets, config)
-    for r in reports:
-        _pop_wall_time(r.fit_report)
     points = []
     if curve:
         points = [

@@ -32,13 +32,10 @@ class SolverError(ShapeguardError):
     The solver ran out of its iteration budget, or its result failed the KKT
     check (rows violated by more than solver_tol, or not stationary); or the
     symbolic-regression GA ended with no individual that meets the
-    constraints.
+    constraints.  The message says what stopped and by how much (the KKT
+    check gives its violation, stationarity and duality gap); the exception
+    carries nothing else.
     """
-
-    def __init__(self, message, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
 
 
 class InfeasibleError(ShapeguardError):

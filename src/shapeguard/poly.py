@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -104,18 +105,37 @@ def _json_float(obj, where: str, name: str) -> float:
         raise SchemaError(f"{where}: field {name!r} is too large for a float") from None
 
 
-# JSON types a config value may have, per type of the field it sets
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), dict: ((dict,), "an object")}
+# JSON types a setting may have, per type of the field it sets; numpy scalars are numbers too
+_JSON_TYPES = {
+    int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), dict: (dict, "an object")
+}
 
 
 def _typed(where: str, value, kind):
     """value, or ConfigError naming ``where`` when its JSON type does not fit
-    a field of type kind: an int field takes an int, a float field a number,
-    and a bool is neither."""
+    a field of type kind: an int field takes an integer, a float field a
+    number that a float can hold, and a bool is neither."""
     types, name = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value, default=repr)}")
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
     return value
+
+
+def _settings(where: str, settings, kinds: Mapping) -> dict:
+    """settings, an object of fields; ConfigError naming ``where`` when it is
+    no object, has keys that kinds lacks (all named, sorted) or has a value
+    that _typed rejects for its field's kind."""
+    if not isinstance(settings, dict):
+        raise ConfigError(f"{where} must be an object, got {json.dumps(settings, default=repr)}")
+    unknown = sorted(map(str, set(settings) - set(kinds)))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    return {k: _typed(f"{where} key {k!r}", v, kinds[k]) for k, v in settings.items()}
 
 
 @dataclass(frozen=True)

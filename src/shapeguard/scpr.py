@@ -53,7 +53,6 @@ for API callers and for perfbench's probe list.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -62,6 +61,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import (
     BudgetError,
+    ConfigError,
     DataError,
     InfeasibleError,
     SchemaError,
@@ -108,17 +108,17 @@ class SCPRConfig:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise SchemaError(f"degree must be >= 1, got {self.degree}")
+            raise ConfigError(f"degree must be >= 1, got {self.degree}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise SchemaError(f"alpha must be in [0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.refine_rounds < 0:
-            raise SchemaError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+            raise ConfigError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
         if not (math.isfinite(self.solver_tol) and self.solver_tol > 0.0):
-            raise SchemaError(f"solver_tol must be finite and > 0, got {self.solver_tol}")
+            raise ConfigError(f"solver_tol must be finite and > 0, got {self.solver_tol}")
         if self.max_iter < 1:
-            raise SchemaError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -127,7 +127,6 @@ class FitReport:
     objective_value: float
     iterations: int
     max_sampled_violation: float
-    wall_time_seconds: float
     optimality_gap: float = 0.0
 
     def to_dict(self) -> dict:
@@ -676,9 +675,7 @@ def solve_elastic_net(
         raise SolverError(
             f"solve failed its KKT check after {iterations} NNLS iterations: violation "
             f"{violation:.3e} (solver_tol {solver_tol:.1e}), stationarity {residual:.3e} "
-            f"of {terms:.3e}, duality gap {gap:.3e} of {scale:.3e}",
-            last_iterate=theta,
-            residual=violation,
+            f"of {terms:.3e}, duality gap {gap:.3e} of {scale:.3e}"
         )
     return SolveResult(
         theta=theta,
@@ -711,7 +708,6 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     rows of every partition tried did not; SolverError means the first solve
     that admitted a fit failed its KKT check.
     """
-    t0 = time.perf_counter()
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
@@ -775,6 +771,5 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         objective_value=inner.objective,
         iterations=sum(r.iterations for r in solves),
         max_sampled_violation=inner.max_violation,
-        wall_time_seconds=time.perf_counter() - t0,
         optimality_gap=float(gap),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError
-from .poly import PolyModel, _typed
+from .poly import PolyModel, _settings
 
 __all__ = [
     "synth_generate",
@@ -69,15 +69,9 @@ def _merged(defaults: dict, params) -> dict:
     not of its default's type, or outside its range in _RANGES."""
     if params is None:
         return dict(defaults)
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be an object, got {params!r}")
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown params {sorted(unknown)}")
+    _settings("params", params, {key: type(value) for key, value in defaults.items()})
     for key, value in params.items():
-        kind = type(defaults[key])
-        _typed(f"params key {key!r}", value, kind)
-        lo, hi = (1, math.inf) if kind is int else _RANGES.get(key, (-math.inf, math.inf))
+        lo, hi = (1, math.inf) if type(defaults[key]) is int else _RANGES.get(key, (-math.inf, math.inf))
         if not lo <= value <= hi:
             raise ConfigError(f"params key {key!r} must lie in [{lo}, {hi}], got {value}")
     return {**defaults, **params}

@@ -14,6 +14,7 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import scsr as scsr_mod
 from .certify import certify as run_certification
 from .datasets import Dataset, scale_unit
 from .errors import ConfigError, DataError, DegenerateError, GridError, SchemaError, SolverError
-from .poly import PolyModel
+from .poly import PolyModel, _settings
 
 __all__ = [
     "Segment",
@@ -62,11 +63,8 @@ class ValidationConfig:
 
     def __post_init__(self):
         _check_threshold(self.threshold)
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        cls = ALGORITHMS[self.algorithm].config
-        if not isinstance(self.algorithm_config, cls):
-            self.algorithm_config = cls(**(self.algorithm_config or {}))
+        settings = {} if self.algorithm_config is None else self.algorithm_config
+        self.algorithm_config = _config_from_settings(self.algorithm, settings)
 
 
 @dataclass
@@ -265,6 +263,24 @@ ALGORITHMS = {
 }
 
 
+def _config_from_settings(algorithm: str, settings, where: str = "algorithm_config"):
+    """The algorithm's config from settings, an object of its fields (a config passes through).
+
+    ConfigError names ``where`` for an unknown algorithm, for settings that
+    ``poly._settings`` rejects, and for a value out of the config's range.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    cls = ALGORITHMS[algorithm].config
+    if isinstance(settings, cls):
+        return settings
+    fields = _settings(where, settings, get_type_hints(cls))
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
@@ -286,56 +302,51 @@ def _expand_grid(param_grid):
 
 
 def _contiguous_folds(data: Dataset, folds: int):
-    n = data.n_rows
-    bounds = [round(i * n / folds) for i in range(folds + 1)]
-    out = []
-    for i in range(folds):
-        test_idx = np.arange(bounds[i], bounds[i + 1])
-        train_idx = np.concatenate([np.arange(0, bounds[i]), np.arange(bounds[i + 1], n)])
-        out.append((train_idx, test_idx))
-    return out
+    """(train, test) dataset pairs, one per fold."""
+    rows = np.arange(data.n_rows)
+    bounds = [round(i * data.n_rows / folds) for i in range(folds + 1)]
+    return [
+        (data.select_rows(np.concatenate([rows[:lo], rows[hi:]])), data.select_rows(rows[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def grid_search(valid_datasets, algorithm, param_grid, folds=2, constraints=()):
     """Sum of fold test RMSE per grid cell across all valid datasets.
 
     Each dataset's own target is fitted and scored.  Folds are contiguous
-    (unshuffled) row splits.  Ties break toward the smallest degree, then the
-    largest lambda; failed cells are excluded.  Returns (best params, result
-    table).
+    (unshuffled) row splits.  Every cell's config is built before the first
+    fit, so a bad cell raises ConfigError naming the cell and the key.  A
+    failed cell is one whose fit raised or gave a non-finite test RMSE; ties
+    break toward the smallest degree, then the largest lambda, over the cells
+    that did not fail.  Returns (best params, result table).
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    entry = ALGORITHMS[algorithm]
+    cells = _expand_grid(param_grid)
+    configs = [_config_from_settings(algorithm, cell, f"grid cell {i}") for i, cell in enumerate(cells)]
+    if not configs:
+        raise ConfigError("empty parameter grid")
     valid_datasets, constraints = list(valid_datasets), list(constraints)
     if len(valid_datasets) < 2:
         raise ConfigError("grid search needs >= 2 valid datasets")
     rows = min(ds.n_rows for ds in valid_datasets)
     if not 2 <= folds <= rows:
         raise ConfigError(f"folds must lie in [2, {rows}], the smallest dataset's rows; got {folds}")
-    cells = _expand_grid(param_grid)
-    if not cells:
-        raise ConfigError("empty parameter grid")
+    entry = ALGORITHMS[algorithm]
+    splits = [pair for ds in valid_datasets for pair in _contiguous_folds(ds, folds)]
 
     table = []
-    for cell in cells:
-        total = 0.0
-        failed = None
-        for ds in valid_datasets:
-            for train_idx, test_idx in _contiguous_folds(ds, folds):
-                train = ds.select_rows(train_idx)
-                test = ds.select_rows(test_idx)
-                try:
-                    _, predict, _ = entry.fit(train, entry.config(**cell), constraints)
-                    preds = predict(test.columns)
-                    rmse = float(np.sqrt(np.mean((preds - test.y) ** 2)))
-                    if not math.isfinite(rmse):
-                        raise GridError("non-finite test RMSE")
-                    total += rmse
-                except Exception as exc:  # cell marked failed, search continues
-                    failed = f"{type(exc).__name__}: {exc}"
-                    break
-            if failed:
+    for cell, config in zip(cells, configs):
+        total, failed = 0.0, None
+        for train, test in splits:
+            try:
+                _, predict, _ = entry.fit(train, config, constraints)
+                preds = predict(test.columns)
+                rmse = float(np.sqrt(np.mean((preds - test.y) ** 2)))
+                if not math.isfinite(rmse):
+                    raise GridError("non-finite test RMSE")
+                total += rmse
+            except Exception as exc:  # cell marked failed, search continues
+                failed = f"{type(exc).__name__}: {exc}"
                 break
         table.append({"params": cell, "sum_test_rmse": None if failed else total, "error": failed})
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -166,24 +167,28 @@ def test_error_exit_codes(tmp_path):
 
 
 def test_algo_config_rejects_misspelt_key():
-    from shapeguard.cli import _algo_config
     from shapeguard.errors import ConfigError
+    from shapeguard.validation import _config_from_settings
 
     with pytest.raises(ConfigError, match="populaton"):
-        _algo_config("scsr", {"populaton": 10}, 0)
+        _config_from_settings("scsr", {"populaton": 10}, "--config")
     with pytest.raises(ConfigError, match="max_dept, n_tree"):
-        _algo_config("gbt", {"n_tree": 5, "max_dept": 2}, 0)
+        _config_from_settings("gbt", {"n_tree": 5, "max_dept": 2}, "--config")
     with pytest.raises(ConfigError, match="cert_grid"):
-        _algo_config("scpr", {"cert_grid": 16}, 0)
+        _config_from_settings("scpr", {"cert_grid": 16}, "--config")
     with pytest.raises(ConfigError, match="cert_tol, grid"):
-        _algo_config("scpr", {"degree": 5, "grid": {"degree": [2]}, "cert_tol": 1e-8}, 0)
+        _config_from_settings("scpr", {"degree": 5, "grid": {"degree": [2]}, "cert_tol": 1e-8}, "--config")
 
 
 def test_algo_config_accepts_cli_keys():
-    from shapeguard.cli import _algo_config
+    from argparse import Namespace
 
-    assert _algo_config("scpr", {"degree": 5}, 0).degree == 5
-    assert _algo_config("scsr", {"population": 10}, 4).seed == 4
+    from shapeguard.cli import _seeded
+    from shapeguard.validation import _config_from_settings
+
+    assert _config_from_settings("scpr", {"degree": 5}, "--config").degree == 5
+    settings = _seeded(Namespace(algo="scsr", seed=4), {"population": 10})
+    assert _config_from_settings("scsr", settings, "--config").seed == 4
 
 
 def test_each_subcommand_rejects_config_keys_it_does_not_read(tmp_path, eq1_path):
@@ -378,10 +383,16 @@ def pr_model(tmp_path_factory):
     ({"outlier_fraction": 2}, "'outlier_fraction'"),
     ({"n": 2.5}, "'n'"),
     ({"n_valid": -2}, "n_valid"),
+    ({"cert_tol": 10**400}, "'cert_tol' is too large for a float"),
+    ({"lam": 10**400}, "'lam' is too large for a float"),
+    ({"sigma": 10**400}, "'sigma' is too large for a float"),
+    ({"degree": 0}, "degree must be >= 1"),
+    ({"grid": {"degree": [0, 3]}}, "degree must be >= 1"),
 ], ids=["cert_tol-negative", "cert_tol-inf", "grid-number", "grid-value-not-list",
         "grid-list-of-numbers", "grid-str-value", "grid-unknown-key", "p_levels-str", "sigma-null",
         "v_levels-0", "rows_per_segment-negative", "sigma-negative", "outlier_fraction-2",
-        "n-fraction", "n_valid-negative"])
+        "n-fraction", "n_valid-negative", "cert_tol-huge", "lam-huge", "sigma-huge", "degree-0",
+        "grid-degree-0"])
 def test_bad_setting_is_one_config_error_line_naming_the_key(
     tmp_path, eq1_path, small_corpus, pr_model, setting, key
 ):
@@ -396,6 +407,9 @@ def test_bad_setting_is_one_config_error_line_naming_the_key(
         proc = run("gridsearch", "--algo", "pr", "--data-dir", str(small_corpus), "--config", str(cfg))
     elif name == "n_valid":
         proc = run("synth", "--kind", "corpus", "--out", out, "--n-valid", str(value))
+    elif name in ("lam", "degree"):
+        data = sorted(small_corpus.glob("*.csv"))[0]
+        proc = run("fit", "--algo", "pr", "--data", str(data), "--config", str(cfg))
     else:
         kind = "cubic_fig1" if name == "n" else "friction_outlier"
         proc = run("synth", "--kind", kind, "--out", out, "--params", json.dumps(setting))
@@ -490,3 +504,33 @@ def test_roc_fails_when_every_dataset_failed(tmp_path, eq1_path):
     proc = run("roc", "--data-dir", str(tmp_path / "missing"), "--algo", "pr")
     assert_error_line(proc, 1)
     assert "holds no datasets" in proc.stderr
+
+
+def test_every_schema_def_is_reachable_from_the_root(schema):
+    def refs(node):
+        return re.findall(r'"#/\$defs/([^"]+)"', json.dumps(node))
+
+    reachable, todo = set(), refs({k: v for k, v in schema.items() if k != "$defs"})
+    while todo:
+        name = todo.pop()
+        if name not in reachable:
+            reachable.add(name)
+            todo += refs(schema["$defs"][name])
+    assert reachable == set(schema["$defs"])
+
+
+SMALL_CONFIGS = {"pr": {}, "scpr": {}, "gbt": {"n_trees": 5}, "scsr": {"population": 30, "max_generations": 5}}
+
+
+@pytest.mark.parametrize("algo", sorted(SMALL_CONFIGS))
+def test_fit_and_validate_reports_match_the_schema_and_time_the_call(tmp_path, schema, eq1_path, algo):
+    data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    cfg.write_text(json.dumps(SMALL_CONFIGS[algo]))
+    common = ["--algo", algo, "--data", str(data), "--constraints", str(eq1_path), "--config", str(cfg)]
+    for subcommand, extra in (("fit", []), ("validate", ["--t", "1"])):
+        rep = tmp_path / f"{subcommand}.json"
+        proc = run(subcommand, *common, *extra, "--out", str(rep))
+        assert proc.returncode == 0, proc.stderr
+        report = check_report(rep, schema, subcommand)
+        assert isinstance(report["metadata"]["wall_time_seconds"], float)

@@ -354,11 +354,11 @@ def test_constrained_fit_of_a_wide_design():
 
 
 def test_config_validation():
-    from shapeguard import SchemaError
+    from shapeguard import ConfigError
 
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         SCPRConfig(degree=0)
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         SCPRConfig(alpha=1.5)
 
 
@@ -377,9 +377,9 @@ def test_config_validation():
     ],
 )
 def test_config_rejects_settings_that_break_the_fit(field, value):
-    from shapeguard import SchemaError
+    from shapeguard import ConfigError
 
-    with pytest.raises(SchemaError, match=field):
+    with pytest.raises(ConfigError, match=field):
         SCPRConfig(**{field: value})
 
 
@@ -655,4 +655,4 @@ def test_fit_unconstrained_is_fit_constrained_without_constraints(case):
     model_u, report_u = fit_unconstrained(d, config)
     model_c, report_c = fit_constrained(d, config, [])
     np.testing.assert_array_equal(model_u.coefficient_vector(), model_c.coefficient_vector())
-    assert replace(report_u, wall_time_seconds=0.0) == replace(report_c, wall_time_seconds=0.0)
+    assert report_u == report_c

@@ -14,6 +14,7 @@ from shapeguard import (
     Dataset,
     DegenerateError,
     GAConfig,
+    GBTConfig,
     Interval,
     SCPRConfig,
     SchemaError,
@@ -236,6 +237,63 @@ def test_grid_search_skips_failing_cells():
         grid_search(datasets[:1], "pr", {"degree": [2]}, folds=2)
 
 
+def spy_on_fits(monkeypatch, algorithm):
+    """The list that each fit of ``algorithm`` appends its config to."""
+    entry, configs = validation.ALGORITHMS[algorithm], []
+
+    def spy(train, config, constraints):
+        configs.append(config)
+        return entry.fit(train, config, constraints)
+
+    monkeypatch.setitem(validation.ALGORITHMS, algorithm, replace(entry, fit=spy))
+    return configs
+
+
+@pytest.mark.parametrize("cell, key", [
+    ({"degreee": 3}, "degreee"),
+    ({"degree": "3"}, "'degree'"),
+    ({"degree": 0}, "degree"),
+], ids=["unknown-key", "str-value", "out-of-range"])
+def test_grid_search_rejects_a_bad_cell_before_any_fit(monkeypatch, cell, key):
+    fits = spy_on_fits(monkeypatch, "pr")
+    datasets = [synth_generate("cubic_fig1", s) for s in range(2)]
+    with pytest.raises(ConfigError, match=f"grid cell 1.*{key}"):
+        grid_search(datasets, "pr", [{"degree": 2}, cell], folds=2)
+    assert fits == []
+
+
+def test_grid_search_takes_numpy_scalars():
+    datasets = [synth_generate("cubic_fig1", s) for s in range(2)]
+    grid = {"degree": list(np.arange(2, 4)), "lam": list(np.logspace(-6, -5, 2))}
+    best, table = grid_search(datasets, "pr", grid, folds=2)
+    assert [row["error"] for row in table] == [None] * 4
+    assert best["degree"] in (2, 3) and isinstance(best["degree"], np.integer)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"degre": 3}, "unknown algorithm_config keys: degre"),
+    ({"degree": "3"}, "algorithm_config key 'degree' must be an integer"),
+    ({"degree": 0}, "algorithm_config: degree must be >= 1"),
+    ([3], "algorithm_config must be an object"),
+    ({"lam": 10**400}, "algorithm_config key 'lam' is too large for a float"),
+])
+def test_validation_config_rejects_bad_settings_naming_the_key(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        ValidationConfig(threshold=0.05, controlled_variables=["p"], algorithm="scpr",
+                         algorithm_config=settings)
+
+
+def test_validation_config_builds_settings_and_keeps_a_config_object():
+    config = GAConfig(population=20)
+    kept = ValidationConfig(0.05, ["p"], "scsr", algorithm_config=config)
+    assert kept.algorithm_config is config
+    built = ValidationConfig(0.05, ["p"], "scpr", algorithm_config={"degree": np.int64(4), "lam": 0})
+    assert built.algorithm_config == SCPRConfig(degree=4, lam=0.0)
+    assert ValidationConfig(0.05, ["p"], "gbt").algorithm_config == GBTConfig()
+    with pytest.raises(ConfigError, match="unknown algorithm 'nope'"):
+        ValidationConfig(0.05, ["p"], "nope")
+
+
 @pytest.mark.parametrize("folds", [-1, 0, 1, 9])
 def test_grid_search_rejects_fold_counts_it_cannot_split(folds):
     datasets = [synth_generate("cubic_fig1", s, {"n": n}) for s, n in ((0, 8), (1, 12))]
@@ -304,9 +362,7 @@ def fit_and_score(data, algorithm, target):
         algorithm_config=SMALL_CONFIGS[algorithm],
         target=target,
     )
-    report = validate_dataset(data, config).to_dict()
-    report["fit_report"].pop("wall_time_seconds", None)
-    return report
+    return validate_dataset(data, config).to_dict()
 
 
 @pytest.mark.parametrize("algorithm", sorted(SMALL_CONFIGS))
