@@ -22,7 +22,13 @@ level would take the number of boxes past ``max_boxes``, or no open box has
 an axis left to split, the verdict is UNDECIDED.
 
 The coefficient array of a box has ``prod(d_i + 1)`` entries, where ``d_i``
-is the derivative's highest exponent of variable ``i``.
+is the derivative's highest exponent of variable ``i``.  A call reads the
+model's terms into one table and computes each derivative's first-box form
+from it, once per distinct (derivative, region): ``value >= 0`` and
+``value <= 1`` on one box share theirs.  The derivative is built as a
+polynomial only to re-evaluate it at a breaching corner.  When the first
+box's coefficients or error bound overflow, the verdict is UNDECIDED with
+enclosure (-inf, inf).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from .constraints import ShapeConstraint
 from .errors import ArityError, ConfigError
 from .intervals import Interval
-from .poly import PolyModel, _bernstein, _gamma, _halve
+from .poly import PolyModel, _bernstein, _gamma, _halve, _term_table
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
 
@@ -92,12 +98,16 @@ class CertificationReport:
         }
 
 
-def _certify_one(model: PolyModel, c: ShapeConstraint, tol: float, max_boxes: int):
+def _certify_one(model: PolyModel, c: ShapeConstraint, table, forms: dict, tol: float, max_boxes: int):
     wrt = c.derivative_tuple(model.variables)
-    deriv = model.derivative(wrt)
-    lo = np.array([c.region[v].lo for v in model.variables])
-    hi = np.array([c.region[v].hi for v in model.variables])
-    coeffs, err, degrees = _bernstein(deriv, lo, hi, sum(wrt))
+    lo = tuple(c.region[v].lo for v in model.variables)
+    hi = tuple(c.region[v].hi for v in model.variables)
+    if (wrt, lo, hi) not in forms:
+        forms[wrt, lo, hi] = _bernstein(*table, wrt, np.array(lo), np.array(hi))
+    coeffs, err, degrees = forms[wrt, lo, hi]
+    if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
+        return ConstraintCertificate(c, "UNDECIDED", Interval.whole(), 0.0, None, 1)
+    lo, hi = np.array(lo), np.array(hi)
     vertices = [[0, d] if d else [0] for d in degrees]
     corner = lo[None]  # lower corner of each box
     side = np.where(np.array(degrees) > 0, hi - lo, 0.0)  # splittable side lengths
@@ -124,7 +134,7 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, tol: float, max_boxes: in
             ends = np.array([v[i] > 0 for v, i in zip(vertices, best[1:])])
             point = np.clip(corner[best[0]] + side * ends, lo, hi)
             point = {v: float(x) for v, x in zip(model.variables, point)}
-            value = deriv.evaluate(point)
+            value = model.derivative(wrt).evaluate(point)
             exceed = max(c.bound.lo - value, value - c.bound.hi)
             if exceed > tol:
                 verdict, worst, worst_point = "VIOLATED", exceed, point
@@ -161,10 +171,10 @@ def certify(
         raise ConfigError(f"certify tol must be finite and >= 0, got {tol}")
     if max_boxes < 1:
         raise ConfigError(f"certify max_boxes must be >= 1, got {max_boxes}")
-    report = CertificationReport()
+    report, table, forms = CertificationReport(), _term_table(model), {}
     for c in constraints:
         missing = [v for v in model.variables if v not in c.region]
         if missing:
             raise ArityError(f"constraint region missing model variables {missing}")
-        report.entries.append(_certify_one(model, c, tol, max_boxes))
+        report.entries.append(_certify_one(model, c, table, forms, tol, max_boxes))
     return report

@@ -40,12 +40,17 @@ def _grlex_key(alpha: MultiIndex):
 def monomial_basis(n_vars: int, d: int) -> list[MultiIndex]:
     """All multi-indices of total degree <= d in graded-lex order.
 
-    Count is C(n_vars + d, d).
+    Count is C(n_vars + d, d).  Each call returns a new list.
     """
     if n_vars < 1:
         raise DomainError(f"n_vars must be >= 1, got {n_vars}")
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
+    return list(_basis(n_vars, d))
+
+
+@lru_cache(maxsize=64)
+def _basis(n_vars: int, d: int) -> tuple:
     out: list[MultiIndex] = []
     for total in range(d + 1):
         level = [
@@ -55,7 +60,7 @@ def monomial_basis(n_vars: int, d: int) -> list[MultiIndex]:
         ]
         level.sort(key=_grlex_key)
         out.extend(level)
-    return out
+    return tuple(out)
 
 
 def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0):
@@ -234,12 +239,14 @@ class PolyModel:
     def interval_bound(self, region: Mapping) -> Interval:
         """Enclosure of the range over a bounded box: the extreme tensor
         Bernstein coefficients on it, widened by their rounding-error bound
-        (the first box of ``certify``)."""
+        (the first box of ``certify``); (-inf, inf) when they overflow."""
         box = self._require(region)
         if not all(iv.is_finite() for iv in box):
             raise DomainError(f"interval_bound needs a bounded box, got {region}")
         lo, hi = np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
-        coeffs, err, _ = _bernstein(self, lo, hi, 0)
+        coeffs, err, _ = _bernstein(*_term_table(self), (0,) * len(box), lo, hi)
+        if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
+            return Interval.whole()
         return Interval(float(coeffs.min() - err[0]), float(coeffs.max() + err[0]))
 
     # -- serialization -------------------------------------------------------
@@ -360,21 +367,39 @@ def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(halves, 1, axis + 2).reshape(-1, *coeffs.shape[1:])
 
 
-def _bernstein(deriv: PolyModel, lo: np.ndarray, hi: np.ndarray, order: int):
-    """Bernstein coefficients of ``deriv`` on the box [lo, hi], with a bound
-    on their absolute error against the exact derivative of the model that
-    ``deriv`` was computed from by ``order`` differentiations."""
-    degrees = [max((a[i] for a in deriv.coeffs), default=0) for i in range(len(lo))]
-    coeffs = np.zeros([d + 1 for d in degrees])
-    for alpha, c in deriv.coeffs.items():
-        coeffs[alpha] = c
-    coeffs = _to_bernstein(coeffs, lo, hi, degrees)
-    # Each coefficient's rounding error is gamma_k times the same mode
-    # products applied to |c| and the |lo| matrices, whose entries are at most
-    # (|lo| + |hi|)**j.  k counts order roundings in the derivative's
-    # coefficients, 3d + 2 per matrix entry and d + 1 per mode product; it is
-    # doubled, plus two, to cover the rounding in computing the bound itself.
-    radius = np.abs(lo) + np.abs(hi)
-    magnitude = sum(abs(c) * float(np.prod(radius ** np.array(a))) for a, c in deriv.coeffs.items())
-    roundings = order + sum(4 * d + 3 for d in degrees)
-    return coeffs[None], np.array([_gamma(2 * roundings + 2) * magnitude]), degrees
+def _term_table(model: PolyModel) -> tuple:
+    """The model's terms as arrays in dict order: exponents (terms x
+    variables) and coefficients."""
+    exponents = np.array(list(model.coeffs), dtype=np.int64).reshape(len(model.coeffs), len(model.variables))
+    return exponents, np.fromiter(model.coeffs.values(), float, len(model.coeffs))
+
+
+def _bernstein(exponents: np.ndarray, coeffs: np.ndarray, wrt, lo: np.ndarray, hi: np.ndarray):
+    """Bernstein coefficients on the box [lo, hi] of the wrt-derivative of the
+    polynomial with these terms (``_term_table``), with a bound on
+    their absolute error against the exact derivative, and its degree per
+    variable.  The derivative's coefficients and error bound are the floats
+    that ``PolyModel.derivative`` and a sum over its terms would give.  An
+    overflow gives non-finite coefficients or bound, and no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the multiplications of _monomial_derivative, for all terms at once
+        for axis, k in enumerate(wrt):
+            for j in range(k):
+                coeffs = coeffs * (exponents[:, axis] - j)
+        order = np.array(wrt, dtype=np.int64)
+        live = np.all(exponents >= order, axis=1) & (coeffs != 0.0)
+        exponents, coeffs = exponents[live] - order, coeffs[live]
+        degrees = [int(d) for d in exponents.max(axis=0, initial=0)]
+        dense = np.zeros([d + 1 for d in degrees])
+        dense[tuple(exponents.T)] = coeffs
+        dense = _to_bernstein(dense, lo, hi, degrees)
+        # Each coefficient's rounding error is gamma_k times the same mode
+        # products applied to |c| and the |lo| matrices, whose entries are at
+        # most (|lo| + |hi|)**j.  k counts the differentiations' roundings in
+        # the derivative's coefficients, 3d + 2 per matrix entry and d + 1 per
+        # mode product; it is doubled, plus two, to cover the rounding in
+        # computing the bound itself.  The terms are summed in order, as floats.
+        radius = np.abs(lo) + np.abs(hi)
+        magnitude = sum((np.abs(coeffs) * np.prod(radius ** exponents, axis=1)).tolist())
+    roundings = sum(wrt) + sum(4 * d + 3 for d in degrees)
+    return dense[None], np.array([_gamma(2 * roundings + 2) * magnitude]), degrees

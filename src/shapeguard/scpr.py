@@ -149,13 +149,13 @@ def build_design_matrix(data: Dataset, variables, target: str, d: int):
     if data.n_rows < 1:
         raise SchemaError("dataset has no rows")
     basis = monomial_basis(len(variables), d)
-    cols = [data.columns[v] for v in variables]
+    powers = [{e: data.columns[v] ** e for e in range(1, d + 1)} for v in variables]
     X = np.empty((data.n_rows, len(basis)))
     for j, alpha in enumerate(basis):
         col = np.ones(data.n_rows)
-        for x, e in zip(cols, alpha):
+        for power, e in zip(powers, alpha):
             if e:
-                col = col * x**e
+                col = col * power[e]
         X[:, j] = col
     if not np.all(np.isfinite(X)):
         raise DataError("non-finite value in design matrix")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from importlib import resources
 
@@ -21,7 +22,7 @@ from shapeguard import (
     parse_constraints,
     scale_unit,
 )
-from shapeguard.poly import _bernstein
+from shapeguard.poly import _bernstein, _gamma, _term_table, _to_bernstein
 
 
 def region1d(lo=-1.0, hi=1.0):
@@ -205,6 +206,10 @@ def test_corpus_fit_witnesses_breach():
         for c, entry in zip(constraints, certify(model, constraints).entries):
             violated += entry.verdict == "VIOLATED"
             assert_entry_sound(model, c, entry, 30)
+            if entry.verdict == "VIOLATED":
+                # certify builds the derivative model only for a witness
+                value = model.derivative(c.derivative_tuple(model.variables)).evaluate(entry.worst_point)
+                assert max(c.bound.lo - value, value - c.bound.hi) == entry.worst_violation
     assert violated > 0
 
 
@@ -241,10 +246,9 @@ def test_bernstein_coefficients_enclose_exact_rationals():
     rng = np.random.default_rng(11)
     for _ in range(40):
         model, c = random_case(rng, int(rng.integers(1, 4)))
-        order = sum(c.derivative_tuple(model.variables))
         lo = np.array([c.region[v].lo for v in model.variables])
         hi = np.array([c.region[v].hi for v in model.variables])
-        coeffs, err, _ = _bernstein(model.derivative(c.derivative_tuple(model.variables)), lo, hi, order)
+        coeffs, err, _ = _bernstein(*_term_table(model), c.derivative_tuple(model.variables), lo, hi)
         exact = exact_bernstein(model, c)
         assert coeffs.shape[1:] == tuple(1 + max(m[i] for m in exact) for i in range(len(lo)))
         scale = float(np.abs(coeffs).max())
@@ -252,6 +256,60 @@ def test_bernstein_coefficients_enclose_exact_rationals():
         for m, value in exact.items():
             assert abs(Fraction(float(coeffs[(0, *m)])) - value) <= Fraction(float(err[0]))
 
+
+def reference_bernstein(model, wrt, lo, hi):
+    """The Bernstein form built from the derivative model, term by term: the
+    oracle for _bernstein, which builds it from the model's term table."""
+    deriv = model.derivative(wrt)
+    degrees = [max((a[i] for a in deriv.coeffs), default=0) for i in range(len(lo))]
+    dense = np.zeros([d + 1 for d in degrees])
+    for alpha, c in deriv.coeffs.items():
+        dense[alpha] = c
+    radius = np.abs(lo) + np.abs(hi)
+    magnitude = sum(abs(c) * float(np.prod(radius ** np.array(a))) for a, c in deriv.coeffs.items())
+    roundings = sum(wrt) + sum(4 * d + 3 for d in degrees)
+    return _to_bernstein(dense, lo, hi, degrees)[None], _gamma(2 * roundings + 2) * magnitude, degrees
+
+
+def test_bernstein_form_equals_the_derivative_model_reference():
+    rng = np.random.default_rng(19)
+    for _ in range(150):
+        n_vars, degree = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        names = tuple(f"x{k}" for k in range(n_vars))
+        basis = monomial_basis(n_vars, degree)
+        # explicit zeros, of either sign, survive JSON and are dropped as
+        # zero terms of the derivative
+        values = rng.normal(size=len(basis)) * (rng.random(len(basis)) > 0.3) * rng.choice([1.0, -1.0])
+        model = PolyModel.from_json(PolyModel(names, degree, dict(zip(basis, values.tolist()))).to_json())
+        lo, hi = np.empty(n_vars), np.empty(n_vars)
+        for k in range(n_vars):
+            kind = rng.integers(3)
+            if kind == 0:  # an axis of zero width
+                lo[k] = hi[k] = rng.uniform(-3, 3)
+            elif kind == 1:  # negative lo
+                lo[k], hi[k] = sorted(rng.uniform(-3, 3, size=2))
+            else:
+                lo[k], hi[k] = sorted(rng.uniform(0.5, 7, size=2))
+        wrt = tuple(int(k) for k in rng.integers(0, 3, size=n_vars) * (rng.random(n_vars) < 0.6))
+        coeffs, err, degrees = _bernstein(*_term_table(model), wrt, lo, hi)
+        ref_coeffs, ref_err, ref_degrees = reference_bernstein(model, wrt, lo, hi)
+        assert np.array_equal(coeffs, ref_coeffs)
+        assert err[0] == ref_err and err.shape == (1,)
+        assert degrees == ref_degrees
+
+
+def test_overflowing_bernstein_form_is_undecided_without_warnings():
+    # on [0, 1e308] the Bernstein matrix of degree 2 overflows, and x**3 on
+    # [0, 1e103] does so too: the form is not finite, so nothing is decided
+    model = PolyModel(("x",), 3, {(3,): -1.0, (1,): 1.0})
+    c = ShapeConstraint({"x": 1}, Interval(-math.inf, 5.0), {"x": Interval(0.0, 1e308)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = certify(model, [c]).entries[0]
+        assert model.interval_bound({"x": Interval(0.0, 1e103)}) == Interval.whole()
+        assert model.interval_bound({"x": Interval(0.0, 1e102)}).is_finite()
+    assert (entry.verdict, entry.enclosure) == ("UNDECIDED", Interval.whole())
+    assert (entry.worst_violation, entry.worst_point, entry.boxes_examined) == (0.0, None, 1)
 
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 64, 501])
 def test_undecided_stays_within_box_budget(max_boxes):

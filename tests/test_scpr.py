@@ -36,6 +36,26 @@ def test_design_matrix_graded_lex():
     np.testing.assert_array_equal(y, [0.0, 0.0])
 
 
+
+def test_monomial_basis_cache_cannot_be_poisoned():
+    # monomial_basis hands out a new list per call; the design matrix takes
+    # each column as the product, in variable order, of the columns' powers
+    rng = np.random.default_rng(5)
+    d = Dataset("d", {"x": rng.uniform(-2, 2, 30), "z": rng.uniform(0, 3, 30), "y": np.zeros(30)}, "y")
+    X, _ = build_design_matrix(d, ["x", "z"], "y", 3)
+    monomial_basis(2, 3).append((9, 9))
+    basis = monomial_basis(2, 3)
+    assert basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+    reference = np.empty_like(X)
+    for j, alpha in enumerate(basis):
+        col = np.ones(30)
+        for v, e in zip(["x", "z"], alpha):
+            if e:
+                col = col * d.columns[v] ** e
+        reference[:, j] = col
+    assert np.array_equal(build_design_matrix(d, ["x", "z"], "y", 3)[0], X)
+    assert np.array_equal(X, reference)
+
 def test_unconstrained_matches_lstsq():
     rng = np.random.default_rng(0)
     d = dataset_1d(rng, n=60, f=lambda x: 0.5 * x**3 + 0.1 * x + 1.0, noise=0.3, lo=-2, hi=2)
