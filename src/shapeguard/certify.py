@@ -22,13 +22,13 @@ level would take the number of boxes past ``max_boxes``, or no open box has
 an axis left to split, the verdict is UNDECIDED.
 
 The coefficient array of a box has ``prod(d_i + 1)`` entries, where ``d_i``
-is the derivative's highest exponent of variable ``i``.  A call reads the
-model's terms into one table and computes each derivative's first-box form
-from it, once per distinct (derivative, region): ``value >= 0`` and
-``value <= 1`` on one box share theirs.  The derivative is built as a
-polynomial only to re-evaluate it at a breaching corner.  When the first
-box's coefficients or error bound overflow, the verdict is UNDECIDED with
-enclosure (-inf, inf).
+is the derivative's highest exponent of variable ``i``.  The first box's are
+``map @ theta``, with error bound ``|theta| @ weights``, for theta the
+model's nonzero coefficients and the cached ``poly._bernstein_map`` of their
+terms, derivative and region (shared with the SCPR fit; it derives the
+rounding count).  When either overflows the verdict is UNDECIDED with
+enclosure (-inf, inf).  The derivative is built as a polynomial only to
+re-evaluate it at a breaching corner.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .constraints import ShapeConstraint
 from .errors import ArityError, ConfigError
 from .intervals import Interval
-from .poly import PolyModel, _bernstein, _gamma, _halve, _term_table
+from .poly import PolyModel, _first_box, _gamma, _halve, _terms
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
 
@@ -98,13 +98,11 @@ class CertificationReport:
         }
 
 
-def _certify_one(model: PolyModel, c: ShapeConstraint, table, forms: dict, tol: float, max_boxes: int):
+def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float, max_boxes: int):
     wrt = c.derivative_tuple(model.variables)
     lo = tuple(c.region[v].lo for v in model.variables)
     hi = tuple(c.region[v].hi for v in model.variables)
-    if (wrt, lo, hi) not in forms:
-        forms[wrt, lo, hi] = _bernstein(*table, wrt, np.array(lo), np.array(hi))
-    coeffs, err, degrees = forms[wrt, lo, hi]
+    coeffs, err, degrees = _first_box(*terms, wrt, lo, hi)
     if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
         return ConstraintCertificate(c, "UNDECIDED", Interval.whole(), 0.0, None, 1)
     lo, hi = np.array(lo), np.array(hi)
@@ -120,13 +118,13 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, table, forms: dict, tol: 
         low = flat.min(axis=1) - err
         high = flat.max(axis=1) + err
         closed = (low >= accept_lo) & (high <= accept_hi)
+        if closed.all():
+            verdict = "CERTIFIED"
+            break
         hull_lo = float(np.min(low[closed], initial=hull_lo))
         hull_hi = float(np.max(high[closed], initial=hull_hi))
         coeffs, flat, err, corner = coeffs[~closed], flat[~closed], err[~closed], corner[~closed]
         low, high = low[~closed], high[~closed]
-        if not len(coeffs):
-            verdict = "CERTIFIED"
-            break
         vertex = coeffs[np.ix_(range(len(coeffs)), *vertices)]
         breach = np.maximum(c.bound.lo - vertex, vertex - c.bound.hi)
         best = np.unravel_index(int(np.argmax(breach)), breach.shape)
@@ -171,10 +169,10 @@ def certify(
         raise ConfigError(f"certify tol must be finite and >= 0, got {tol}")
     if max_boxes < 1:
         raise ConfigError(f"certify max_boxes must be >= 1, got {max_boxes}")
-    report, table, forms = CertificationReport(), _term_table(model), {}
+    report, terms = CertificationReport(), _terms(model)
     for c in constraints:
         missing = [v for v in model.variables if v not in c.region]
         if missing:
             raise ArityError(f"constraint region missing model variables {missing}")
-        report.entries.append(_certify_one(model, c, table, forms, tol, max_boxes))
+        report.entries.append(_certify_one(model, c, terms, tol, max_boxes))
     return report

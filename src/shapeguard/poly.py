@@ -10,7 +10,9 @@ Bernstein form: a polynomial's coefficients in the tensor Bernstein basis of
 a box enclose its range there, and those at the vertices of the coefficient
 array are its values at the box's corners (Garloff 1986; Ray & Nataraj
 2009).  De Casteljau's algorithm halves a box.  ``certify``, the SCPR fit and
-``PolyModel.interval_bound`` all bound polynomials this way.
+``PolyModel.interval_bound`` all bound polynomials this way, and all take the
+first box's coefficients from one cached linear map per (terms, derivative,
+box), ``_bernstein_map``: a full-basis fit and its certificate share it.
 """
 
 from __future__ import annotations
@@ -243,8 +245,8 @@ class PolyModel:
         box = self._require(region)
         if not all(iv.is_finite() for iv in box):
             raise DomainError(f"interval_bound needs a bounded box, got {region}")
-        lo, hi = np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
-        coeffs, err, _ = _bernstein(*_term_table(self), (0,) * len(box), lo, hi)
+        lo, hi = tuple(iv.lo for iv in box), tuple(iv.hi for iv in box)
+        coeffs, err, _ = _first_box(*_terms(self), (0,) * len(box), lo, hi)
         if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
             return Interval.whole()
         return Interval(float(coeffs.min() - err[0]), float(coeffs.max() + err[0]))
@@ -343,16 +345,6 @@ def _split_matrix(d: int) -> np.ndarray:
     return _read_only(np.vstack([binom / 2.0**m, right]))
 
 
-def _to_bernstein(coeffs: np.ndarray, lo, hi, degrees) -> np.ndarray:
-    """Tensor Bernstein coefficients on the box [lo, hi] from power
-    coefficients: axis i of ``coeffs`` holds the powers 0..d_i of variable i;
-    trailing axes ride along."""
-    for axis, d in enumerate(degrees):
-        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
-        coeffs = np.moveaxis(np.tensordot(matrix, coeffs, axes=(1, axis)), 0, axis)
-    return coeffs
-
-
 def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Halve every box along variable ``axis`` by de Casteljau's algorithm.
 
@@ -367,39 +359,48 @@ def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(halves, 1, axis + 2).reshape(-1, *coeffs.shape[1:])
 
 
-def _term_table(model: PolyModel) -> tuple:
-    """The model's terms as arrays in dict order: exponents (terms x
-    variables) and coefficients."""
-    exponents = np.array(list(model.coeffs), dtype=np.int64).reshape(len(model.coeffs), len(model.variables))
-    return exponents, np.fromiter(model.coeffs.values(), float, len(model.coeffs))
+def _terms(model: PolyModel) -> tuple:
+    """Exponents (a support for ``_bernstein_map``) and coefficients of the model's nonzero terms."""
+    support = tuple(alpha for alpha, c in model.coeffs.items() if c != 0.0)
+    return support, np.array([model.coeffs[alpha] for alpha in support])
 
 
-def _bernstein(exponents: np.ndarray, coeffs: np.ndarray, wrt, lo: np.ndarray, hi: np.ndarray):
-    """Bernstein coefficients on the box [lo, hi] of the wrt-derivative of the
-    polynomial with these terms (``_term_table``), with a bound on
-    their absolute error against the exact derivative, and its degree per
-    variable.  The derivative's coefficients and error bound are the floats
-    that ``PolyModel.derivative`` and a sum over its terms would give.  An
-    overflow gives non-finite coefficients or bound, and no warning."""
+@lru_cache(maxsize=256)
+def _bernstein_map(support: tuple, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
+    """Map from the coefficients theta of x**alpha_j, alpha_j in ``support``,
+    to the tensor Bernstein coefficients on the box [lo, hi] of their sum's
+    wrt-derivative (``map @ theta``); weights with which ``|theta| @ weights``
+    bounds the absolute error of ``map @ theta``; the degree per variable.
+
+    Column j, f_j x**e_j with f_j an exact integer, goes to the Bernstein
+    basis by one mode product per axis, each rounding once, as the column
+    has one nonzero.  A degree-d matrix entry carries at most 3d + 2
+    roundings against the same sum built from |lo|, at most r**k in column
+    k for r = |lo| + (hi - lo).  The product with theta rounds once per live
+    term, in any order, FMA included.  So K = sum(3 d_i + 3) + live terms,
+    and weights_j = gamma_{2K+2} |f_j| prod(r**e_j): doubled, plus two, to
+    cover rounding the weights and ``|theta| @ weights`` too.  An overflow
+    gives non-finite entries, and no warning.  Cached, so read-only.
+    """
+    live = [(j, *term) for j, alpha in enumerate(support) if (term := _monomial_derivative(alpha, wrt))]
+    degrees = tuple(max((e[i] for _, _, e in live), default=0) for i in range(len(wrt)))
+    matrix = np.zeros([d + 1 for d in degrees] + [len(support)])
+    weights = np.zeros(len(support))
+    radius = np.abs(lo) + np.subtract(hi, lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the multiplications of _monomial_derivative, for all terms at once
-        for axis, k in enumerate(wrt):
-            for j in range(k):
-                coeffs = coeffs * (exponents[:, axis] - j)
-        order = np.array(wrt, dtype=np.int64)
-        live = np.all(exponents >= order, axis=1) & (coeffs != 0.0)
-        exponents, coeffs = exponents[live] - order, coeffs[live]
-        degrees = [int(d) for d in exponents.max(axis=0, initial=0)]
-        dense = np.zeros([d + 1 for d in degrees])
-        dense[tuple(exponents.T)] = coeffs
-        dense = _to_bernstein(dense, lo, hi, degrees)
-        # Each coefficient's rounding error is gamma_k times the same mode
-        # products applied to |c| and the |lo| matrices, whose entries are at
-        # most (|lo| + |hi|)**j.  k counts the differentiations' roundings in
-        # the derivative's coefficients, 3d + 2 per matrix entry and d + 1 per
-        # mode product; it is doubled, plus two, to cover the rounding in
-        # computing the bound itself.  The terms are summed in order, as floats.
-        radius = np.abs(lo) + np.abs(hi)
-        magnitude = sum((np.abs(coeffs) * np.prod(radius ** exponents, axis=1)).tolist())
-    roundings = sum(wrt) + sum(4 * d + 3 for d in degrees)
-    return dense[None], np.array([_gamma(2 * roundings + 2) * magnitude]), degrees
+        for j, f, e in live:
+            matrix[e + (j,)] = f
+            weights[j] = f * np.prod(radius ** np.array(e))
+        for axis, d in enumerate(degrees):
+            step = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
+            matrix = np.moveaxis(np.tensordot(step, matrix, axes=(1, axis)), 0, axis)
+        weights *= _gamma(2 * (sum(3 * d + 3 for d in degrees) + len(live)) + 2)
+    return _read_only(matrix), _read_only(weights), degrees
+
+
+def _first_box(support: tuple, theta: np.ndarray, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
+    """One box of Bernstein coefficients on [lo, hi] of the wrt-derivative of
+    sum theta_j x**alpha_j, its error bound and degrees; non-finite on overflow."""
+    matrix, weights, degrees = _bernstein_map(support, wrt, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (matrix @ theta)[None], np.array([np.abs(theta) @ weights]), degrees

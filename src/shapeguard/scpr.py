@@ -41,9 +41,9 @@ the rows that bound the round before, and the outer solve from the rows
 that bound the same round's inner one (Bro & De Jong, *J. Chemometrics*
 1997).  A box keeps its node values, so a round builds rows only for the
 children of the boxes it split.  All of this lives in the fit and goes when
-it returns.  Only pure matrices are cached across fits: the node, split and
-Bernstein matrices, and a constraint's whole-region rows, keyed by degree
-and box.  They are read-only.
+it returns.  Only pure matrices are cached across fits, read-only: the
+node, split and Bernstein matrices, ``poly._bernstein_map`` (which certify
+shares) and a constraint's whole-region rows, keyed by degree and box.
 
 ``compile_constraints`` discretizes constraints on tensor grids instead: its
 rows hold the derivative at sample points only.  No fit calls it; it stays
@@ -63,12 +63,13 @@ from .errors import (
     BudgetError,
     ConfigError,
     DataError,
+    DomainError,
     InfeasibleError,
     SchemaError,
     SolverError,
 )
 from .intervals import Interval
-from .poly import PolyModel, _halve, _monomial_derivative, _read_only, _to_bernstein, monomial_basis
+from .poly import PolyModel, _basis, _bernstein_map, _halve, _monomial_derivative, _read_only, monomial_basis
 
 __all__ = [
     "SCPRConfig",
@@ -221,33 +222,32 @@ class _Partition:
 
 
 def _whole_region(constraint, variables, degree: int) -> _Partition:
-    """One box, the constraint's region; degrees and coefficients as in certify."""
+    """One box, the constraint's region; degrees and coefficients as in
+    certify.  DomainError when the coefficients overflow there."""
     lo = tuple(constraint.region[v].lo for v in variables)
     hi = tuple(constraint.region[v].hi for v in variables)
-    coeffs, values, corner, degrees = _region_rows(constraint.derivative_tuple(variables), lo, hi, degree)
+    rows = _region_rows(constraint.derivative_tuple(variables), lo, hi, degree)
+    if rows is None:
+        box = ", ".join(f"{v} in [{a}, {b}]" for v, a, b in zip(variables, lo, hi))
+        raise DomainError(f"constraint {constraint.describe()!r}: its Bernstein coefficients overflow on {box}")
+    coeffs, values, corner, degrees = rows
     side = np.where(np.array(degrees) > 0, np.subtract(hi, lo), 0.0)
     return _Partition(constraint.bound, coeffs, values, side[None], list(degrees), corner)
 
 
 @lru_cache(maxsize=256)
-def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int) -> tuple:
-    """The Bernstein coefficients and node values, as rows in theta, of the
-    dtuple-derivative of a degree-``degree`` polynomial on the box [lo, hi];
-    also each coefficient's corner flag and the degree per axis.  Cached, so
-    read-only: they depend on the constraint and the degree only."""
-    basis = monomial_basis(len(dtuple), degree)
-    terms = [(j, _monomial_derivative(alpha, dtuple)) for j, alpha in enumerate(basis)]
-    live = [(j, *term) for j, term in terms if term is not None]
-    degrees = tuple(max((r[i] for _, _, r in live), default=0) for i in range(len(dtuple)))
-    coeffs = np.zeros([d + 1 for d in degrees] + [len(basis)])
-    for j, f, reduced in live:
-        coeffs[reduced + (j,)] = f
-    coeffs = _to_bernstein(coeffs, lo, hi, degrees)
+def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int):
+    """The Bernstein coefficients (``_bernstein_map`` of the full basis) and
+    node values, as rows in theta, of the dtuple-derivative of a degree-
+    ``degree`` polynomial on the box [lo, hi]; also each coefficient's corner
+    flag and the degree per axis; None on overflow.  Cached, so read-only."""
+    coeffs, _, degrees = _bernstein_map(_basis(len(dtuple), degree), dtuple, lo, hi)
+    if not np.isfinite(coeffs).all():
+        return None
     corner = np.zeros(coeffs.shape[:-1], dtype=bool)
     corner[np.ix_(*[[0, d] if d else [0] for d in degrees])] = True
-    coeffs = coeffs[None]
-    values = _values_at_nodes(coeffs, degrees)
-    return _read_only(coeffs), _read_only(values), _read_only(corner.reshape(-1)), degrees
+    values = _values_at_nodes(coeffs[None], degrees)
+    return coeffs[None], _read_only(values), _read_only(corner.reshape(-1)), degrees
 
 
 @lru_cache(maxsize=64)
@@ -706,7 +706,8 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     stopped, and iterations sums the NNLS iterations of all its solves.
     InfeasibleError means the node values alone admit no solution, or the
     rows of every partition tried did not; SolverError means the first solve
-    that admitted a fit failed its KKT check.
+    that admitted a fit failed its KKT check; DomainError means the Bernstein
+    coefficients overflow on a constraint's region.
     """
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)

@@ -22,7 +22,7 @@ from shapeguard import (
     parse_constraints,
     scale_unit,
 )
-from shapeguard.poly import _bernstein, _gamma, _term_table, _to_bernstein
+from shapeguard.poly import _bernstein_matrix, _first_box, _gamma, _terms
 
 
 def region1d(lo=-1.0, hi=1.0):
@@ -213,62 +213,94 @@ def test_corpus_fit_witnesses_breach():
     assert violated > 0
 
 
-def exact_bernstein(model, c):
-    """Bernstein coefficients of the model's exact derivative, in rationals."""
-    wrt = c.derivative_tuple(model.variables)
-    lo = [Fraction(c.region[v].lo) for v in model.variables]
-    width = [Fraction(c.region[v].hi) - a for v, a in zip(model.variables, lo)]
+def exact_bernstein(model, wrt, lo, hi):
+    """Bernstein coefficients on the box [lo, hi] of the model's exact
+    wrt-derivative, in rationals, by index."""
     coeffs = {}
     for alpha, a in model.coeffs.items():
-        if all(e >= k for e, k in zip(alpha, wrt)):
-            factor = Fraction(a)
-            for e, k in zip(alpha, wrt):
-                factor *= math.perm(e, k)
+        if a != 0.0 and all(e >= k for e, k in zip(alpha, wrt)):
+            factor = Fraction(a) * math.prod(math.perm(e, k) for e, k in zip(alpha, wrt))
             coeffs[tuple(e - k for e, k in zip(alpha, wrt))] = factor
     degrees = [max((a[i] for a in coeffs), default=0) for i in range(len(lo))]
-    out = {}
-    for m in itertools.product(*(range(d + 1) for d in degrees)):
-        total = Fraction(0)
-        for alpha, a in coeffs.items():
-            # x**j = sum_k C(j, k) lo**(j-k) width**k t**k, and t**k has
-            # Bernstein coefficient C(m, k) / C(d, k) at index m
-            for k in itertools.product(*(range(e + 1) for e in alpha)):
-                term = a
-                for i, (j, ki) in enumerate(zip(alpha, k)):
-                    term *= math.comb(j, ki) * lo[i] ** (j - ki) * width[i] ** ki
-                    term *= Fraction(math.comb(m[i], ki), math.comb(degrees[i], ki))
-                total += term
-        out[m] = total
-    return out
+    # per axis, x**j = sum_k C(j, k) lo**(j-k) width**k t**k, and t**k has
+    # Bernstein coefficient C(m, k) / C(d, k) at index m
+    axes = []
+    for a, b, d in zip(lo, hi, degrees):
+        a, width = Fraction(a), Fraction(b) - Fraction(a)
+        axes.append([[
+            sum(math.comb(j, k) * a ** (j - k) * width**k * Fraction(math.comb(m, k), math.comb(d, k)) for k in range(j + 1))
+            for j in range(d + 1)] for m in range(d + 1)])
+    return {
+        m: sum(c * math.prod(axis[i][j] for axis, i, j in zip(axes, m, alpha)) for alpha, c in coeffs.items())
+        for m in itertools.product(*(range(d + 1) for d in degrees))
+    }
+
+
+def assert_form_encloses_exact(model, wrt, lo, hi):
+    """The first box's coefficients lie within their error bound of the exact
+    rationals; returns them, the bound and the degrees."""
+    coeffs, err, degrees = _first_box(*_terms(model), wrt, tuple(lo), tuple(hi))
+    exact = exact_bernstein(model, wrt, lo, hi)
+    assert err.shape == (1,) and coeffs.shape[1:] == tuple(d + 1 for d in degrees)
+    for m, value in exact.items():
+        assert abs(Fraction(float(coeffs[(0, *m)])) - value) <= Fraction(float(err[0]))
+    return coeffs, err, degrees
 
 
 def test_bernstein_coefficients_enclose_exact_rationals():
     rng = np.random.default_rng(11)
     for _ in range(40):
         model, c = random_case(rng, int(rng.integers(1, 4)))
-        lo = np.array([c.region[v].lo for v in model.variables])
-        hi = np.array([c.region[v].hi for v in model.variables])
-        coeffs, err, _ = _bernstein(*_term_table(model), c.derivative_tuple(model.variables), lo, hi)
-        exact = exact_bernstein(model, c)
-        assert coeffs.shape[1:] == tuple(1 + max(m[i] for m in exact) for i in range(len(lo)))
-        scale = float(np.abs(coeffs).max())
-        assert err[0] <= 1e-12 * (1.0 + scale)  # the bound is not vacuous
-        for m, value in exact.items():
-            assert abs(Fraction(float(coeffs[(0, *m)])) - value) <= Fraction(float(err[0]))
+        lo = [c.region[v].lo for v in model.variables]
+        hi = [c.region[v].hi for v in model.variables]
+        coeffs, err, _ = assert_form_encloses_exact(model, c.derivative_tuple(model.variables), lo, hi)
+        assert err[0] <= 1e-12 * (1.0 + float(np.abs(coeffs).max()))  # the bound is not vacuous
+
+
+def test_error_bound_covers_a_negative_lower_end():
+    # on [lo, hi] with lo < 0 the |lo| matrices' entries reach (|lo| + hi -
+    # lo)**j, not (|lo| + |hi|)**j: a bound from |lo| + |hi| misses this
+    # form's exact coefficient of index 8 by a factor of about 3
+    model = PolyModel(("x",), 8, {(j,): c for j, c in enumerate([
+        1.2511284724790825e-11, 2.307964668705751e-09, 1.8626637473765573e-07, 8.590169221602506e-06,
+        0.0002475990612895676, 0.004567475667216788, 0.05266032174648344, 0.3469386829199763, 1.0])})
+    assert_form_encloses_exact(model, (0,), [-3.038458776175533], [0.14780222632663173])
+
+
+def test_bernstein_forms_near_overflow_enclose_exact_rationals_or_give_up():
+    # a form on a huge box is either finite and sound or not finite at all
+    rng = np.random.default_rng(23)
+    finite = 0
+    for top in [1e60, 1e75, 1e76, 1e77, 1e100, 1e150, 1e154, 1e155, 1e300]:
+        model, c = random_case(rng, 1)
+        model = PolyModel(model.variables, 4, {(4,): 1.0, **model.coeffs})
+        wrt = c.derivative_tuple(model.variables)
+        coeffs, err, _ = _first_box(*_terms(model), wrt, (0.0,), (top,))
+        if np.isfinite(err[0]) and np.isfinite(coeffs).all():
+            finite += 1
+            assert_form_encloses_exact(model, wrt, [0.0], [top])
+        else:
+            entry = certify(model, [ShapeConstraint(c.derivative, c.bound, {"x0": Interval(0.0, top)})]).entries[0]
+            assert (entry.verdict, entry.enclosure) == ("UNDECIDED", Interval.whole())
+    assert 0 < finite < 9
 
 
 def reference_bernstein(model, wrt, lo, hi):
-    """The Bernstein form built from the derivative model, term by term: the
-    oracle for _bernstein, which builds it from the model's term table."""
+    """The Bernstein form built from the derivative model, term by term, and
+    the error bound of that float path: sum(wrt) roundings in the derivative's
+    coefficients, 3d + 2 per matrix entry and d + 1 per mode product."""
     deriv = model.derivative(wrt)
     degrees = [max((a[i] for a in deriv.coeffs), default=0) for i in range(len(lo))]
     dense = np.zeros([d + 1 for d in degrees])
     for alpha, c in deriv.coeffs.items():
         dense[alpha] = c
-    radius = np.abs(lo) + np.abs(hi)
+    radius = np.abs(lo) + (hi - lo)
     magnitude = sum(abs(c) * float(np.prod(radius ** np.array(a))) for a, c in deriv.coeffs.items())
     roundings = sum(wrt) + sum(4 * d + 3 for d in degrees)
-    return _to_bernstein(dense, lo, hi, degrees)[None], _gamma(2 * roundings + 2) * magnitude, degrees
+    for axis, d in enumerate(degrees):
+        matrix = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
+        dense = np.moveaxis(np.tensordot(matrix, dense, axes=(1, axis)), 0, axis)
+    return dense[None], _gamma(2 * roundings + 2) * magnitude, degrees
 
 
 def test_bernstein_form_equals_the_derivative_model_reference():
@@ -291,11 +323,11 @@ def test_bernstein_form_equals_the_derivative_model_reference():
             else:
                 lo[k], hi[k] = sorted(rng.uniform(0.5, 7, size=2))
         wrt = tuple(int(k) for k in rng.integers(0, 3, size=n_vars) * (rng.random(n_vars) < 0.6))
-        coeffs, err, degrees = _bernstein(*_term_table(model), wrt, lo, hi)
+        coeffs, err, degrees = assert_form_encloses_exact(model, wrt, lo.tolist(), hi.tolist())
         ref_coeffs, ref_err, ref_degrees = reference_bernstein(model, wrt, lo, hi)
-        assert np.array_equal(coeffs, ref_coeffs)
-        assert err[0] == ref_err and err.shape == (1,)
-        assert degrees == ref_degrees
+        assert degrees == tuple(ref_degrees)
+        assert err[0] <= 2.0 * ref_err
+        assert np.all(np.abs(coeffs - ref_coeffs) <= err[0] + ref_err)
 
 
 def test_overflowing_bernstein_form_is_undecided_without_warnings():
@@ -313,14 +345,31 @@ def test_overflowing_bernstein_form_is_undecided_without_warnings():
 
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 64, 501])
 def test_undecided_stays_within_box_budget(max_boxes):
-    # f' = 3 (x - 1/3)^2 touches 0 at a non-dyadic point: with tol 0 no box
-    # around it ever closes and no corner breaches
-    model = PolyModel(("x",), 3, {(3,): 1.0, (2,): -1.0, (1,): 1.0 / 3.0})
+    # f = 3x^3 - 3x^2 + x has f' = (3x - 1)^2, which touches 0 at the
+    # non-dyadic x = 1/3: with tol 0 no box around it ever closes and no
+    # corner breaches
+    model = PolyModel(("x",), 3, {(3,): 3.0, (2,): -3.0, (1,): 1.0})
+    exact = {e: Fraction(c) * e for (e,), c in model.coeffs.items()}
+    assert (exact[3], exact[2], exact[1]) == (9, -6, 1)  # f' is (3x - 1)^2 in rationals
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
     entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
     assert entry.verdict == "UNDECIDED"
     assert 1 <= entry.boxes_examined <= max_boxes
     assert_entry_sound(model, cons[0], entry, 2001)
+
+
+def test_violated_witness_of_a_rounded_tangent_is_an_exact_breach():
+    # f = x^3 - x^2 + fl(1/3) x stores fl(1/3) < 1/3, so f' = 3x^2 - 2x +
+    # fl(1/3) dips below 0 near x = 1/3: any VIOLATED witness is a true breach
+    model = PolyModel(("x",), 3, {(3,): 1.0, (2,): -1.0, (1,): 1.0 / 3.0})
+    assert Fraction(1.0 / 3.0) < Fraction(1, 3)
+    cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
+    for max_boxes in [1, 2, 3, 64, 501, 2000, 20000]:
+        entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+        assert entry.verdict in ("UNDECIDED", "VIOLATED")
+        if entry.verdict == "VIOLATED":
+            x = Fraction(entry.worst_point["x"])
+            assert 3 * x**2 - 2 * x + Fraction(1.0 / 3.0) < 0
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,14 +1,17 @@
 """Constrained polynomial least squares: solver oracles and compilation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from shapeguard import (
     Dataset,
+    DomainError,
     InfeasibleError,
     Interval,
+    PolyModel,
     SCPRConfig,
     ShapeConstraint,
     build_design_matrix,
@@ -561,7 +564,7 @@ def test_nnls_from_any_start_set_reaches_the_cold_start_optimum():
 
 
 def test_cached_matrices_are_read_only_and_equal_fresh_ones():
-    from shapeguard.poly import _bernstein_matrix, _split_matrix
+    from shapeguard.poly import _basis, _bernstein_map, _bernstein_matrix, _split_matrix
     from shapeguard.scpr import _node_values, _region_rows
 
     calls = [(_node_values, (d,)) for d in range(7)] + [(_split_matrix, (d,)) for d in range(7)]
@@ -578,6 +581,45 @@ def test_cached_matrices_are_read_only_and_equal_fresh_ones():
     assert degrees == fresh_degrees == (1, 1, 1)
     for a, b in zip(cached, fresh):
         assert np.array_equal(a, b) and not a.flags.writeable
+    for support in [_basis(3, 4), ((3, 0, 2), (0, 0, 0), (1, 1, 2))]:
+        map_args = (support, (1, 0, 2), (0.0, -1.0, 0.0), (1.0, 1.0, 0.5))
+        *cached, degrees = _bernstein_map(*map_args)
+        *fresh, fresh_degrees = _bernstein_map.__wrapped__(*map_args)
+        assert degrees == fresh_degrees
+        for a, b in zip(cached, fresh):
+            assert np.array_equal(a, b) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+
+def test_full_basis_fit_and_certify_share_one_bernstein_map():
+    from shapeguard.poly import _bernstein_map
+    from shapeguard.scpr import _region_rows
+
+    c = ShapeConstraint({"y": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 1.0), "y": Interval(-0.5, 2.0)})
+    basis = monomial_basis(2, 3)
+    model = PolyModel(("x", "y"), 3, dict(zip(basis, np.linspace(1.0, 2.0, len(basis)))))
+    _bernstein_map.cache_clear()
+    _region_rows.__wrapped__(c.derivative_tuple(model.variables), (0.0, -0.5), (1.0, 2.0), 3)
+    assert certify(model, [c]).entries[0].verdict == "CERTIFIED"
+    info = _bernstein_map.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_overflowing_bernstein_rows_raise_domain_error_before_any_solve(monkeypatch, capfd):
+    # the degree-2 Bernstein matrix on [0, 1e308] overflows: the fit must
+    # name the constraint, not hand infinities to LAPACK
+    import shapeguard.scpr as scpr
+
+    monkeypatch.setattr(scpr, "solve_elastic_net", lambda *args, **kwargs: pytest.fail("solved"))
+    x = np.linspace(0.0, 1.0, 30)
+    data = Dataset("d", {"x": x, "y": x**2}, "y")
+    c = ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 1e308)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"constraint 'd1 x in \[0.0, inf\]'.*overflow on x in \[0.0, 1e\+308\]"):
+            fit_constrained(data, SCPRConfig(degree=3), [c])
+    assert capfd.readouterr().err == ""
 
 
 def cold_start_solves(monkeypatch):
