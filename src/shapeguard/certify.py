@@ -23,12 +23,11 @@ an axis left to split, the verdict is UNDECIDED.
 
 The coefficient array of a box has ``prod(d_i + 1)`` entries, where ``d_i``
 is the derivative's highest exponent of variable ``i``.  The first box's are
-``map @ theta``, with error bound ``|theta| @ weights``, for theta the
-model's nonzero coefficients and the cached ``poly._bernstein_map`` of their
-terms, derivative and region (shared with the SCPR fit; it derives the
-rounding count).  When either overflows the verdict is UNDECIDED with
-enclosure (-inf, inf).  The derivative is built as a polynomial only to
-re-evaluate it at a breaching corner.
+the model's nonzero coefficients times ``poly._bernstein_map`` (which derives
+the rounding count), cached for a full basis and shared with the SCPR fit.
+When they or their bound overflow the verdict is UNDECIDED with enclosure
+(-inf, inf).  The derivative is built as a polynomial only to re-evaluate it
+at a breaching corner.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ a box enclose its range there, and those at the vertices of the coefficient
 array are its values at the box's corners (Garloff 1986; Ray & Nataraj
 2009).  De Casteljau's algorithm halves a box.  ``certify``, the SCPR fit and
 ``PolyModel.interval_bound`` all bound polynomials this way, and all take the
-first box's coefficients from one cached linear map per (terms, derivative,
-box), ``_bernstein_map``: a full-basis fit and its certificate share it.
+first box's coefficients from one linear map per (terms, derivative, box),
+``_bernstein_map``.  Maps of a full basis are cached: a fit and the
+certificate of a model with no zero coefficient share them.
 """
 
 from __future__ import annotations
@@ -53,16 +54,8 @@ def monomial_basis(n_vars: int, d: int) -> list[MultiIndex]:
 
 @lru_cache(maxsize=64)
 def _basis(n_vars: int, d: int) -> tuple:
-    out: list[MultiIndex] = []
-    for total in range(d + 1):
-        level = [
-            alpha
-            for alpha in itertools.product(range(total + 1), repeat=n_vars)
-            if sum(alpha) == total
-        ]
-        level.sort(key=_grlex_key)
-        out.extend(level)
-    return tuple(out)
+    powers = itertools.product(range(d + 1), repeat=n_vars)
+    return tuple(sorted((alpha for alpha in powers if sum(alpha) <= d), key=_grlex_key))
 
 
 def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0):
@@ -360,9 +353,11 @@ def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _terms(model: PolyModel) -> tuple:
-    """Exponents (a support for ``_bernstein_map``) and coefficients of the model's nonzero terms."""
+    """Exponents (a support for ``_bernstein_map``) and coefficients of the model's
+    nonzero terms, and whether they are its full basis in basis order, as in most fits."""
     support = tuple(alpha for alpha, c in model.coeffs.items() if c != 0.0)
-    return support, np.array([model.coeffs[alpha] for alpha in support])
+    theta = np.array([model.coeffs[alpha] for alpha in support])
+    return support, theta, support == _basis(len(model.variables), model.degree)
 
 
 @lru_cache(maxsize=256)
@@ -372,35 +367,38 @@ def _bernstein_map(support: tuple, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
     wrt-derivative (``map @ theta``); weights with which ``|theta| @ weights``
     bounds the absolute error of ``map @ theta``; the degree per variable.
 
-    Column j, f_j x**e_j with f_j an exact integer, goes to the Bernstein
-    basis by one mode product per axis, each rounding once, as the column
-    has one nonzero.  A degree-d matrix entry carries at most 3d + 2
-    roundings against the same sum built from |lo|, at most r**k in column
-    k for r = |lo| + (hi - lo).  The product with theta rounds once per live
+    Column j, f_j x**e_j with f_j an exact integer, is f_j times one entry
+    of each axis's Bernstein matrix, multiplied in axis order: one rounding
+    per axis.  A degree-d matrix entry carries at most 3d + 2 roundings
+    against the same sum built from |lo|, at most r**k in column k for
+    r = |lo| + (hi - lo).  The product with theta rounds once per live
     term, in any order, FMA included.  So K = sum(3 d_i + 3) + live terms,
     and weights_j = gamma_{2K+2} |f_j| prod(r**e_j): doubled, plus two, to
     cover rounding the weights and ``|theta| @ weights`` too.  An overflow
     gives non-finite entries, and no warning.  Cached, so read-only.
     """
-    live = [(j, *term) for j, alpha in enumerate(support) if (term := _monomial_derivative(alpha, wrt))]
-    degrees = tuple(max((e[i] for _, _, e in live), default=0) for i in range(len(wrt)))
-    matrix = np.zeros([d + 1 for d in degrees] + [len(support)])
-    weights = np.zeros(len(support))
+    factor = np.array([math.prod(map(math.perm, alpha, wrt)) for alpha in support], dtype=float)
+    # exponents of the derivative, 0 for the terms it loses
+    exponents = (np.array(support, dtype=np.int64).reshape(-1, len(wrt)) - wrt) * (factor != 0.0)[:, None]
+    degrees = tuple(int(d) for d in exponents.max(axis=0, initial=0))
     radius = np.abs(lo) + np.subtract(hi, lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, f, e in live:
-            matrix[e + (j,)] = f
-            weights[j] = f * np.prod(radius ** np.array(e))
+        matrix = factor
         for axis, d in enumerate(degrees):
             step = _bernstein_matrix(lo[axis], hi[axis] - lo[axis], d)
-            matrix = np.moveaxis(np.tensordot(step, matrix, axes=(1, axis)), 0, axis)
-        weights *= _gamma(2 * (sum(3 * d + 3 for d in degrees) + len(live)) + 2)
-    return _read_only(matrix), _read_only(weights), degrees
+            matrix = matrix[..., None, :] * step[:, exponents[:, axis]]
+        weights = factor * np.prod(radius ** exponents, axis=1)
+        weights *= _gamma(2 * (sum(3 * d + 3 for d in degrees) + np.count_nonzero(factor)) + 2)
+    # + 0.0 turns the -0.0 of a product with a zero into 0.0, as a sum would
+    return _read_only(matrix + 0.0), _read_only(weights), degrees
 
 
-def _first_box(support: tuple, theta: np.ndarray, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
+def _first_box(support: tuple, theta: np.ndarray, shared: bool, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
     """One box of Bernstein coefficients on [lo, hi] of the wrt-derivative of
-    sum theta_j x**alpha_j, its error bound and degrees; non-finite on overflow."""
-    matrix, weights, degrees = _bernstein_map(support, wrt, lo, hi)
+    sum theta_j x**alpha_j (``_terms``), its error bound and degrees;
+    non-finite on overflow.  Only a full basis, which fits share and which
+    recurs across them, keeps its map in the cache."""
+    build = _bernstein_map if shared else _bernstein_map.__wrapped__
+    matrix, weights, degrees = build(support, wrt, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
         return (matrix @ theta)[None], np.array([np.abs(theta) @ weights]), degrees

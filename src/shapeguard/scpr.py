@@ -42,8 +42,9 @@ that bound the same round's inner one (Bro & De Jong, *J. Chemometrics*
 1997).  A box keeps its node values, so a round builds rows only for the
 children of the boxes it split.  All of this lives in the fit and goes when
 it returns.  Only pure matrices are cached across fits, read-only: the
-node, split and Bernstein matrices, ``poly._bernstein_map`` (which certify
-shares) and a constraint's whole-region rows, keyed by degree and box.
+node, split and Bernstein matrices, ``poly._bernstein_map`` of the full
+basis (which certify shares) and a constraint's whole-region rows, keyed by
+degree and box.
 
 ``compile_constraints`` discretizes constraints on tensor grids instead: its
 rows hold the derivative at sample points only.  No fit calls it; it stays

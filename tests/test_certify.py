@@ -325,6 +325,8 @@ def test_bernstein_form_equals_the_derivative_model_reference():
         wrt = tuple(int(k) for k in rng.integers(0, 3, size=n_vars) * (rng.random(n_vars) < 0.6))
         coeffs, err, degrees = assert_form_encloses_exact(model, wrt, lo.tolist(), hi.tolist())
         ref_coeffs, ref_err, ref_degrees = reference_bernstein(model, wrt, lo, hi)
+        # the map rounds along another path than the reference by design, so
+        # the two agree only within their error bounds, not bit for bit
         assert degrees == tuple(ref_degrees)
         assert err[0] <= 2.0 * ref_err
         assert np.all(np.abs(coeffs - ref_coeffs) <= err[0] + ref_err)

@@ -606,6 +606,28 @@ def test_full_basis_fit_and_certify_share_one_bernstein_map():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
+def test_sparse_or_reordered_supports_are_not_cached():
+    # an elastic-net fit's zero coefficients, or a JSON model's term order,
+    # give a support that recurs across fits only by chance: certify and
+    # interval_bound build its maps without keeping them
+    from shapeguard.poly import _bernstein_map
+
+    c = ShapeConstraint({"y": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 1.0), "y": Interval(0.0, 2.0)})
+    basis = monomial_basis(2, 3)
+    values = np.linspace(1.0, 2.0, len(basis))
+    full = PolyModel(("x", "y"), 3, dict(zip(basis, values)))
+    sparse = PolyModel(("x", "y"), 3, dict(zip(basis, values * (np.arange(len(basis)) % 3 > 0))))
+    reordered = PolyModel(("x", "y"), 3, dict(reversed(list(zip(basis, values)))))
+    _bernstein_map.cache_clear()
+    for model in (sparse, reordered):
+        assert certify(model, [c]).entries[0].verdict == "CERTIFIED"
+        corner = model.evaluate({"x": 1.0, "y": 2.0})
+        assert model.interval_bound(c.region).encloses(Interval(corner, corner))
+    assert _bernstein_map.cache_info().currsize == 0
+    assert certify(full, [c]).to_dict() == certify(reordered, [c]).to_dict()
+    assert _bernstein_map.cache_info().currsize == 1
+
+
 def test_overflowing_bernstein_rows_raise_domain_error_before_any_solve(monkeypatch, capfd):
     # the degree-2 Bernstein matrix on [0, 1e308] overflows: the fit must
     # name the constraint, not hand infinities to LAPACK
