@@ -26,8 +26,9 @@ is the derivative's highest exponent of variable ``i``.  The first box's are
 the model's nonzero coefficients times ``poly._bernstein_map`` (which derives
 the rounding count), cached for a full basis and shared with the SCPR fit.
 When they or their bound overflow the verdict is UNDECIDED with enclosure
-(-inf, inf).  The derivative is built as a polynomial only to re-evaluate it
-at a breaching corner.
+(-inf, inf).  A breaching corner is re-evaluated from the model's terms with
+the float operations of ``model.derivative(wrt).evaluate``, without building
+the derivative as a polynomial.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .constraints import ShapeConstraint
 from .errors import ArityError, ConfigError
 from .intervals import Interval
-from .poly import PolyModel, _first_box, _gamma, _halve, _terms
+from .poly import PolyModel, _derivative_terms, _first_box, _gamma, _halve, _sum_terms, _terms
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
 
@@ -130,10 +131,12 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
         if breach[best] > tol:
             ends = np.array([v[i] > 0 for v, i in zip(vertices, best[1:])])
             point = np.clip(corner[best[0]] + side * ends, lo, hi)
-            point = {v: float(x) for v, x in zip(model.variables, point)}
-            value = model.derivative(wrt).evaluate(point)
+            xs = [float(x) for x in point]
+            point = dict(zip(model.variables, xs))
+            value = _sum_terms(_derivative_terms(model.coeffs, wrt), xs)
             exceed = max(c.bound.lo - value, value - c.bound.hi)
-            if exceed > tol:
+            # a value that overflowed, though the coefficients did not, shows no breach
+            if exceed > tol and math.isfinite(value):
                 verdict, worst, worst_point = "VIOLATED", exceed, point
                 break
         axis = int(np.argmax(side))

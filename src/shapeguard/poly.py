@@ -71,6 +71,27 @@ def _monomial_derivative(alpha: MultiIndex, wrt: MultiIndex, coeff: float = 1.0)
     return coeff, tuple(exponents)
 
 
+def _derivative_terms(coeffs: Mapping, wrt: MultiIndex):
+    """(exponents, coefficient) of each nonzero term of the wrt-derivative of
+    the polynomial with these coefficients, in their order.  Distinct terms
+    differentiate to distinct exponents, so no two of them merge."""
+    for alpha, c in coeffs.items():
+        term = _monomial_derivative(alpha, wrt, c)
+        if term is not None and term[0] != 0.0:
+            yield term[1], term[0]
+
+
+def _sum_terms(terms, xs) -> float:
+    """Sum of c * x**alpha over the (alpha, c) terms, in their order, at the point xs."""
+    total = 0.0
+    for alpha, c in terms:
+        for x, e in zip(xs, alpha):
+            if e:
+                c *= x**e
+        total += c
+    return total
+
+
 def _json_loads(text: str, what: str):
     """json.loads; SchemaError when the text is not JSON."""
     try:
@@ -178,15 +199,7 @@ class PolyModel:
 
     def evaluate(self, point: Mapping) -> float:
         """Sum of coeff * x**alpha at a single point."""
-        xs = self._require(point)
-        total = 0.0
-        for alpha, c in self.coeffs.items():
-            term = c
-            for x, e in zip(xs, alpha):
-                if e:
-                    term *= x**e
-            total += term
-        return total
+        return _sum_terms(self.coeffs.items(), self._require(point))
 
     def evaluate_columns(self, columns: Mapping) -> np.ndarray:
         """Vectorized evaluation over equal-length column arrays."""
@@ -220,11 +233,7 @@ class PolyModel:
         wrt = tuple(int(e) for e in wrt)
         if len(wrt) != len(self.variables):
             raise ArityError("derivative multi-index arity mismatch")
-        coeffs = {}
-        for alpha, c in self.coeffs.items():
-            term = _monomial_derivative(alpha, wrt, c)
-            if term is not None and term[0] != 0.0:
-                coeffs[term[1]] = coeffs.get(term[1], 0.0) + term[0]
+        coeffs = dict(_derivative_terms(self.coeffs, wrt))
         return PolyModel(self.variables, max(self.degree - sum(wrt), 0), coeffs)
 
     def derivative_of_var(self, var: str, order: int = 1) -> "PolyModel":

@@ -10,13 +10,18 @@ material without ever letting it win.
 
 Scoring is a pure function of the tree, so each distinct tree is scored once
 per ``evolve`` call and its result reused by every copy of it; its node count
-is likewise computed once per call.  ``evolve`` groups the constraints into
-a plan once per run: one interval walk per differentiated variable and
-region, at the highest derivative order the constraints on it need.  Walks
-run interval arithmetic on (lo, hi) float pairs, rounded to nearest, and a
-tree's check stops at the first group that is unbounded or out of bounds
-(the interval check of Kronberger et al., Evolutionary Computation 30(1),
-2022).
+is likewise computed once per call.  A tree is scored in three steps: its
+columns are evaluated under one ``np.errstate``; its affine scaling and RMSE
+take each mean as a bare ``np.add.reduce`` over the row count (the bits of
+``ndarray.mean``), against the target's mean and centred copy computed once
+per run; and then the interval check runs on the scaled tree.  ``evolve``
+groups the constraints into a plan once per run: one interval walk per
+differentiated variable and region, at the highest derivative order the
+constraints on it need.  Walks run interval arithmetic on (lo, hi) float
+pairs, rounded to nearest, and a tree's check stops at the first constraint
+that is unbounded or out of bounds (the interval check of Kronberger et al.,
+Evolutionary Computation 30(1), 2022).  A product with the zero interval,
+which most derivative components are, is the zero interval at once.
 
 All randomness comes from one ``random.Random(seed)`` stream, and the draws
 are kept as they are: a run depends only on the seed, and tests pin whole
@@ -129,6 +134,11 @@ def eval_tree(t: tuple, point) -> float:
 
 def eval_tree_columns(t: tuple, columns) -> np.ndarray:
     """Vectorized evaluation; invalid operations produce NaN/inf entries."""
+    with np.errstate(all="ignore"):
+        return _columns(t, columns)
+
+
+def _columns(t: tuple, columns) -> np.ndarray:
     kind = t[0]
     if kind == "const":
         column = next(iter(columns.values()), None)
@@ -141,17 +151,16 @@ def eval_tree_columns(t: tuple, columns) -> np.ndarray:
         except KeyError as exc:
             raise ArityError(f"columns missing variable {exc.args[0]!r}") from exc
     if kind == "neg":
-        return -eval_tree_columns(t[1], columns)
-    a = eval_tree_columns(t[1], columns)
-    b = eval_tree_columns(t[2], columns)
-    with np.errstate(all="ignore"):
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
-        return a / b
+        return -_columns(t[1], columns)
+    a = _columns(t[1], columns)
+    b = _columns(t[2], columns)
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    if kind == "mul":
+        return a * b
+    return a / b
 
 
 def tree_size(t: tuple) -> int:
@@ -250,7 +259,12 @@ def _sub(x, y):
 
 def _mul(x, y):
     (a, b), (c, d) = x, y
-    p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
+    if not (a or b) or not (c or d):  # a zero interval; _mul_ep makes every product +0.0
+        return _ZERO
+    if a and b and c and d:  # no zero endpoint, so _mul_ep is the plain product
+        p = (a * c, a * d, b * c, b * d)
+    else:
+        p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
     return min(p), max(p)
 
 
@@ -324,6 +338,11 @@ def _compile(constraints) -> list:
     ]
 
 
+def _scaled(walk, k: int, a: float, b: float):
+    """Enclosure of a * (k-th component of the walk) + b, with b only for the value."""
+    return _add(_mul(walk[0], (a, a)), (b, b)) if k == 0 else _mul(walk[k], (a, a))
+
+
 def _enclosures(t: tuple, plan, scale):
     """Yield (index, bound lo, bound hi, scaled enclosure or None if unbounded), group by group.
 
@@ -334,10 +353,7 @@ def _enclosures(t: tuple, plan, scale):
     for var, region, order, members in plan:
         try:
             walk = _ieval(t, region, var, order)
-            encs = [
-                _add(_mul(walk[0], (a, a)), (b, b)) if k == 0 else _mul(walk[k], (a, a))
-                for _, _, _, k in members
-            ]
+            encs = [_scaled(walk, k, a, b) for _, _, _, k in members]
         except _UnboundedDerivative:
             encs = [None] * len(members)
         for (i, lo, hi, _), enc in zip(members, encs):
@@ -345,9 +361,22 @@ def _enclosures(t: tuple, plan, scale):
 
 
 def _feasible(t: tuple, plan, scale) -> bool:
-    """Whether the scaled tree meets every constraint of the plan; stops at the first failure."""
-    encs = _enclosures(t, plan, scale)
-    return all(e is not None and lo <= e[0] and e[1] <= hi for _, lo, hi, e in encs)
+    """Whether the scaled tree meets every constraint of the plan; stops at the first failure.
+
+    The verdict of ``check_constraints``: a group whose walk or scaling is
+    unbounded fails all its members.
+    """
+    a, b = float(scale[0]), float(scale[1])
+    try:
+        for var, region, order, members in plan:
+            walk = _ieval(t, region, var, order)
+            for _, lo, hi, k in members:
+                enc = _scaled(walk, k, a, b)
+                if not (lo <= enc[0] and enc[1] <= hi):
+                    return False
+    except _UnboundedDerivative:
+        return False
+    return True
 
 
 def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
@@ -474,31 +503,42 @@ def mutate(t: tuple, rng: random.Random, variables) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _affine_fit(out: np.ndarray, y: np.ndarray):
-    """Least-squares slope/intercept mapping raw outputs onto the target."""
-    if not np.all(np.isfinite(out)):
+# Each mean here is np.add.reduce(x) / n, the same bits as x.mean() without
+# the cost of its Python wrapper.
+def _target(y: np.ndarray):
+    """The target as ``_affine_fit`` and ``_rmse`` take it: (y, y - mean, mean)."""
+    ym = np.add.reduce(y) / len(y)
+    return y, y - ym, float(ym)
+
+
+def _affine_fit(out: np.ndarray, target):
+    """Least-squares slope/intercept mapping raw outputs onto the ``_target``."""
+    if not np.logical_and.reduce(np.isfinite(out)):
         return None
-    om = out.mean()
-    var = float(((out - om) ** 2).mean())
-    ym = y.mean()
+    _, yc, ym = target
+    n = len(out)
+    om = np.add.reduce(out) / n
+    d = out - om
+    var = float(np.add.reduce(d * d) / n)
     if var < 1e-14:
-        return 0.0, float(ym)
-    a = float(((out - om) * (y - ym)).mean() / var)
+        return 0.0, ym
+    a = float(np.add.reduce(d * yc) / n / var)
     return a, float(ym - a * om)
 
 
 def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    r = pred - y
+    return math.sqrt(np.add.reduce(r * r) / len(r))
 
 
-def _evaluate(tree, train_cols, y, plan):
+def _evaluate(tree, train_cols, target, plan):
     """Returns (raw train rmse or None, scale, feasible) under a _compile plan."""
     out = eval_tree_columns(tree, train_cols)
-    scale = _affine_fit(out, y)
+    scale = _affine_fit(out, target)
     if scale is None:
         return None, (1.0, 0.0), False
     a, b = scale
-    err = _rmse(a * out + b, y)
+    err = _rmse(a * out + b, target[0])
     if not math.isfinite(err):
         return None, scale, False
     return err, scale, _feasible(tree, plan, scale)
@@ -541,7 +581,7 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     rng = random.Random(config.seed)
     variables = train.feature_names
     train_cols = {v: train.columns[v] for v in variables}
-    y_train = train.y
+    target = _target(train.y)
     plan = _compile(constraints)
 
     pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
@@ -557,7 +597,7 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         for t in pop:
             result = scored.get(t)
             if result is None:
-                result = scored[t] = _evaluate(t, train_cols, y_train, plan)
+                result = scored[t] = _evaluate(t, train_cols, target, plan)
             evals.append(result)
         feasible_errs = [e for e, _, ok in evals if ok and e is not None]
         worst = max(feasible_errs) if feasible_errs else math.inf

@@ -345,6 +345,20 @@ def test_overflowing_bernstein_form_is_undecided_without_warnings():
     assert (entry.verdict, entry.enclosure) == ("UNDECIDED", Interval.whole())
     assert (entry.worst_violation, entry.worst_point, entry.boxes_examined) == (0.0, None, 1)
 
+
+def test_witness_that_overflows_is_no_witness():
+    # f'' = 6e308 x: its coefficient 6e308 overflows, though its Bernstein
+    # form on [0, 0.01] and its exact values there (at most 6e306) do not
+    model = PolyModel(("x",), 3, {(3,): 1e308})
+    c = ShapeConstraint({"x": 2}, Interval(-1.0, 1.0), region1d(0.0, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = certify(model, [c], max_boxes=64).entries[0]
+    assert entry.verdict == "UNDECIDED"
+    assert (entry.worst_violation, entry.worst_point) == (0.0, None)
+    assert entry.enclosure.lo <= 0.0 and 6e306 <= entry.enclosure.hi < math.inf
+
+
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 64, 501])
 def test_undecided_stays_within_box_budget(max_boxes):
     # f = 3x^3 - 3x^2 + x has f' = (3x - 1)^2, which touches 0 at the

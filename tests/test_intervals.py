@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from shapeguard import DomainError, Interval
-from shapeguard.scsr import _UnboundedDerivative, _add, _div, _mul, _sub
+from shapeguard.scsr import _UnboundedDerivative, _add, _div, _mul, _mul_ep, _sub
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -91,3 +91,30 @@ def test_div_encloses_samples(a, b):
     # directly, since inf - inf would be NaN
     tol = 1e-6 * max([1.0] + [abs(e) for e in res if math.isfinite(e)])
     assert res[0] - tol <= vals.min() and vals.max() <= res[1] + tol
+
+
+def mul_reference(x, y):
+    """_mul as four endpoint products through _mul_ep, with no shortcut."""
+    (a, b), (c, d) = x, y
+    p = (_mul_ep(a, c), _mul_ep(a, d), _mul_ep(b, c), _mul_ep(b, d))
+    return min(p), max(p)
+
+
+endpoint_st = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormal and tiny: products underflow
+    st.floats(allow_nan=False),
+)
+interval_st = st.tuples(endpoint_st, endpoint_st).map(lambda lo_hi: tuple(sorted(lo_hi)))
+
+
+@given(interval_st, interval_st)
+@example((0.0, 0.0), (-math.inf, math.inf))  # a zero interval times the whole line
+@example((-0.0, -0.0), (-2.0, 3.0))
+@example((-0.0, 0.0), (-math.inf, -5e-324))
+@example((1.0, 2.0), (0.0, -0.0))
+@example((-5e-324, 5e-324), (-5e-324, 5e-324))  # every product underflows to a signed zero
+@example((0.0, math.inf), (-math.inf, -0.0))  # zero endpoints, not zero intervals
+def test_mul_matches_four_endpoint_products(x, y):
+    got, want = _mul(x, y), mul_reference(x, y)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))

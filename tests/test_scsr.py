@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -77,6 +78,92 @@ def test_eval_tree_division_by_zero_is_nan():
     vals = eval_tree_columns(t, {"x": np.array([0.0, 2.0])})
     assert math.isinf(vals[0]) or math.isnan(vals[0])
     assert vals[1] == pytest.approx(0.5)
+
+
+def test_eval_tree_columns_suppresses_nested_invalid_operations():
+    x = ("var", "x")
+    zero = ("sub", x, x)
+    t = ("add", ("mul", ("div", x, zero), ("const", 2.0)), ("neg", ("div", zero, zero)))
+    cols = {"x": np.array([-1.0, 0.0, 3.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = eval_tree_columns(t, cols)
+        inner = eval_tree_columns(("div", x, zero), cols)
+    assert np.isnan(vals).all()  # +-inf + NaN, and 0/0
+    assert list(np.isinf(inner)) == [True, False, True] and np.isnan(inner[1])
+
+
+def test_eval_tree_columns_matches_scalar_evaluation_where_finite():
+    rng = random.Random(4)
+    cols = {"x": np.linspace(-2.0, 2.0, 41), "z": np.linspace(3.0, -1.0, 41)}
+    points = [{"x": x, "z": z} for x, z in zip(cols["x"], cols["z"])]
+    compared = 0
+    for _ in range(200):
+        t = random_tree(rng, ["x", "z"], 5)
+        vec = eval_tree_columns(t, cols)
+        scalar = np.array([eval_tree(t, p) for p in points])
+        both = np.isfinite(vec) & np.isfinite(scalar)
+        np.testing.assert_array_equal(vec[both], scalar[both])
+        compared += int(both.sum())
+    assert compared > 200 * 41 // 2
+
+
+def test_eval_tree_columns_constants_and_errors():
+    cols = {"x": np.arange(4.0)}
+    np.testing.assert_array_equal(eval_tree_columns(("const", 2.5), cols), np.full(4, 2.5))
+    np.testing.assert_array_equal(eval_tree_columns(("neg", ("const", 1.0)), cols), np.full(4, -1.0))
+    with pytest.raises(ArityError, match=re.escape("columns missing variable 'z'")):
+        eval_tree_columns(("add", ("var", "x"), ("var", "z")), cols)
+    with pytest.raises(ArityError, match="^no columns to take the row count of a constant from$"):
+        eval_tree_columns(("mul", ("const", 1.0), ("const", 2.0)), {})
+
+
+def affine_fit_reference(out, y):
+    """Least-squares slope/intercept through np.mean, as _affine_fit was first written."""
+    if not np.all(np.isfinite(out)):
+        return None
+    om = out.mean()
+    var = float(((out - om) ** 2).mean())
+    ym = y.mean()
+    if var < 1e-14:
+        return 0.0, float(ym)
+    a = float(((out - om) * (y - ym)).mean() / var)
+    return a, float(ym - a * om)
+
+
+def rmse_reference(pred, y):
+    return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
+def _hex(pair):
+    return None if pair is None else tuple(map(float.hex, pair))
+
+
+# sizes on both sides of numpy's pairwise-summation blocks
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+def test_affine_fit_and_rmse_match_np_mean_formulas(n):
+    rng = np.random.default_rng(n)
+    y = rng.normal(0.5, 0.2, n)
+    outputs = [scale * rng.normal(size=n) + shift for scale in (1e-3, 1.0, 1e3) for shift in (0.0, -7.5)]
+    outputs += [np.full(n, 3.7), 3.7 + 1e-9 * rng.normal(size=n)]  # var < 1e-14
+    for bad in (math.inf, -math.inf, math.nan):
+        out = rng.normal(size=n)
+        out[rng.integers(n)] = bad
+        outputs.append(out)
+    outputs.append(np.where(np.arange(n) % 2, math.inf, -math.inf))  # inf - inf in any sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        target = scsr._target(y)
+        for out in outputs:
+            scale = scsr._affine_fit(out, target)
+            assert _hex(scale) == _hex(affine_fit_reference(out, y))
+            if scale is None:
+                assert not np.isfinite(out).all()
+                continue
+            assert all(type(v) is float for v in scale)
+            pred = scale[0] * out + scale[1]
+            assert scsr._rmse(pred, y).hex() == rmse_reference(pred, y).hex()
+    assert sum(scsr._affine_fit(out, target) is None for out in outputs) == 4
 
 
 def test_tree_structure_helpers():
@@ -280,7 +367,7 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
     train_cols = {"x": tr.columns["x"]}
     plan = scsr._compile(cons)
     for rec in history:
-        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, tr.y, plan)
+        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, scsr._target(tr.y), plan)
         assert feasible == check_constraints(rec.best_tree, cons, scale)[0]
         assert feasible
         assert err == rec.best_train_rmse
@@ -441,8 +528,8 @@ def test_ga_trajectory_is_pinned():
     for rec, (tree, frac, rmse, scale) in zip(history, PINNED_TRAJECTORY, strict=True):
         assert rec.best_tree == tree
         assert rec.feasible_fraction == frac
-        assert rec.best_train_rmse == pytest.approx(rmse, rel=1e-12, abs=0)
-        assert rec.best_scale == pytest.approx(scale, rel=1e-12, abs=0)
+        assert rec.best_train_rmse == rmse
+        assert rec.best_scale == scale
 
 
 def tournament_oracle(rng, fitness, k):
@@ -511,6 +598,6 @@ def test_converged_ga_run_is_pinned(index):
     history = evolve(scaled, config, spec.constraints)
     tree, rmse, scale, feasible = PINNED_CONVERGED[index]
     assert history[-1].best_tree == tree
-    assert history[-1].best_train_rmse == pytest.approx(rmse, rel=1e-12, abs=0)
-    assert history[-1].best_scale == pytest.approx(scale, rel=1e-12, abs=0)
+    assert history[-1].best_train_rmse == rmse
+    assert history[-1].best_scale == scale
     assert [r.feasible_fraction for r in history] == [n / 150 for n in feasible]
