@@ -11,9 +11,9 @@ coefficients, run level by level over one array of equal-shaped boxes:
 * a vertex coefficient that breaches the bound by more than ``tol`` names a
   corner; if the polynomial re-evaluated there breaches by more than ``tol``
   too, the constraint is VIOLATED with that corner as the witness;
-* every other box is halved along its widest axis of nonzero degree by de
-  Casteljau's algorithm.  The enclosures converge quadratically in the box
-  width.
+* every other box is halved along its widest axis of nonzero degree by
+  ``poly._split``, the de Casteljau step the SCPR fit splits with too.  The
+  enclosures converge quadratically in the box width.
 
 When every box closes the constraint is CERTIFIED.  Each box carries a
 rigorous bound on the floating-point error of its coefficients, so the
@@ -41,7 +41,7 @@ import numpy as np
 from .constraints import ShapeConstraint
 from .errors import ArityError, ConfigError
 from .intervals import Interval
-from .poly import PolyModel, _derivative_terms, _first_box, _gamma, _halve, _sum_terms, _terms
+from .poly import PolyModel, _derivative_terms, _first_box, _frame, _gamma, _split, _sum_terms, _terms
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
 
@@ -105,10 +105,7 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
     coeffs, err, degrees = _first_box(*terms, wrt, lo, hi)
     if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
         return ConstraintCertificate(c, "UNDECIDED", Interval.whole(), 0.0, None, 1)
-    lo, hi = np.array(lo), np.array(hi)
-    vertices = [[0, d] if d else [0] for d in degrees]
-    corner = lo[None]  # lower corner of each box
-    side = np.where(np.array(degrees) > 0, hi - lo, 0.0)  # splittable side lengths
+    corner, side, vertices = _frame(degrees, lo, hi)
     accept_lo, accept_hi = c.bound.lo - tol, c.bound.hi + tol
     hull_lo, hull_hi = math.inf, -math.inf
     boxes = 1
@@ -123,14 +120,13 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
             break
         hull_lo = float(np.min(low[closed], initial=hull_lo))
         hull_hi = float(np.max(high[closed], initial=hull_hi))
-        coeffs, flat, err, corner = coeffs[~closed], flat[~closed], err[~closed], corner[~closed]
-        low, high = low[~closed], high[~closed]
+        coeffs, flat, err, low, high, corner, side = (a[~closed] for a in (coeffs, flat, err, low, high, corner, side))
         vertex = coeffs[np.ix_(range(len(coeffs)), *vertices)]
         breach = np.maximum(c.bound.lo - vertex, vertex - c.bound.hi)
         best = np.unravel_index(int(np.argmax(breach)), breach.shape)
         if breach[best] > tol:
             ends = np.array([v[i] > 0 for v, i in zip(vertices, best[1:])])
-            point = np.clip(corner[best[0]] + side * ends, lo, hi)
+            point = np.clip(corner[best[0]] + side[best[0]] * ends, lo, hi)
             xs = [float(x) for x in point]
             point = dict(zip(model.variables, xs))
             value = _sum_terms(_derivative_terms(model.coeffs, wrt), xs)
@@ -139,18 +135,15 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
             if exceed > tol and math.isfinite(value):
                 verdict, worst, worst_point = "VIOLATED", exceed, point
                 break
-        axis = int(np.argmax(side))
-        if side[axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
+        # the boxes of a level are equal in shape, so all split along one axis
+        axis = int(np.argmax(side[0]))
+        if side[0, axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
             verdict = "UNDECIDED"
             break
+        coeffs, corner, side, parent = _split(coeffs, corner, side, np.ones(len(coeffs), dtype=bool))
         # split rows are exact and stochastic, so the error grows by gamma_{d+1}
         # max|B|; gamma_{d+2} also covers rounding the bound itself
-        err = np.tile(err + _gamma(degrees[axis] + 2) * np.abs(flat).max(axis=1), 2)
-        coeffs = _halve(coeffs, axis)
-        side[axis] /= 2
-        right = corner.copy()
-        right[:, axis] += side[axis]
-        corner = np.concatenate([corner, right])
+        err = (err + _gamma(degrees[axis] + 2) * np.abs(flat).max(axis=1))[parent]
         boxes += len(coeffs)
     enclosure = Interval(float(np.min(low, initial=hull_lo)), float(np.max(high, initial=hull_hi)))
     return ConstraintCertificate(c, verdict, enclosure, worst, worst_point, boxes)

@@ -9,11 +9,12 @@ exponent tuple with earlier variables first (so for (x, y), degree 2 reads
 Bernstein form: a polynomial's coefficients in the tensor Bernstein basis of
 a box enclose its range there, and those at the vertices of the coefficient
 array are its values at the box's corners (Garloff 1986; Ray & Nataraj
-2009).  De Casteljau's algorithm halves a box.  ``certify``, the SCPR fit and
-``PolyModel.interval_bound`` all bound polynomials this way, and all take the
-first box's coefficients from one linear map per (terms, derivative, box),
-``_bernstein_map``.  Maps of a full basis are cached: a fit and the
-certificate of a model with no zero coefficient share them.
+2009).  ``certify``, the SCPR fit and ``PolyModel.interval_bound`` all bound
+polynomials this way, and all take the first box's coefficients from one
+linear map per (terms, derivative, box), ``_bernstein_map``.  Maps of a full
+basis are cached: a fit and the certificate of a model with no zero
+coefficient share them.  ``certify`` and the SCPR fit halve boxes with one
+routine, ``_split`` (de Casteljau's algorithm), which fixes their order.
 """
 
 from __future__ import annotations
@@ -347,18 +348,38 @@ def _split_matrix(d: int) -> np.ndarray:
     return _read_only(np.vstack([binom / 2.0**m, right]))
 
 
-def _halve(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Halve every box along variable ``axis`` by de Casteljau's algorithm.
+def _split(coeffs: np.ndarray, corner: np.ndarray, side: np.ndarray, pick: np.ndarray) -> tuple:
+    """Halve each picked box along its widest side by de Casteljau's algorithm.
 
     ``coeffs`` holds boxes first, then one axis per variable, then any
-    trailing axes.  All left halves come first, in box order, then the right
-    ones: ``certify`` and the SCPR fit share this order.
+    trailing axes; ``corner`` and ``side`` hold each box's lower corner and
+    side lengths, 0 on axes of degree 0 (a picked box needs a positive one).
+    Returns the coefficients, corners, sides and parent's index of the boxes
+    not picked, in their order, then per axis in ascending order of the left
+    halves of the boxes split along it, then of their right halves.
     """
-    d = coeffs.shape[axis + 1] - 1
-    # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
-    halves = np.tensordot(_split_matrix(d), coeffs, axes=(1, axis + 1))
-    halves = halves.reshape(2, d + 1, *halves.shape[1:])
-    return np.moveaxis(halves, 1, axis + 2).reshape(-1, *coeffs.shape[1:])
+    keep = ~pick
+    out = [(coeffs[keep], corner[keep], side[keep], np.flatnonzero(keep))]
+    widest = np.argmax(side, axis=1)
+    for axis in sorted(set(widest[pick].tolist())):
+        sel = np.flatnonzero(pick & (widest == axis))
+        d = coeffs.shape[axis + 1] - 1
+        # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
+        halves = np.tensordot(_split_matrix(d), coeffs[sel], axes=(1, axis + 1))
+        halves = np.moveaxis(halves.reshape(2, d + 1, *halves.shape[1:]), 1, axis + 2)
+        half, right = side[sel].copy(), corner[sel].copy()
+        half[:, axis] /= 2.0
+        right[:, axis] += half[:, axis]
+        out.append((halves.reshape(-1, *coeffs.shape[1:]), np.concatenate([corner[sel], right]),
+                    np.tile(half, (2, 1)), np.tile(sel, 2)))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _frame(degrees, lo, hi) -> tuple:
+    """The first box [lo, hi] as a row of lower corners and one of side lengths
+    (0 on axes of degree 0); per axis, the indices of its corner coefficients."""
+    side = np.where(np.array(degrees) > 0, np.subtract(hi, lo), 0.0)
+    return np.array(lo, dtype=float)[None], side[None], [[0, d] if d else [0] for d in degrees]
 
 
 def _terms(model: PolyModel) -> tuple:

@@ -14,8 +14,9 @@ at the box's corners the nodes' values are the corner coefficients.
 
 Each constraint starts as one box.  Each round solves on the rows of the
 current boxes, then halves, along its widest axis, every box holding a
-binding row that is not a corner value, in the order ``certify`` splits
-them, so ``certify`` re-reads the coefficients the fit bounded.  Refinement
+binding row that is not a corner value.  It splits them with
+``poly._split``, the routine ``certify`` splits with, so ``certify``
+re-reads the coefficients the fit bounded.  Refinement
 stops when the relative gap between the fit's objective and the lower bound
 is at most GAP_TOL, after ``refine_rounds`` rounds, or when the rows would
 number more than MAX_FIT_ROWS.  A round whose solve fails, or whose objective
@@ -70,7 +71,7 @@ from .errors import (
     SolverError,
 )
 from .intervals import Interval
-from .poly import PolyModel, _basis, _bernstein_map, _halve, _monomial_derivative, _read_only, monomial_basis
+from .poly import PolyModel, _basis, _bernstein_map, _frame, _monomial_derivative, _read_only, _split, monomial_basis
 
 __all__ = [
     "SCPRConfig",
@@ -213,6 +214,7 @@ class _Partition:
     bound: Interval
     coeffs: np.ndarray  # (boxes, d_1 + 1, ..., d_n + 1, coefficients of theta)
     values: np.ndarray  # same shape: the values at the nodes of each box
+    lo: np.ndarray  # (boxes, n) lower corners
     side: np.ndarray  # (boxes, n) side lengths, 0 on axes of degree 0
     degrees: list
     corner: np.ndarray  # per coefficient of a box: is it a corner value?
@@ -232,8 +234,7 @@ def _whole_region(constraint, variables, degree: int) -> _Partition:
         box = ", ".join(f"{v} in [{a}, {b}]" for v, a, b in zip(variables, lo, hi))
         raise DomainError(f"constraint {constraint.describe()!r}: its Bernstein coefficients overflow on {box}")
     coeffs, values, corner, degrees = rows
-    side = np.where(np.array(degrees) > 0, np.subtract(hi, lo), 0.0)
-    return _Partition(constraint.bound, coeffs, values, side[None], list(degrees), corner)
+    return _Partition(constraint.bound, coeffs, values, *_frame(degrees, lo, hi)[:2], list(degrees), corner)
 
 
 @lru_cache(maxsize=256)
@@ -246,7 +247,7 @@ def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int):
     if not np.isfinite(coeffs).all():
         return None
     corner = np.zeros(coeffs.shape[:-1], dtype=bool)
-    corner[np.ix_(*[[0, d] if d else [0] for d in degrees])] = True
+    corner[np.ix_(*_frame(degrees, lo, hi)[2])] = True
     values = _values_at_nodes(coeffs[None], degrees)
     return coeffs[None], _read_only(values), _read_only(corner.reshape(-1)), degrees
 
@@ -298,8 +299,7 @@ def _bernstein_system(parts, m):
 
 def _split_boxes(parts, chosen) -> bool:
     """Halve the chosen boxes (one flag per box, parts in order) along their
-    widest axis by de Casteljau's algorithm, the order in which certify
-    splits them.
+    widest axis with ``poly._split``, the routine certify splits with.
 
     Returns False, splitting nothing, when no chosen box has a side to halve
     or the partitions would grow past MAX_FIT_ROWS rows.
@@ -312,21 +312,10 @@ def _split_boxes(parts, chosen) -> bool:
     for part, pick in zip(parts, picks):
         if not pick.any():
             continue
-        children, side = [], [part.side[~pick]]
-        widest = np.argmax(part.side, axis=1)
-        for axis in range(len(part.degrees)):
-            sel = pick & (widest == axis)
-            if not sel.any():
-                continue
-            children.append(_halve(part.coeffs[sel], axis))
-            half = part.side[sel].copy()
-            half[:, axis] /= 2.0
-            side.append(np.tile(half, (2, 1)))
-        children = np.concatenate(children)
+        part.coeffs, part.lo, part.side, parent = _split(part.coeffs, part.lo, part.side, pick)
+        kept = len(parent) - 2 * int(pick.sum())
         # only the children need node values; the other boxes keep theirs
-        part.values = np.concatenate([part.values[~pick], _values_at_nodes(children, part.degrees)])
-        part.coeffs = np.concatenate([part.coeffs[~pick], children])
-        part.side = np.concatenate(side)
+        part.values = np.concatenate([part.values[parent[:kept]], _values_at_nodes(part.coeffs[kept:], part.degrees)])
     return True
 
 

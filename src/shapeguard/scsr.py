@@ -343,23 +343,6 @@ def _scaled(walk, k: int, a: float, b: float):
     return _add(_mul(walk[0], (a, a)), (b, b)) if k == 0 else _mul(walk[k], (a, a))
 
 
-def _enclosures(t: tuple, plan, scale):
-    """Yield (index, bound lo, bound hi, scaled enclosure or None if unbounded), group by group.
-
-    One walk per group at the group's order; a component comes out of the
-    same float operations whatever the walk's order.
-    """
-    a, b = float(scale[0]), float(scale[1])
-    for var, region, order, members in plan:
-        try:
-            walk = _ieval(t, region, var, order)
-            encs = [_scaled(walk, k, a, b) for _, _, _, k in members]
-        except _UnboundedDerivative:
-            encs = [None] * len(members)
-        for (i, lo, hi, _), enc in zip(members, encs):
-            yield i, lo, hi, enc
-
-
 def _feasible(t: tuple, plan, scale) -> bool:
     """Whether the scaled tree meets every constraint of the plan; stops at the first failure.
 
@@ -401,8 +384,16 @@ def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
     """
     constraints = list(constraints)
     enclosures = [None] * len(constraints)
-    for i, _, _, enc in _enclosures(t, _compile(constraints), scale):
-        enclosures[i] = Interval.whole() if enc is None else Interval(*enc)
+    a, b = float(scale[0]), float(scale[1])
+    # a component comes out of the same float operations whatever the walk's order
+    for var, region, order, members in _compile(constraints):
+        try:
+            walk = _ieval(t, region, var, order)
+            encs = [Interval(*_scaled(walk, k, a, b)) for _, _, _, k in members]
+        except _UnboundedDerivative:
+            encs = [Interval.whole()] * len(members)
+        for (i, _, _, _), enc in zip(members, encs):
+            enclosures[i] = enc
     feasible = all(c.bound.encloses(enc) for c, enc in zip(constraints, enclosures))
     return feasible, enclosures
 
@@ -512,7 +503,8 @@ def _target(y: np.ndarray):
 
 
 def _affine_fit(out: np.ndarray, target):
-    """Least-squares slope/intercept mapping raw outputs onto the ``_target``."""
+    """Least-squares slope/intercept mapping raw outputs onto the ``_target``;
+    None when an output or their variance is not finite (``evolve`` silences the overflow)."""
     if not np.logical_and.reduce(np.isfinite(out)):
         return None
     _, yc, ym = target
@@ -520,6 +512,8 @@ def _affine_fit(out: np.ndarray, target):
     om = np.add.reduce(out) / n
     d = out - om
     var = float(np.add.reduce(d * d) / n)
+    if not math.isfinite(var):
+        return None
     if var < 1e-14:
         return 0.0, ym
     a = float(np.add.reduce(d * yc) / n / var)
@@ -594,11 +588,12 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
 
     for gen in range(config.max_generations):
         evals = []
-        for t in pop:
-            result = scored.get(t)
-            if result is None:
-                result = scored[t] = _evaluate(t, train_cols, target, plan)
-            evals.append(result)
+        with np.errstate(all="ignore"):  # _evaluate rejects a tree that overflows
+            for t in pop:
+                result = scored.get(t)
+                if result is None:
+                    result = scored[t] = _evaluate(t, train_cols, target, plan)
+                evals.append(result)
         feasible_errs = [e for e, _, ok in evals if ok and e is not None]
         worst = max(feasible_errs) if feasible_errs else math.inf
         fitness = [e if (ok and e is not None) else worst for e, _, ok in evals]

@@ -22,7 +22,7 @@ from shapeguard import (
     parse_constraints,
     scale_unit,
 )
-from shapeguard.poly import _bernstein_matrix, _first_box, _gamma, _terms
+from shapeguard.poly import _bernstein_matrix, _first_box, _frame, _gamma, _split, _terms
 
 
 def region1d(lo=-1.0, hi=1.0):
@@ -62,6 +62,66 @@ def test_witness_is_the_breaching_corner():
     assert entry.verdict == "VIOLATED"
     assert entry.worst_point == {"x": 0.5}
     assert entry.worst_violation == 0.5
+
+
+def test_certificates_that_split_along_both_axes_are_pinned():
+    # g = (x - 1/2)^2 + (y - 1/2)^2 - 1/16 on [0, 1]^2, and g + 1/16: every
+    # coefficient is exact in binary, and a corner first lands on (1/2, 1/2)
+    # when the second level halves y after the first halved x
+    region = {"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)}
+    terms = {(2, 0): 1.0, (1, 0): -1.0, (0, 2): 1.0, (0, 1): -1.0}
+    dips = PolyModel(("x", "y"), 2, {**terms, (0, 0): 0.4375})
+    touches = PolyModel(("x", "y"), 2, {**terms, (0, 0): 0.5})
+    nonnegative = [ShapeConstraint({}, Interval(0.0, math.inf), region)]
+    entry = certify(dips, nonnegative).entries[0]
+    assert (entry.verdict, entry.boxes_examined) == ("VIOLATED", 7)
+    assert (entry.worst_point, entry.worst_violation) == ({"x": 0.5, "y": 0.5}, 0.0625)
+    entry = certify(touches, nonnegative).entries[0]
+    assert (entry.verdict, entry.boxes_examined, entry.worst_point) == ("CERTIFIED", 7, None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_keeps_boxes_then_halves_picks_along_their_widest_side(seed):
+    # a 2- or 3-variable model without its last variable, which so has degree
+    # 0, on a box whose corners and halvings are exact in binary
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    basis = [alpha for alpha in monomial_basis(n, 4) if alpha[-1] == 0]
+    model = PolyModel(tuple("xyz"[:n]), 4, dict(zip(basis, rng.normal(size=len(basis)))))
+    wrt = (seed // 2,) + (0,) * (n - 1)
+    lo = rng.integers(-8, 0, n) / 4.0
+    hi = lo + rng.integers(1, 12, n) / 4.0
+    terms = _terms(model)
+    coeffs, err, degrees = _first_box(*terms, wrt, tuple(lo), tuple(hi))
+    corner, side, _ = _frame(degrees, tuple(lo), tuple(hi))
+    assert degrees[-1] == 0 and side[0, -1] == 0.0
+    for _ in range(5):
+        pick = rng.random(len(coeffs)) < 0.6
+        split_coeffs, split_corner, split_side, parent = _split(coeffs, corner, side, pick)
+        # the boxes not picked first, unchanged and in order
+        kept = int(np.count_nonzero(~pick))
+        np.testing.assert_array_equal(parent[:kept], np.flatnonzero(~pick))
+        for new, old in ((split_coeffs, coeffs), (split_corner, corner), (split_side, side)):
+            np.testing.assert_array_equal(new[:kept], old[~pick])
+        # then per axis in ascending order the left halves, then the right ones
+        widest = np.argmax(side, axis=1)
+        children = []
+        for axis in range(n):
+            sel = np.flatnonzero(pick & (widest == axis)).tolist()
+            children += [(p, axis, False) for p in sel] + [(p, axis, True) for p in sel]
+        assert parent[kept:].tolist() == [p for p, _, _ in children]
+        for j, (p, axis, right) in enumerate(children, kept):
+            half, lower = side[p].copy(), corner[p].copy()
+            half[axis] /= 2.0
+            lower[axis] += half[axis] if right else 0.0
+            assert split_side[j].tolist() == half.tolist() and split_corner[j].tolist() == lower.tolist()
+        # a child's bound grows by certify's split term, gamma_{d+2} max|B|
+        gamma = np.array([_gamma(degrees[axis] + 2) for axis in widest])
+        err = np.where(pick, err + gamma * np.abs(coeffs).reshape(len(coeffs), -1).max(axis=1), err)[parent]
+        coeffs, corner, side = split_coeffs, split_corner, split_side
+        for box, at, width, bound in zip(coeffs, corner, side, err):
+            direct, direct_err, _ = _first_box(*terms, wrt, tuple(at), tuple(at + width))
+            assert np.all(np.abs(box - direct[0]) <= bound + direct_err[0])
 
 
 def test_touching_extremum_is_certified():

@@ -14,6 +14,7 @@ from shapeguard import (
     PolyModel,
     SCPRConfig,
     ShapeConstraint,
+    SolverError,
     build_design_matrix,
     certify,
     compile_constraints,
@@ -665,6 +666,17 @@ def eq1_dataset(index):
     data = make_corpus(18, 35, seed=0)[index]
     scaled = scale_unit(data, [c for c in data.columns if c != spec.target])
     return scaled, spec
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="the solve leaves a Bernstein row violated")
+@pytest.mark.parametrize("degree, lam", [(5, 1e-5), (6, 1e-6), (6, 1e-5)])
+def test_failing_grid_search_cells_fit_and_certify(degree, lam):
+    # the three grid-search cells that fail: dataset 000's second fold, which
+    # trains on its first 240 rows, with alpha = 1 on a rank-deficient design
+    scaled, spec = eq1_dataset(0)
+    train = scaled.select_rows(np.arange(240))
+    model, _ = fit_constrained(train, SCPRConfig(degree=degree, lam=lam, alpha=1.0), spec.constraints)
+    assert certify(model, spec.constraints).all_certified
 
 
 def test_fit_with_reuse_equals_fit_with_cold_solves(monkeypatch):

@@ -166,6 +166,21 @@ def test_affine_fit_and_rmse_match_np_mean_formulas(n):
     assert sum(scsr._affine_fit(out, target) is None for out in outputs) == 4
 
 
+def test_tree_whose_output_variance_overflows_is_rejected_without_warnings():
+    # x * x on x in [1e150, 2e150] is finite, but the squares of its
+    # deviations from their mean overflow: no slope scales it onto y
+    x = np.linspace(1e150, 2e150, 30)
+    data = Dataset("big", {"x": x, "y": np.linspace(0.0, 1.0, 30)}, "y")
+    square = ("mul", ("var", "x"), ("var", "x"))
+    with np.errstate(all="ignore"):
+        assert scsr._affine_fit(x * x, scsr._target(data.y)) is None
+        assert scsr._evaluate(square, {"x": x}, scsr._target(data.y), []) == (None, (1.0, 0.0), False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        history = evolve(data, GAConfig(population=30, max_generations=5, seed=1))
+    assert all(math.isfinite(r.best_train_rmse) for r in history)
+
+
 def test_tree_structure_helpers():
     assert tree_size(EXAMPLE) == 6
     assert tree_to_infix(EXAMPLE) == "((x * x) + (-0.5))"
