@@ -172,7 +172,7 @@ def _cmd_certify(args) -> int:
         report = run_certification(model, constraints, tol=tol)
     except ConfigError as exc:  # with the default box budget, only the tolerance can be bad
         raise ConfigError(f"--config key 'cert_tol': {exc}") from None
-    _write_report(args.out, "certify", report.to_dict(), seed=args.seed)
+    _write_report(args.out, "certify", report.to_dict())
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")
     return EXIT_OK
@@ -292,10 +292,9 @@ def _cmd_roc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, data=True, spec_required=False, target=True):
-    p.add_argument("--constraints", required=spec_required, help="constraint spec file")
-    if target:
-        p.add_argument("--target", help="target column (default: spec target or last column)")
+def _add_common(p, data=True):
+    p.add_argument("--constraints", help="constraint spec file")
+    p.add_argument("--target", help="target column (default: spec target or last column)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file overriding algorithm defaults")
     p.add_argument("--out", help="JSON report destination")
@@ -328,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify constraints on a saved polynomial model")
     p.add_argument("--model", required=True, help="model JSON file")
-    _add_common(p, data=False, spec_required=True, target=False)  # reads no data
+    # reads no data and has no randomness: no --data, --target or --seed
+    p.add_argument("--constraints", required=True, help="constraint spec file")
+    p.add_argument("--config", help="JSON config file overriding algorithm defaults")
+    p.add_argument("--out", help="JSON report destination")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="classify one dataset as valid/invalid")

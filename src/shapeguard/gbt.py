@@ -356,9 +356,11 @@ def predict_gbt(ensemble: GBTEnsemble, columns) -> np.ndarray:
         raise SchemaError(f"input columns missing for features {missing}")
     if not columns:
         raise SchemaError("no input columns")
-    first = next(iter(columns.values()))
-    n = len(np.atleast_1d(np.asarray(first, dtype=float)))
     cols = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in columns.items()}
+    lengths = {k: len(v) for k, v in cols.items()}
+    if len(set(lengths.values())) > 1:
+        raise SchemaError(f"ragged columns: {lengths}")
+    n = len(next(iter(cols.values())))
     out = np.full(n, ensemble.base_score)
     for tree in ensemble.trees:
         out = out + ensemble.learning_rate * _predict_tree(tree, cols, n)

@@ -256,13 +256,10 @@ class PolyModel:
 
     # -- serialization -------------------------------------------------------
 
-    def sorted_terms(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
-
     def to_json(self) -> str:
         """Canonical JSON: graded-lex terms, 17-significant-digit coefficients."""
         parts = []
-        for alpha, c in self.sorted_terms():
+        for alpha, c in sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0])):
             exps = ", ".join(str(e) for e in alpha)
             parts.append(f'{{"exponents": [{exps}], "coeff": {format(c, ".17g")}}}')
         variables = ", ".join(json.dumps(v) for v in self.variables)

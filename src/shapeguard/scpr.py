@@ -18,10 +18,11 @@ binding row that is not a corner value.  It splits them with
 ``poly._split``, the routine ``certify`` splits with, so ``certify``
 re-reads the coefficients the fit bounded.  Refinement
 stops when the relative gap between the fit's objective and the lower bound
-is at most GAP_TOL, after ``refine_rounds`` rounds, or when the rows would
+is at most GAP_TOL, after REFINE_ROUNDS rounds, or when the rows would
 number more than MAX_FIT_ROWS.  A round whose solve fails, or whose objective
 rises (so the solves are inexact), also stops it, and the fit of the round
-before is kept.  Each solve is of
+before is kept.  These limits, SOLVER_TOL and MAX_ITER are module constants;
+SCPRConfig holds only the model: degree, lam and alpha.  Each solve is of
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
@@ -85,12 +86,17 @@ __all__ = [
 ]
 
 MAX_COMPILED_ROWS = 10**6
-# Bernstein refinement stops at this relative gap between the fit's objective
-# and the lower bound, or before the rows of all boxes number more than
-# MAX_FIT_ROWS (a box has up to 2 prod(d_i + 1) rows, so this bounds memory
-# where a box count would not).
+# When a fit stops.  Bernstein refinement stops at this relative gap between
+# the fit's objective and the lower bound, after REFINE_ROUNDS rounds of box
+# splitting, or before the rows of all boxes number more than MAX_FIT_ROWS (a
+# box has up to 2 prod(d_i + 1) rows, so this bounds memory where a box count
+# would not).  A solve may violate a row by at most SOLVER_TOL, and its NNLS
+# steps number at most MAX_ITER.
 GAP_TOL = 1e-3
+REFINE_ROUNDS = 20
 MAX_FIT_ROWS = 20000
+SOLVER_TOL = 1e-8
+MAX_ITER = 50000
 # A solve passes its KKT check when its stationarity residual is at most
 # KKT_TOL times the largest term of the gradient.  A design of deficient rank
 # weighs its null directions NULL_WEIGHT times its largest singular value.
@@ -100,14 +106,11 @@ NULL_WEIGHT = 1e-5
 
 @dataclass
 class SCPRConfig:
+    """The model a fit searches: polynomial degree and elastic-net lam, alpha."""
+
     degree: int = 3
     lam: float = 0.0
     alpha: float = 0.0
-    # how far a row may be violated, and the NNLS iterations of one solve
-    solver_tol: float = 1e-8
-    max_iter: int = 50000
-    # rounds of Bernstein box splitting after the one-box-per-constraint fit
-    refine_rounds: int = 20
 
     def __post_init__(self):
         if self.degree < 1:
@@ -116,12 +119,6 @@ class SCPRConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.refine_rounds < 0:
-            raise ConfigError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
-        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0.0):
-            raise ConfigError(f"solver_tol must be finite and > 0, got {self.solver_tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -450,7 +447,7 @@ def _factor(E: np.ndarray, f: np.ndarray) -> tuple:
 
 
 def _solve_least_squares(
-    E, f, c, G, h, max_iter, factor=None, start=None
+    E, f, c, G, h, max_iter, factor, start=None
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """min ||E x - f||^2 + c @ x subject to G x >= h.
 
@@ -462,12 +459,12 @@ def _solve_least_squares(
     NULL_WEIGHT * S[0], a ridge that leads to the minimum-norm one, and the
     exact minimizer on the rows that bind there (least squares in the null
     space of those rows, minimum norm again) replaces it when it is feasible
-    and closer to stationary.  ``factor`` is _factor(E, f) when already
-    known, and ``start`` the rows the least-distance NNLS starts from.
+    and closer to stationary.  ``factor`` is _factor(E, f), and ``start``
+    the rows the least-distance NNLS starts from.
     Returns (x, the rows' multipliers, NNLS iterations, whether E has full
     rank).
     """
-    Utf, sv, Vt = factor if factor is not None else _factor(E, f)
+    Utf, sv, Vt = factor
     keep = sv > sv[0] * max(E.shape) * np.finfo(float).eps
     x0 = Vt[keep].T @ (Utf[keep] / sv[keep])
     W = Vt.T / np.where(keep, sv, NULL_WEIGHT * sv[0])
@@ -552,8 +549,8 @@ def solve_elastic_net(
     A: np.ndarray | None = None,
     b: np.ndarray | None = None,
     *,
-    solver_tol: float = 1e-8,
-    max_iter: int = 50000,
+    solver_tol: float = SOLVER_TOL,
+    max_iter: int = MAX_ITER,
     _reuse: _Reuse | None = None,
 ) -> SolveResult:
     """Exact elastic-net QP solver.
@@ -709,17 +706,17 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         # through the module attribute, so wrappers of solve_elastic_net see every solve
         solves.append(solve_elastic_net(
             X, y, config.lam, config.alpha, A, b,
-            solver_tol=config.solver_tol, max_iter=config.max_iter, _reuse=reuse,
+            solver_tol=SOLVER_TOL, max_iter=MAX_ITER, _reuse=reuse,
         ))
         return solves[-1]
 
     def binding(A, b, theta):
-        # a row binds when its slack is within solver_tol, relative to the
+        # a row binds when its slack is within SOLVER_TOL, relative to the
         # size of its terms
-        return A @ theta - b <= config.solver_tol * (1.0 + np.abs(A) @ np.abs(theta))
+        return A @ theta - b <= SOLVER_TOL * (1.0 + np.abs(A) @ np.abs(theta))
 
     best = None  # (inner solve, gap) of the round the fit is taken from
-    for _round in range(config.refine_rounds + 1):
+    for _round in range(REFINE_ROUNDS + 1):
         A, V, b, box, corner = _bernstein_system(parts, X.shape[1])
         try:
             # the previous round's fit meets the children's rows too; start
@@ -747,7 +744,7 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
                 raise
             break  # keep the last round's fit
         chosen = np.bincount(box[split], minlength=sum(len(p.side) for p in parts)) > 0
-        if _round == config.refine_rounds or not _split_boxes(parts, chosen):
+        if _round == REFINE_ROUNDS or not _split_boxes(parts, chosen):
             break
     if best is None:
         raise InfeasibleError(

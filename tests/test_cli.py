@@ -302,6 +302,36 @@ def test_certify_without_constraints_is_a_usage_error(tmp_path):
     assert "--constraints" in proc.stderr
 
 
+def test_certify_takes_no_seed(tmp_path, eq1_path, schema):
+    # certify has no randomness, so a seed would only be copied to the report
+    data, model, rep = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "cert.json"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+    args = ["certify", "--model", str(model), "--constraints", str(eq1_path), "--out", str(rep)]
+    assert_error_line(run(*args, "--seed", "1"), 2)
+    assert run(*args).returncode == 0
+    assert check_report(rep, schema, "certify")["metadata"]["seed"] is None
+
+
+def test_scpr_solver_controls_are_unknown_keys_on_every_surface(tmp_path, small_corpus):
+    # the solver's tolerance, NNLS budget and refinement cap are scpr constants
+    from shapeguard import ConfigError, ValidationConfig, grid_search, synth_generate
+
+    old = {"max_iter": 1, "refine_rounds": 0, "solver_tol": 1e-6}
+    named = "keys: max_iter, refine_rounds, solver_tol"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(old))
+    data = next(small_corpus.glob("*.csv"))
+    proc = run("fit", "--algo", "scpr", "--data", str(data), "--config", str(cfg))
+    assert_error_line(proc, 1)
+    assert f"ConfigError: unknown --config {named}" in proc.stderr
+    with pytest.raises(ConfigError, match=f"unknown algorithm_config {named}"):
+        ValidationConfig(0.05, ["p", "v"], "scpr", old)
+    datasets = [synth_generate("cubic_fig1", s) for s in range(2)]
+    with pytest.raises(ConfigError, match=f"unknown grid cell 1 {named}"):
+        grid_search(datasets, "scpr", [{"degree": 2}, old], folds=2)
+
+
 def test_manifest_entry_without_file_is_a_schema_error(tmp_path, eq1_path):
     corpus_dir = tmp_path / "corpus"
     run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),

@@ -194,6 +194,14 @@ def test_predict_rejects_empty_columns():
         predict_gbt(ens, {})
 
 
+def test_predict_rejects_ragged_columns():
+    # the row count is not taken from one column and the others cut to it
+    d = make_data(50)
+    ens = fit_gbt(d, GBTConfig(n_trees=5))
+    with pytest.raises(SchemaError, match="ragged columns"):
+        predict_gbt(ens, {"a": d.columns["a"][:10], "b": d.columns["b"]})
+
+
 def reference_split(cols, grad, idx, bounds, config):
     """The per-threshold scalar split search, kept as the oracle for _best_splits."""
 

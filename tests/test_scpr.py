@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import shapeguard.scpr as scpr
 from shapeguard import (
     Dataset,
     DomainError,
@@ -335,18 +336,19 @@ def test_exact_solve_detects_inconsistent_rows():
         solve_elastic_net(X, np.zeros(10), 0.0, 0.0, A, b)
 
 
-def test_fit_without_refinement_rounds_is_certified():
+def test_fit_without_refinement_rounds_is_certified(monkeypatch):
     # one Bernstein box and no refinement: the degree-5 fit of a non-monotone
     # target is still monotone on the whole region, with no sampling
+    monkeypatch.setattr(scpr, "REFINE_ROUNDS", 0)
     x = np.linspace(-1.0, 1.0, 41)
     d = Dataset("d", {"x": x, "y": np.sin(3.0 * x)}, "y")
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(-1.0, 1.0)})]
-    model, report = fit_constrained(d, SCPRConfig(degree=5, lam=0.0, refine_rounds=0), cons)
+    model, report = fit_constrained(d, SCPRConfig(degree=5, lam=0.0), cons)
     assert certify(model, cons).all_certified
     assert report.max_sampled_violation <= 1e-8
 
 
-def test_fit_splits_boxes_when_one_box_admits_no_fit():
+def test_fit_splits_boxes_when_one_box_admits_no_fit(monkeypatch):
     # on one box the middle Bernstein coefficient of any admissible quadratic
     # (f'' >= 1.9, 0 <= f <= 1 on [-1, 1]) is negative; halving the box
     # admits x**2, which the data follow exactly
@@ -357,8 +359,10 @@ def test_fit_splits_boxes_when_one_box_admits_no_fit():
         ShapeConstraint({}, Interval(0.0, 1.0), region),
         ShapeConstraint({"x": 2}, Interval(1.9, math.inf), region),
     ]
-    with pytest.raises(InfeasibleError):
-        fit_constrained(d, SCPRConfig(degree=2, refine_rounds=0), cons)
+    with monkeypatch.context() as patch:
+        patch.setattr(scpr, "REFINE_ROUNDS", 0)
+        with pytest.raises(InfeasibleError):
+            fit_constrained(d, SCPRConfig(degree=2), cons)
     model, report = fit_constrained(d, SCPRConfig(degree=2), cons)
     assert report.train_rmse <= 1e-12
     assert certify(model, cons).all_certified
@@ -401,14 +405,17 @@ def test_config_validation():
     ],
 )
 def test_config_rejects_settings_that_break_the_fit(field, value):
-    from shapeguard import ConfigError
+    # lam fails SCPRConfig's range check; the solver's tolerance, iteration
+    # budget and refinement cap are scpr constants, so no setting names them
+    from shapeguard import ConfigError, ValidationConfig
 
     with pytest.raises(ConfigError, match=field):
-        SCPRConfig(**{field: value})
+        ValidationConfig(0.05, ["p"], "scpr", {field: value})
 
 
 def test_config_accepts_the_edge_values():
-    SCPRConfig(refine_rounds=0, solver_tol=1e-300, max_iter=1)
+    SCPRConfig(degree=1, lam=0.0, alpha=0.0)
+    SCPRConfig(lam=1e300, alpha=1.0)
 
 
 def random_constraint(rng, variables, region):
@@ -479,10 +486,13 @@ def test_corpus_fits_certify_every_eq1_constraint(index):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [SCPRConfig(degree=5, lam=0.0), SCPRConfig(degree=6, lam=1e-6, alpha=0.5, refine_rounds=0)],
+    "config, rounds",
+    [
+        pytest.param(SCPRConfig(degree=5, lam=0.0), scpr.REFINE_ROUNDS, id="config0"),
+        pytest.param(SCPRConfig(degree=6, lam=1e-6, alpha=0.5), 0, id="config1"),
+    ],
 )
-def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config):
+def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config, rounds, monkeypatch):
     # seed-0 dataset 000: p and v take 4 levels each, so from degree 4 on the
     # design is rank-deficient; the second DEFAULT_GRID cell adds a 1-norm
     # term, and one box per constraint already makes its solve hard.
@@ -493,8 +503,9 @@ def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config):
     spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
     data = make_corpus(18, 35, seed=0)[0]
     scaled = scale_unit(data, [c for c in data.columns if c != spec.target])
+    monkeypatch.setattr(scpr, "REFINE_ROUNDS", rounds)
     model, report = fit_constrained(scaled, config, spec.constraints)
-    assert report.max_sampled_violation <= config.solver_tol
+    assert report.max_sampled_violation <= scpr.SOLVER_TOL
     assert certify(model, spec.constraints).all_certified
 
 
