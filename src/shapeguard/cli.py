@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .certify import certify as run_certification
 from .constraints import parse_constraints
 from .datasets import load_csv
 from .errors import ConfigError, SchemaError, ShapeguardError
-from .poly import PolyModel, _json_loads, _settings
+from .poly import PolyModel, _json_loads
 from .validation import ALGORITHMS
 
 __all__ = ["main"]
@@ -80,19 +79,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _seeded(args, overrides: dict) -> dict:
-    """--config's settings, with --seed as the seed of a config that has one unless they set it."""
-    has_seed = "seed" in {f.name for f in dc_fields(ALGORITHMS[args.algo].config)}
-    return {**overrides, "seed": overrides.get("seed", args.seed)} if has_seed else overrides
-
-
 def _inputs(args):
     """The spec's constraints, the target column and the --config overrides.
 
     The target is --target, else the spec's target, else None, which
     _load_data reads as the CSV's last column.
     """
-    constraints, target = [], getattr(args, "target", None)
+    constraints, target = [], args.target
     if args.constraints:
         spec = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
         constraints, target = spec.constraints, target or spec.target
@@ -144,7 +137,7 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     constraints, target, overrides = _inputs(args)
     data = _load_data(args.data, target)
-    config = validation_mod._config_from_settings(args.algo, _seeded(args, overrides), "--config")
+    config = validation_mod._config_from_settings(args.algo, overrides, "--config")
     entry = ALGORITHMS[args.algo]
     t0 = time.perf_counter()
     model, predict, fit_info = entry.fit(data, config, constraints)
@@ -157,21 +150,16 @@ def _cmd_fit(args) -> int:
     result = {
         "algorithm": args.algo, "train_rmse": rmse, "fit_report": fit_info, "model_file": model_file
     }
-    _write_report(
-        args.out, "fit", result, seed=args.seed, extra_metadata={"wall_time_seconds": wall}
-    )
+    seed = getattr(config, "seed", None)
+    _write_report(args.out, "fit", result, seed=seed, extra_metadata={"wall_time_seconds": wall})
     print(f"{args.algo} fit on {data.name}: train RMSE {rmse:.6g}")
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    constraints, _, overrides = _inputs(args)
+    constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8")).constraints
     model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    tol = float(_settings("--config", overrides, {"cert_tol": float}).get("cert_tol", 1e-9))
-    try:
-        report = run_certification(model, constraints, tol=tol)
-    except ConfigError as exc:  # with the default box budget, only the tolerance can be bad
-        raise ConfigError(f"--config key 'cert_tol': {exc}") from None
+    report = run_certification(model, constraints)
     _write_report(args.out, "certify", report.to_dict())
     for entry in report.entries:
         print(f"{entry.verdict:10s} {entry.constraint.describe()}")
@@ -180,7 +168,7 @@ def _cmd_certify(args) -> int:
 
 def _validation_config(args, constraints, overrides):
     controlled = [c for c in args.controlled.split(",") if c]
-    algo_config = validation_mod._config_from_settings(args.algo, _seeded(args, overrides), "--config")
+    algo_config = validation_mod._config_from_settings(args.algo, overrides, "--config")
     return validation_mod.ValidationConfig(
         threshold=args.t,
         controlled_variables=controlled,
@@ -197,12 +185,9 @@ def _cmd_validate(args) -> int:
     t0 = time.perf_counter()
     report = validation_mod.validate_dataset(data, config)
     wall = time.perf_counter() - t0
+    seed = getattr(config.algorithm_config, "seed", None)
     _write_report(
-        args.out,
-        "validate",
-        report.to_dict(),
-        seed=args.seed,
-        extra_metadata={"wall_time_seconds": wall},
+        args.out, "validate", report.to_dict(), seed=seed, extra_metadata={"wall_time_seconds": wall}
     )
     print(f"{data.name}: score {report.score:.6g} vs t={args.t:g} -> {report.verdict}")
     return EXIT_OK if report.verdict == "valid" else EXIT_INVALID
@@ -219,6 +204,13 @@ def _load_corpus(data_dir, target):
         for i, entry in enumerate(manifest):
             if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
                 raise SchemaError(f'{manifest_path} entry {i} names no "file": {entry!r}')
+            for key, ok, want in (
+                ("label", entry.get("label") in ("valid", "invalid", None), '"valid", "invalid" or null'),
+                ("name", isinstance(entry.get("name", ""), str), "a string"),
+                ("error_kind", isinstance(entry.get("error_kind"), (str, type(None))), "a string or null"),
+            ):
+                if not ok:
+                    raise SchemaError(f'{manifest_path} entry {i} "{key}" must be {want}: {entry[key]!r}')
             ds = _load_data(data_dir / entry["file"], target)
             ds.name = entry.get("name", entry["file"])
             ds.label = entry.get("label")
@@ -236,17 +228,16 @@ def _cmd_gridsearch(args) -> int:
     constraints, target, overrides = _inputs(args)
     datasets = _load_corpus(args.data_dir, target)
     datasets = [d for d in datasets if d.label in (None, "valid")]
-    fixed = _seeded(args, overrides)  # a grid cell's seed wins
-    grid = fixed.pop("grid", ALGORITHMS[args.algo].grid)
-    validation_mod._config_from_settings(args.algo, fixed, "--config")  # names a bad fixed key
+    grid = overrides.pop("grid", ALGORITHMS[args.algo].grid)
+    validation_mod._config_from_settings(args.algo, overrides, "--config")  # names a bad fixed key
     if not grid:
         raise ConfigError(f"no parameter grid for algorithm {args.algo!r}; set 'grid' in --config")
-    cells = [dict(fixed, **cell) for cell in validation_mod._expand_grid(grid)]
+    cells = [dict(overrides, **cell) for cell in validation_mod._expand_grid(grid)]
     best, table = validation_mod.grid_search(
         datasets, args.algo, cells, folds=args.folds, constraints=constraints
     )
     result = {"best_params": best, "table": table}
-    _write_report(args.out, "gridsearch", result, seed=args.seed)
+    _write_report(args.out, "gridsearch", result)
     if args.csv_out:
         Path(args.csv_out).write_text(
             validation_mod.grid_table_to_csv(table), encoding="utf-8"
@@ -272,7 +263,7 @@ def _cmd_roc(args) -> int:
         "confusion": confusion,
         "reports": [r.to_dict() for r in reports],
     }
-    _write_report(args.out, "roc", result, seed=args.seed)
+    _write_report(args.out, "roc", result, seed=getattr(config.algorithm_config, "seed", None))
     if args.csv_out and curve:
         Path(args.csv_out).write_text(curve.to_csv(), encoding="utf-8")
     failed = [r for r in reports if r.error]
@@ -295,7 +286,6 @@ def _cmd_roc(args) -> int:
 def _add_common(p, data=True):
     p.add_argument("--constraints", help="constraint spec file")
     p.add_argument("--target", help="target column (default: spec target or last column)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file overriding algorithm defaults")
     p.add_argument("--out", help="JSON report destination")
     if data:
@@ -327,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify constraints on a saved polynomial model")
     p.add_argument("--model", required=True, help="model JSON file")
-    # reads no data and has no randomness: no --data, --target or --seed
+    # reads no data, has no randomness and certifies as validate does: no
+    # --data, --target, --seed or --config
     p.add_argument("--constraints", required=True, help="constraint spec file")
-    p.add_argument("--config", help="JSON config file overriding algorithm defaults")
     p.add_argument("--out", help="JSON report destination")
     p.set_defaults(func=_cmd_certify)
 

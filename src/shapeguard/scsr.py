@@ -6,7 +6,11 @@ assigned, each individual's output is affinely rescaled to the target by
 least squares; constraints are then checked on the scaled model by interval
 differentiation, and any violating (or NaN-producing) individual is assigned
 the error of the worst feasible individual, which preserves its genetic
-material without ever letting it win.
+material without ever letting it win.  Breeding is fixed, as in Kronberger
+et al.: parents win tournaments of ``TOURNAMENT_SIZE``, a child is a crossover
+with probability ``CROSSOVER_PROB`` and a mutant with ``MUTATION_PROB``,
+and the ``ELITISM`` best trees pass on unchanged.  ``GAConfig`` sets only the
+population, the generation count, the tree-size bound and the seed.
 
 Scoring is a pure function of the tree, so each distinct tree is scored once
 per ``evolve`` call and its result reused by every copy of it; its node count
@@ -44,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,28 +73,27 @@ __all__ = [
 _BINARY = ("add", "sub", "mul", "div")
 
 
+# The fixed breeding policy.  ELITISM >= 1 carries the run's best tree to
+# the last generation, so the last record's best is the run's best.
+TOURNAMENT_SIZE = 5
+CROSSOVER_PROB = 0.9
+MUTATION_PROB = 0.15
+ELITISM = 1
+
+
 @dataclass
 class GAConfig:
     population: int = 500
     max_generations: int = 100
-    tournament_size: int = 5
-    crossover_prob: float = 0.9
-    mutation_prob: float = 0.15
     max_size: int = 30
     seed: int = 0
-    elitism: int = 1
 
     def __post_init__(self):
         if self.population < 2:
             raise ConfigError("population must be >= 2")
-        for name in ("max_generations", "tournament_size", "max_size"):
+        for name in ("max_generations", "max_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not 0 <= self.elitism <= self.population:
-            raise ConfigError("elitism must lie in [0, population]")
-        for p in (self.crossover_prob, self.mutation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError("probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -563,9 +566,8 @@ def _tournament(rng: random.Random, fitness, k: int) -> int:
 def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationRecord]:
     """Run the GA on ``train``; one GenerationRecord per generation, reproducible from seed.
 
-    The model is the last record's best individual.  With ``elitism >= 1``
-    the elite carries the run's best training fitness to the last
-    generation; with ``elitism=0`` the result is the last generation's best.
+    The model is the last record's best individual: the elite carries the
+    run's best training fitness to the last generation.
     A record's best is feasible unless its ``feasible_fraction`` is 0.
     """
     if train.n_rows == 0:
@@ -614,17 +616,17 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         if gen == config.max_generations - 1:
             break
 
-        new_pop = [pop[i] for i in order[: config.elitism]]
+        new_pop = [pop[i] for i in order[:ELITISM]]
         while len(new_pop) < config.population:
-            p1 = pop[_tournament(rng, fitness, config.tournament_size)]
+            p1 = pop[_tournament(rng, fitness, TOURNAMENT_SIZE)]
             child = p1
-            if rng.random() < config.crossover_prob:
-                p2 = pop[_tournament(rng, fitness, config.tournament_size)]
+            if rng.random() < CROSSOVER_PROB:
+                p2 = pop[_tournament(rng, fitness, TOURNAMENT_SIZE)]
                 if p1 == p2:  # crossover would return p1; draw its point on the known size
                     rng.randrange(sizes[p1])
                 else:
                     child = crossover(p1, p2, rng)
-            if rng.random() < config.mutation_prob:
+            if rng.random() < MUTATION_PROB:
                 child = mutate(child, rng, variables)
             size = sizes.get(child)
             if size is None:

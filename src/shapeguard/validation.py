@@ -188,7 +188,12 @@ def roc(scores, labels) -> RocCurve:
 
 
 def monotone_from_constraints(constraints) -> dict:
-    """Directions usable by GBT: full-space one-sided first-order constraints."""
+    """GBT monotone directions, {feature: +1 or -1}, from ``d1 x >= 0`` and ``d1 x <= 0`` rules.
+
+    Regions are not read: such a rule on any region fixes the direction on
+    the feature's whole axis.  When rules on one feature disagree, the last
+    one wins.  Every other rule is skipped.
+    """
     monotone = {}
     for c in constraints:
         if c.order != 1:

@@ -181,14 +181,10 @@ def test_algo_config_rejects_misspelt_key():
 
 
 def test_algo_config_accepts_cli_keys():
-    from argparse import Namespace
-
-    from shapeguard.cli import _seeded
     from shapeguard.validation import _config_from_settings
 
     assert _config_from_settings("scpr", {"degree": 5}, "--config").degree == 5
-    settings = _seeded(Namespace(algo="scsr", seed=4), {"population": 10})
-    assert _config_from_settings("scsr", settings, "--config").seed == 4
+    assert _config_from_settings("scsr", {"population": 10, "seed": 4}, "--config").seed == 4
 
 
 def test_each_subcommand_rejects_config_keys_it_does_not_read(tmp_path, eq1_path):
@@ -197,13 +193,10 @@ def test_each_subcommand_rejects_config_keys_it_does_not_read(tmp_path, eq1_path
     corpus_dir = tmp_path / "corpus"
     run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
         "--n-valid", "2", "--n-invalid", "1")
-    model = tmp_path / "model.json"
-    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
     data_args = ["--data", str(data), "--constraints", str(eq1_path)]
     dir_args = ["--data-dir", str(corpus_dir), "--constraints", str(eq1_path)]
     cases = [
-        (["certify", "--model", str(model), "--constraints", str(eq1_path)], {"cert_tl": 2.0}),
-        (["certify", "--model", str(model), "--constraints", str(eq1_path)], {"degree": 3}),
+        (["fit", "--algo", "scsr", *data_args], {"degree": 3}),
         (["fit", "--algo", "scpr", *data_args], {"cert_tol": 1e-8}),
         (["fit", "--algo", "gbt", *data_args], {"grid": {"max_depth": [2]}}),
         (["validate", "--algo", "pr", "--t", "0.05", *data_args], {"grid": {"degree": [2]}}),
@@ -238,18 +231,22 @@ def test_gridsearch_applies_seed_to_configs_with_a_seed(tmp_path):
     run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
         "--n-valid", "2", "--n-invalid", "0")
 
-    def sum_rmse(cli_seed, **fixed):
+    def sum_rmse(grid=None, **fixed):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": {"max_generations": [5]}, "population": 20, **fixed}))
+        grid = {"max_generations": [5], **(grid or {})}
+        cfg.write_text(json.dumps({"grid": grid, "population": 20, **fixed}))
         rep = tmp_path / "grid.json"
         proc = run("gridsearch", "--algo", "scsr", "--data-dir", str(corpus_dir),
-                   "--config", str(cfg), "--seed", str(cli_seed), "--out", str(rep))
+                   "--config", str(cfg), "--out", str(rep))
         assert proc.returncode == 0, proc.stderr
-        return json.loads(rep.read_text())["result"]["table"][0]["sum_test_rmse"]
+        report = json.loads(rep.read_text())
+        assert report["metadata"]["seed"] is None  # each row's params hold its seed
+        return report["result"]["table"][0]["sum_test_rmse"]
 
-    assert sum_rmse(1) != sum_rmse(2)
-    # a seed in the config wins over --seed
-    assert sum_rmse(1, seed=2) == sum_rmse(2)
+    # the seed comes from the config alone: a fixed field or a grid cell's, which wins
+    assert sum_rmse(seed=1) != sum_rmse(seed=2)
+    assert sum_rmse() == sum_rmse(seed=0)
+    assert sum_rmse({"seed": [2]}, seed=1) == sum_rmse(seed=2)
 
 
 SMALL_CONFIGS = {
@@ -332,6 +329,68 @@ def test_scpr_solver_controls_are_unknown_keys_on_every_surface(tmp_path, small_
         grid_search(datasets, "scpr", [{"degree": 2}, old], folds=2)
 
 
+def test_ga_breeding_settings_are_unknown_keys_on_every_surface(tmp_path, small_corpus):
+    # the tournament size, crossover and mutation probabilities and elite count are scsr constants
+    from shapeguard import ConfigError, ValidationConfig, grid_search, synth_generate
+
+    old = {"tournament_size": 5, "crossover_prob": 0.9, "mutation_prob": 0.15, "elitism": 1}
+    named = "keys: crossover_prob, elitism, mutation_prob, tournament_size"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(old))
+    data = next(small_corpus.glob("*.csv"))
+    proc = run("fit", "--algo", "scsr", "--data", str(data), "--config", str(cfg))
+    assert_error_line(proc, 1)
+    assert f"ConfigError: unknown --config {named}" in proc.stderr
+    with pytest.raises(ConfigError, match=f"unknown algorithm_config {named}"):
+        ValidationConfig(0.05, ["p", "v"], "scsr", old)
+    datasets = [synth_generate("cubic_fig1", s) for s in range(2)]
+    with pytest.raises(ConfigError, match=f"unknown grid cell 1 {named}"):
+        grid_search(datasets, "scsr", [{"population": 10}, old], folds=2)
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--model", "m.json", "--constraints", "eq1.spec", "--config", "cfg.json"],
+    ["fit", "--algo", "pr", "--data", "d.csv", "--seed", "1"],
+    ["validate", "--algo", "scsr", "--t", "0.05", "--data", "d.csv", "--seed", "1"],
+    ["gridsearch", "--algo", "scsr", "--data-dir", "corpus", "--seed", "1"],
+    ["roc", "--algo", "scsr", "--data-dir", "corpus", "--seed", "1"],
+], ids=["certify-config", "fit-seed", "validate-seed", "gridsearch-seed", "roc-seed"])
+def test_removed_flags_are_usage_errors(tmp_path, args):
+    # certify certifies at validate's defaults; only synth and a config's seed field seed a run
+    proc = run(*args, cwd=tmp_path)
+    assert_error_line(proc, 2)
+    assert f"unrecognized arguments: {args[-2]} {args[-1]}" in proc.stderr
+
+
+def test_metadata_seed_is_the_seed_that_ran(tmp_path, schema):
+    data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
+    cfg.write_text(json.dumps({"population": 10, "max_generations": 2, "seed": 2}))
+    seeds = {}
+    for algo, config in (("scsr", ["--config", str(cfg)]), ("pr", [])):
+        rep = tmp_path / f"{algo}.json"
+        proc = run("fit", "--algo", algo, "--data", str(data), *config, "--out", str(rep))
+        assert proc.returncode == 0, proc.stderr
+        seeds[algo] = check_report(rep, schema, "fit")["metadata"]["seed"]
+    assert seeds == {"scsr": 2, "pr": None}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("label", "Invalid"), ("label", 1), ("name", 7), ("name", None), ("error_kind", ["stuck"]),
+])
+def test_manifest_entry_with_a_bad_field_is_a_schema_error(tmp_path, eq1_path, key, value):
+    corpus_dir = tmp_path / "corpus"
+    run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
+        "--n-valid", "1", "--n-invalid", "1")
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    manifest[1][key] = value
+    (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+    for sub in ("roc", "gridsearch"):
+        proc = run(sub, "--algo", "pr", "--data-dir", str(corpus_dir), "--constraints", str(eq1_path))
+        assert_error_line(proc, 1)
+        assert f'SchemaError: {corpus_dir / "manifest.json"} entry 1 "{key}"' in proc.stderr
+
+
 def test_manifest_entry_without_file_is_a_schema_error(tmp_path, eq1_path):
     corpus_dir = tmp_path / "corpus"
     run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),
@@ -359,24 +418,18 @@ def test_malformed_synth_params_is_a_config_error(tmp_path):
     assert "ConfigError: --params" in proc.stderr
 
 
-@pytest.mark.parametrize("subcommand, algo, config", [
-    ("certify", None, {"cert_tol": "abc"}),
-    ("certify", None, {"cert_tol": None}),
-    ("fit", "scpr", {"degree": "3"}),
-    ("fit", "scpr", {"lam": True}),
-    ("fit", "scsr", {"population": 2.5}),
-    ("fit", "gbt", {"monotone": [1]}),
-])
-def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, subcommand, algo, config):
-    data, model, cfg = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "cfg.json"
+@pytest.mark.parametrize("algo, config", [
+    ("scpr", {"degree": "3"}),
+    ("scpr", {"lam": True}),
+    ("scsr", {"population": 2.5}),
+    ("gbt", {"monotone": [1]}),
+], ids=["fit-scpr-config2", "fit-scpr-config3", "fit-scsr-config4", "fit-gbt-config5"])
+def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, algo, config):
+    data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
     run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
     cfg.write_text(json.dumps(config))
-    if subcommand == "certify":
-        run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
-        args = ["certify", "--model", str(model)]
-    else:
-        args = ["fit", "--algo", algo, "--data", str(data)]
-    proc = run(*args, "--constraints", str(eq1_path), "--config", str(cfg))
+    proc = run("fit", "--algo", algo, "--data", str(data), "--constraints", str(eq1_path),
+               "--config", str(cfg))
     assert_error_line(proc, 1)
     assert f"ConfigError: --config key {next(iter(config))!r}" in proc.stderr
 
@@ -389,17 +442,9 @@ def small_corpus(tmp_path_factory):
     return corpus_dir
 
 
-@pytest.fixture(scope="module")
-def pr_model(tmp_path_factory):
-    folder = tmp_path_factory.mktemp("model")
-    run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(folder / "d.csv"))
-    run("fit", "--algo", "pr", "--data", str(folder / "d.csv"), "--model-out", str(folder / "m.json"))
-    return folder / "m.json"
-
-
 @pytest.mark.parametrize("setting, key", [
-    ({"cert_tol": -1}, "'cert_tol'"),
-    ({"cert_tol": math.inf}, "'cert_tol'"),
+    ({"cert_tol": -1}, "unknown --config keys: cert_tol"),
+    ({"cert_tol": math.inf}, "unknown --config keys: cert_tol"),
     ({"grid": 5}, "grid"),
     ({"grid": {"degree": 3}}, "'degree'"),
     ({"grid": [1]}, "grid"),
@@ -413,7 +458,7 @@ def pr_model(tmp_path_factory):
     ({"outlier_fraction": 2}, "'outlier_fraction'"),
     ({"n": 2.5}, "'n'"),
     ({"n_valid": -2}, "n_valid"),
-    ({"cert_tol": 10**400}, "'cert_tol' is too large for a float"),
+    ({"cert_tol": 10**400}, "unknown --config keys: cert_tol"),
     ({"lam": 10**400}, "'lam' is too large for a float"),
     ({"sigma": 10**400}, "'sigma' is too large for a float"),
     ({"degree": 0}, "degree must be >= 1"),
@@ -424,20 +469,17 @@ def pr_model(tmp_path_factory):
         "n-fraction", "n_valid-negative", "cert_tol-huge", "lam-huge", "sigma-huge", "degree-0",
         "grid-degree-0"])
 def test_bad_setting_is_one_config_error_line_naming_the_key(
-    tmp_path, eq1_path, small_corpus, pr_model, setting, key
+    tmp_path, small_corpus, setting, key
 ):
     (name, value), = setting.items()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(setting))
     out = str(tmp_path / "out")
-    if name == "cert_tol":
-        proc = run("certify", "--model", str(pr_model), "--constraints", str(eq1_path),
-                   "--config", str(cfg))
-    elif name == "grid":
+    if name == "grid":
         proc = run("gridsearch", "--algo", "pr", "--data-dir", str(small_corpus), "--config", str(cfg))
     elif name == "n_valid":
         proc = run("synth", "--kind", "corpus", "--out", out, "--n-valid", str(value))
-    elif name in ("lam", "degree"):
+    elif name in ("lam", "degree", "cert_tol"):  # cert_tol, certify's old setting, is no key
         data = sorted(small_corpus.glob("*.csv"))[0]
         proc = run("fit", "--algo", "pr", "--data", str(data), "--config", str(cfg))
     else:

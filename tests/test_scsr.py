@@ -346,13 +346,16 @@ def test_evolution_recovers_linear_target():
     ],
 )
 def test_gaconfig_rejects_settings_that_break_the_ga(field, kwargs):
+    # max_generations and max_size fail GAConfig's range check; the tournament
+    # size and elite count are scsr constants, so no setting names them
+    from shapeguard import ValidationConfig
+
     with pytest.raises(ConfigError, match=field):
-        GAConfig(**kwargs)
+        ValidationConfig(0.05, ["p"], "scsr", kwargs)
 
 
 def test_gaconfig_accepts_the_edge_values():
-    GAConfig(population=10, max_generations=1, tournament_size=1, max_size=1, elitism=0)
-    GAConfig(population=10, elitism=10)
+    GAConfig(population=2, max_generations=1, max_size=1)
 
 
 def test_evolve_checks_each_distinct_tree_once(monkeypatch):
