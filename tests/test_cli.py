@@ -349,14 +349,13 @@ def test_ga_breeding_settings_are_unknown_keys_on_every_surface(tmp_path, small_
 
 
 @pytest.mark.parametrize("args", [
-    ["certify", "--model", "m.json", "--constraints", "eq1.spec", "--config", "cfg.json"],
     ["fit", "--algo", "pr", "--data", "d.csv", "--seed", "1"],
     ["validate", "--algo", "scsr", "--t", "0.05", "--data", "d.csv", "--seed", "1"],
     ["gridsearch", "--algo", "scsr", "--data-dir", "corpus", "--seed", "1"],
     ["roc", "--algo", "scsr", "--data-dir", "corpus", "--seed", "1"],
-], ids=["certify-config", "fit-seed", "validate-seed", "gridsearch-seed", "roc-seed"])
+], ids=["fit-seed", "validate-seed", "gridsearch-seed", "roc-seed"])
 def test_removed_flags_are_usage_errors(tmp_path, args):
-    # certify certifies at validate's defaults; only synth and a config's seed field seed a run
+    # only synth and a config's seed field seed a run
     proc = run(*args, cwd=tmp_path)
     assert_error_line(proc, 2)
     assert f"unrecognized arguments: {args[-2]} {args[-1]}" in proc.stderr
@@ -418,20 +417,31 @@ def test_malformed_synth_params_is_a_config_error(tmp_path):
     assert "ConfigError: --params" in proc.stderr
 
 
-@pytest.mark.parametrize("algo, config", [
-    ("scpr", {"degree": "3"}),
-    ("scpr", {"lam": True}),
-    ("scsr", {"population": 2.5}),
-    ("gbt", {"monotone": [1]}),
-], ids=["fit-scpr-config2", "fit-scpr-config3", "fit-scsr-config4", "fit-gbt-config5"])
-def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, algo, config):
-    data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+@pytest.mark.parametrize("subcommand, algo, config", [
+    ("certify", None, {"cert_tol": "abc"}),
+    ("certify", None, {"cert_tol": None}),
+    ("fit", "scpr", {"degree": "3"}),
+    ("fit", "scpr", {"lam": True}),
+    ("fit", "scsr", {"population": 2.5}),
+    ("fit", "gbt", {"monotone": [1]}),
+])
+def test_ill_typed_config_value_is_a_config_error(tmp_path, eq1_path, subcommand, algo, config):
+    data, model, cfg = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "cfg.json"
     run("synth", "--kind", "friction_valid", "--seed", "3", "--out", str(data))
     cfg.write_text(json.dumps(config))
-    proc = run("fit", "--algo", algo, "--data", str(data), "--constraints", str(eq1_path),
-               "--config", str(cfg))
-    assert_error_line(proc, 1)
-    assert f"ConfigError: --config key {next(iter(config))!r}" in proc.stderr
+    if subcommand == "certify":
+        run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+        args = ["certify", "--model", str(model)]
+    else:
+        args = ["fit", "--algo", algo, "--data", str(data)]
+    proc = run(*args, "--constraints", str(eq1_path), "--config", str(cfg))
+    if subcommand == "certify":
+        # certify reads no config, so a cert_tol of any type is refused before the model is read
+        assert_error_line(proc, 2)
+        assert f"unrecognized arguments: --config {cfg}" in proc.stderr
+    else:
+        assert_error_line(proc, 1)
+        assert f"ConfigError: --config key {next(iter(config))!r}" in proc.stderr
 
 
 @pytest.fixture(scope="module")
