@@ -140,7 +140,8 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
         if side[0, axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
             verdict = "UNDECIDED"
             break
-        coeffs, corner, side, parent = _split(coeffs, corner, side, np.ones(len(coeffs), dtype=bool))
+        widest = np.broadcast_to(np.arange(side.shape[1]) == axis, side.shape)
+        coeffs, corner, side, parent = _split(coeffs, corner, side, widest)
         # split rows are exact and stochastic, so the error grows by gamma_{d+1}
         # max|B|; gamma_{d+2} also covers rounding the bound itself
         err = (err + _gamma(degrees[axis] + 2) * np.abs(flat).max(axis=1))[parent]

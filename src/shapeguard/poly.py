@@ -345,21 +345,26 @@ def _split_matrix(d: int) -> np.ndarray:
     return _read_only(np.vstack([binom / 2.0**m, right]))
 
 
-def _split(coeffs: np.ndarray, corner: np.ndarray, side: np.ndarray, pick: np.ndarray) -> tuple:
-    """Halve each picked box along its widest side by de Casteljau's algorithm.
+def _split(coeffs: np.ndarray, corner: np.ndarray, side: np.ndarray, axes: np.ndarray) -> tuple:
+    """Halve each box along every axis that its row of ``axes`` flags, by de
+    Casteljau's algorithm: a box flagged on k axes becomes 2**k boxes.
 
     ``coeffs`` holds boxes first, then one axis per variable, then any
     trailing axes; ``corner`` and ``side`` hold each box's lower corner and
-    side lengths, 0 on axes of degree 0 (a picked box needs a positive one).
-    Returns the coefficients, corners, sides and parent's index of the boxes
-    not picked, in their order, then per axis in ascending order of the left
-    halves of the boxes split along it, then of their right halves.
+    side lengths, 0 on axes of degree 0 (a flagged side must be positive);
+    ``axes`` is a boxes x variables mask.  Returns the coefficients, corners,
+    sides and parent's index of the boxes not flagged, in their order, then
+    of the halves: each axis in ascending order moves the boxes it halves to
+    the end, as their left halves followed by their right halves.  With one
+    flag per box this is, per axis, the left halves of the boxes split along
+    it, then their right halves.
     """
-    keep = ~pick
+    keep = ~axes.any(axis=1)
     out = [(coeffs[keep], corner[keep], side[keep], np.flatnonzero(keep))]
-    widest = np.argmax(side, axis=1)
-    for axis in sorted(set(widest[pick].tolist())):
-        sel = np.flatnonzero(pick & (widest == axis))
+    coeffs, corner, side, axes = coeffs[~keep], corner[~keep], side[~keep], axes[~keep]
+    parent = np.flatnonzero(~keep)
+    for axis in np.flatnonzero(axes.any(axis=0)).tolist():
+        sel = axes[:, axis]
         d = coeffs.shape[axis + 1] - 1
         # (left|right, coefficient along axis, box, other axes) -> boxes, lefts first
         halves = np.tensordot(_split_matrix(d), coeffs[sel], axes=(1, axis + 1))
@@ -367,8 +372,12 @@ def _split(coeffs: np.ndarray, corner: np.ndarray, side: np.ndarray, pick: np.nd
         half, right = side[sel].copy(), corner[sel].copy()
         half[:, axis] /= 2.0
         right[:, axis] += half[:, axis]
-        out.append((halves.reshape(-1, *coeffs.shape[1:]), np.concatenate([corner[sel], right]),
-                    np.tile(half, (2, 1)), np.tile(sel, 2)))
+        rest = ~sel
+        coeffs = np.concatenate([coeffs[rest], halves.reshape(-1, *coeffs.shape[1:])])
+        corner = np.concatenate([corner[rest], corner[sel], right])
+        side = np.concatenate([side[rest], half, half])
+        parent, axes = (np.concatenate([a[rest], a[sel], a[sel]]) for a in (parent, axes))
+    out.append((coeffs, corner, side, parent))
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 

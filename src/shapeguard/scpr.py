@@ -13,16 +13,22 @@ box is an outer relaxation, whose optimum is a lower bound on the true one;
 at the box's corners the nodes' values are the corner coefficients.
 
 Each constraint starts as one box.  Each round solves on the rows of the
-current boxes, then halves, along its widest axis, every box holding a
-binding row that is not a corner value.  It splits them with
-``poly._split``, the routine ``certify`` splits with, so ``certify``
-re-reads the coefficients the fit bounded.  Refinement
+current boxes, then halves every box holding a binding row that is not a
+corner value, along every axis on which the index of one of those rows'
+coefficients is interior (0 < i_a < d_a).  Along an axis where they all sit
+at an end, a halving leaves them on the children's faces and cannot tighten
+them (Garloff 1986; Nataraj & Arounassalame, *Int. J. Automation and
+Computing* 2007).  When those halvings would take the rows past
+MAX_FIT_ROWS, each box is halved along its widest such axis only.  It
+splits them with ``poly._split``, the routine ``certify`` splits with, so
+``certify`` re-reads the coefficients the fit bounded.  Refinement
 stops when the relative gap between the fit's objective and the lower bound
-is at most GAP_TOL, after REFINE_ROUNDS rounds, or when the rows would
-number more than MAX_FIT_ROWS.  A round whose solve fails, or whose objective
-rises (so the solves are inexact), also stops it, and the fit of the round
-before is kept.  These limits, SOLVER_TOL and MAX_ITER are module constants;
-SCPRConfig holds only the model: degree, lam and alpha.  Each solve is of
+is at most GAP_TOL, after REFINE_ROUNDS rounds, or when even the single
+halvings would take the rows past MAX_FIT_ROWS.  A round whose solve fails,
+or whose objective rises (so the solves are inexact), also stops it, and the
+fit of the round before is kept.  These limits, SOLVER_TOL and MAX_ITER are
+module constants; SCPRConfig holds only the model: degree, lam and alpha.
+Each solve is of
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
@@ -128,6 +134,7 @@ class FitReport:
     iterations: int
     max_sampled_violation: float
     optimality_gap: float = 0.0
+    rounds: int = 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,11 +221,13 @@ class _Partition:
     lo: np.ndarray  # (boxes, n) lower corners
     side: np.ndarray  # (boxes, n) side lengths, 0 on axes of degree 0
     degrees: list
-    corner: np.ndarray  # per coefficient of a box: is it a corner value?
+    # per coefficient of a box and per axis: is its index there interior,
+    # 0 < i_a < d_a?  A coefficient interior on no axis is a corner value.
+    interior: np.ndarray
 
     @property
     def rows_per_box(self) -> int:
-        return len(self.corner) * int(np.isfinite([self.bound.lo, self.bound.hi]).sum())
+        return len(self.interior) * int(np.isfinite([self.bound.lo, self.bound.hi]).sum())
 
 
 def _whole_region(constraint, variables, degree: int) -> _Partition:
@@ -230,23 +239,24 @@ def _whole_region(constraint, variables, degree: int) -> _Partition:
     if rows is None:
         box = ", ".join(f"{v} in [{a}, {b}]" for v, a, b in zip(variables, lo, hi))
         raise DomainError(f"constraint {constraint.describe()!r}: its Bernstein coefficients overflow on {box}")
-    coeffs, values, corner, degrees = rows
-    return _Partition(constraint.bound, coeffs, values, *_frame(degrees, lo, hi)[:2], list(degrees), corner)
+    coeffs, values, interior, degrees = rows
+    return _Partition(constraint.bound, coeffs, values, *_frame(degrees, lo, hi)[:2], list(degrees), interior)
 
 
 @lru_cache(maxsize=256)
 def _region_rows(dtuple: tuple, lo: tuple, hi: tuple, degree: int):
     """The Bernstein coefficients (``_bernstein_map`` of the full basis) and
     node values, as rows in theta, of the dtuple-derivative of a degree-
-    ``degree`` polynomial on the box [lo, hi]; also each coefficient's corner
-    flag and the degree per axis; None on overflow.  Cached, so read-only."""
+    ``degree`` polynomial on the box [lo, hi]; also each coefficient's
+    interior flags (``_Partition.interior``) and the degree per axis; None on
+    overflow.  Cached, so read-only."""
     coeffs, _, degrees = _bernstein_map(_basis(len(dtuple), degree), dtuple, lo, hi)
     if not np.isfinite(coeffs).all():
         return None
-    corner = np.zeros(coeffs.shape[:-1], dtype=bool)
-    corner[np.ix_(*_frame(degrees, lo, hi)[2])] = True
+    index = np.indices([d + 1 for d in degrees]).reshape(len(degrees), -1).T
+    interior = (index > 0) & (index < degrees)
     values = _values_at_nodes(coeffs[None], degrees)
-    return coeffs[None], _read_only(values), _read_only(corner.reshape(-1)), degrees
+    return coeffs[None], _read_only(values), _read_only(interior), degrees
 
 
 @lru_cache(maxsize=64)
@@ -272,45 +282,61 @@ def _bernstein_system(parts, m):
     Per coefficient the lower-bound row (M, lo) and the upper-bound row
     (-M, -hi), where finite.  Also returns V, whose rows with b bound the
     derivative's value at the matching node of each box (an outer
-    relaxation; corner nodes give the corner coefficients), each row's box,
-    numbered across the partitions, and whether the row bounds a corner value.
+    relaxation; corner nodes give the corner coefficients), and per row its
+    box, numbered across the partitions, and its coefficient, numbered
+    across the partitions' ``interior`` tables stacked in order.
     """
     A, V, b = [np.zeros((0, m))], [np.zeros((0, m))], [np.zeros(0)]
-    box, corner = [np.zeros(0, int)], [np.zeros(0, bool)]
-    first = 0
+    box, coef = [np.zeros(0, int)], [np.zeros(0, int)]
+    first_box = first_coef = 0
     for part in parts:
         M = part.coeffs.reshape(-1, m)
         values = part.values.reshape(-1, m)
-        ids = np.repeat(np.arange(first, first + len(part.side)), len(part.corner))
-        at_corner = np.tile(part.corner, len(part.side))
+        ids = np.repeat(np.arange(first_box, first_box + len(part.side)), len(part.interior))
+        coefs = np.tile(np.arange(first_coef, first_coef + len(part.interior)), len(part.side))
         for sign, bound in ((1.0, part.bound.lo), (-1.0, part.bound.hi)):
             if np.isfinite(bound):
                 A.append(sign * M)
                 V.append(sign * values)
                 b.append(np.full(len(M), sign * bound))
                 box.append(ids)
-                corner.append(at_corner)
-        first += len(part.side)
-    return np.vstack(A), np.vstack(V), np.concatenate(b), np.concatenate(box), np.concatenate(corner)
+                coef.append(coefs)
+        first_box += len(part.side)
+        first_coef += len(part.interior)
+    return np.vstack(A), np.vstack(V), np.concatenate(b), np.concatenate(box), np.concatenate(coef)
 
 
-def _split_boxes(parts, chosen) -> bool:
-    """Halve the chosen boxes (one flag per box, parts in order) along their
-    widest axis with ``poly._split``, the routine certify splits with.
+def _split_boxes(parts, axes) -> bool:
+    """Halve each box along every axis its row of ``axes`` flags (a boxes x
+    variables mask, parts in order) with ``poly._split``, the routine
+    certify splits with.  When that would take the partitions past
+    MAX_FIT_ROWS rows, halve each flagged box along its widest flagged axis
+    only.
 
-    Returns False, splitting nothing, when no chosen box has a side to halve
-    or the partitions would grow past MAX_FIT_ROWS rows.
+    Returns False, splitting nothing, when no box has a flagged side to
+    halve or even the single halvings would pass MAX_FIT_ROWS.
     """
-    picks = np.split(chosen, np.cumsum([len(p.side) for p in parts])[:-1])
-    picks = [pick & (p.side.max(axis=1) > 0.0) for p, pick in zip(parts, picks)]
-    rows = sum((len(p.side) + int(pick.sum())) * p.rows_per_box for p, pick in zip(parts, picks))
-    if not any(pick.any() for pick in picks) or rows > MAX_FIT_ROWS:
+    masks = np.split(axes, np.cumsum([len(p.side) for p in parts])[:-1])
+    masks = [mask & (p.side > 0.0) for p, mask in zip(parts, masks)]
+    if not any(mask.any() for mask in masks):
         return False
-    for part, pick in zip(parts, picks):
-        if not pick.any():
+
+    def rows(masks):
+        # a box halved along k axes becomes 2**k boxes
+        return sum(int((2 ** mask.sum(axis=1)).sum()) * p.rows_per_box for p, mask in zip(parts, masks))
+
+    if rows(masks) > MAX_FIT_ROWS:
+        masks = [
+            mask & (np.where(mask, p.side, 0.0).argmax(axis=1)[:, None] == np.arange(mask.shape[1]))
+            for p, mask in zip(parts, masks)
+        ]
+        if rows(masks) > MAX_FIT_ROWS:
+            return False
+    for part, mask in zip(parts, masks):
+        if not mask.any():
             continue
-        part.coeffs, part.lo, part.side, parent = _split(part.coeffs, part.lo, part.side, pick)
-        kept = len(parent) - 2 * int(pick.sum())
+        part.coeffs, part.lo, part.side, parent = _split(part.coeffs, part.lo, part.side, mask)
+        kept = int(np.count_nonzero(~mask.any(axis=1)))
         # only the children need node values; the other boxes keep theirs
         part.values = np.concatenate([part.values[parent[:kept]], _values_at_nodes(part.coeffs[kept:], part.degrees)])
     return True
@@ -690,7 +716,8 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     unconstrained fit.  The report's max_sampled_violation is the largest
     breach of a Bernstein row, an upper bound on the model's breach,
     optimality_gap is the relative gap to the lower bound when refinement
-    stopped, and iterations sums the NNLS iterations of all its solves.
+    stopped, iterations sums the NNLS iterations of all its solves, and
+    rounds counts the rounds whose rows it solved (1 when it split no box).
     InfeasibleError means the node values alone admit no solution, or the
     rows of every partition tried did not; SolverError means the first solve
     that admitted a fit failed its KKT check; DomainError means the Bernstein
@@ -699,6 +726,10 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
+    # per coefficient, as _bernstein_system numbers them: its interior axes,
+    # and whether it is a corner value
+    interior = np.concatenate([np.zeros((0, len(variables)), dtype=bool)] + [p.interior for p in parts])
+    corner = ~interior.any(axis=1)
     reuse, solves = _Reuse(), []
 
     def solve(A, b, start):
@@ -716,8 +747,9 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         return A @ theta - b <= SOLVER_TOL * (1.0 + np.abs(A) @ np.abs(theta))
 
     best = None  # (inner solve, gap) of the round the fit is taken from
-    for _round in range(REFINE_ROUNDS + 1):
-        A, V, b, box, corner = _bernstein_system(parts, X.shape[1])
+    # rounds counts the rounds run, this one included
+    for rounds in range(1, REFINE_ROUNDS + 2):
+        A, V, b, box, coef = _bernstein_system(parts, X.shape[1])
         try:
             # the previous round's fit meets the children's rows too; start
             # NNLS from those it meets with equality
@@ -727,7 +759,7 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
                 # inexact, and refining further cannot close the gap
                 break
             # with only corner rows binding, the inner optimum is the outer one
-            split = ~corner & binding(A, b, inner.theta)
+            split = ~corner[coef] & binding(A, b, inner.theta)
             gap = 0.0
             if split.any() and inner.objective > 0.0:
                 # V's rows are in A's order, so start from the rows inner bound by
@@ -738,13 +770,16 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
                 break
         except InfeasibleError:
             solve(V, b, None)  # raises when the node values admit no solution
-            split = ~corner
+            split = ~corner[coef]
         except SolverError:
             if best is None:
                 raise
             break  # keep the last round's fit
-        chosen = np.bincount(box[split], minlength=sum(len(p.side) for p in parts)) > 0
-        if _round == REFINE_ROUNDS or not _split_boxes(parts, chosen):
+        # halve each box holding a split row along every axis on which one of
+        # them is interior: on the others a halving keeps them at an end
+        axes = np.zeros((sum(len(p.side) for p in parts), len(variables)), dtype=bool)
+        np.logical_or.at(axes, box[split], interior[coef[split]])
+        if rounds > REFINE_ROUNDS or not _split_boxes(parts, axes):
             break
     if best is None:
         raise InfeasibleError(
@@ -760,4 +795,5 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         iterations=sum(r.iterations for r in solves),
         max_sampled_violation=inner.max_violation,
         optimality_gap=float(gap),
+        rounds=rounds,
     )

@@ -427,8 +427,13 @@ def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationRepor
 def validate_corpus(datasets, config: ValidationConfig):
     """Validate every dataset; failures are recorded per dataset, never fatal.
 
-    Returns (reports, confusion dict, RocCurve or None).
+    Returns (reports, confusion dict, RocCurve or None).  SchemaError names
+    a dataset whose label is not "valid", "invalid" or None, before any fit.
     """
+    datasets = list(datasets)
+    for ds in datasets:
+        if ds.label not in ("valid", "invalid", None):
+            raise SchemaError(f'dataset {ds.name!r}: label must be "valid", "invalid" or None, got {ds.label!r}')
     reports = []
     for ds in datasets:
         try:

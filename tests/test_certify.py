@@ -97,14 +97,16 @@ def test_split_keeps_boxes_then_halves_picks_along_their_widest_side(seed):
     assert degrees[-1] == 0 and side[0, -1] == 0.0
     for _ in range(5):
         pick = rng.random(len(coeffs)) < 0.6
-        split_coeffs, split_corner, split_side, parent = _split(coeffs, corner, side, pick)
+        widest = np.argmax(side, axis=1)
+        # one flag per picked box, on its widest side, as certify passes them
+        axes = pick[:, None] & (widest[:, None] == np.arange(n))
+        split_coeffs, split_corner, split_side, parent = _split(coeffs, corner, side, axes)
         # the boxes not picked first, unchanged and in order
         kept = int(np.count_nonzero(~pick))
         np.testing.assert_array_equal(parent[:kept], np.flatnonzero(~pick))
         for new, old in ((split_coeffs, coeffs), (split_corner, corner), (split_side, side)):
             np.testing.assert_array_equal(new[:kept], old[~pick])
         # then per axis in ascending order the left halves, then the right ones
-        widest = np.argmax(side, axis=1)
         children = []
         for axis in range(n):
             sel = np.flatnonzero(pick & (widest == axis)).tolist()
@@ -118,6 +120,50 @@ def test_split_keeps_boxes_then_halves_picks_along_their_widest_side(seed):
         # a child's bound grows by certify's split term, gamma_{d+2} max|B|
         gamma = np.array([_gamma(degrees[axis] + 2) for axis in widest])
         err = np.where(pick, err + gamma * np.abs(coeffs).reshape(len(coeffs), -1).max(axis=1), err)[parent]
+        coeffs, corner, side = split_coeffs, split_corner, split_side
+        for box, at, width, bound in zip(coeffs, corner, side, err):
+            direct, direct_err, _ = _first_box(*terms, wrt, tuple(at), tuple(at + width))
+            assert np.all(np.abs(box - direct[0]) <= bound + direct_err[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_halves_each_box_along_every_flagged_axis(seed):
+    # a full 2- or 3-variable model on a box whose corners and halvings are
+    # exact in binary; random flags, several per box
+    rng = np.random.default_rng(10 + seed)
+    n = 2 + seed % 2
+    basis = monomial_basis(n, 4)
+    model = PolyModel(tuple("xyz"[:n]), 4, dict(zip(basis, rng.normal(size=len(basis)))))
+    wrt = (seed // 2,) + (0,) * (n - 1)
+    lo = rng.integers(-8, 0, n) / 4.0
+    hi = lo + rng.integers(1, 12, n) / 4.0
+    terms = _terms(model)
+    coeffs, err, degrees = _first_box(*terms, wrt, tuple(lo), tuple(hi))
+    corner, side, _ = _frame(degrees, tuple(lo), tuple(hi))
+    for _ in range(3):
+        axes = rng.random(side.shape) < 0.5
+        split_coeffs, split_corner, split_side, parent = _split(coeffs, corner, side, axes)
+        # reference order: the boxes not flagged, then each axis in ascending
+        # order moves the boxes it halves to the end, lefts before rights
+        kept = [(p, corner[p], side[p], ()) for p in np.flatnonzero(~axes.any(axis=1))]
+        work = [(p, corner[p], side[p], ()) for p in np.flatnonzero(axes.any(axis=1))]
+        for axis in range(n):
+            sel = [w for w in work if axes[w[0], axis]]
+            halves = []
+            for right in (False, True):
+                for p, at, width, done in sel:
+                    half, lower = width.copy(), at.copy()
+                    half[axis] /= 2.0
+                    lower[axis] += half[axis] if right else 0.0
+                    halves.append((p, lower, half, done + (axis,)))
+            work = [w for w in work if not axes[w[0], axis]] + halves
+        expect = kept + work
+        assert parent.tolist() == [p for p, _, _, _ in expect]
+        assert split_corner.tolist() == [at.tolist() for _, at, _, _ in expect]
+        assert split_side.tolist() == [width.tolist() for _, _, width, _ in expect]
+        # each halving adds certify's split term, gamma_{d+2} max|B| of the parent
+        scale = np.abs(coeffs).reshape(len(coeffs), -1).max(axis=1)
+        err = np.array([err[p] + sum(_gamma(degrees[a] + 2) for a in done) * scale[p] for p, _, _, done in expect])
         coeffs, corner, side = split_coeffs, split_corner, split_side
         for box, at, width, bound in zip(coeffs, corner, side, err):
             direct, direct_err, _ = _first_box(*terms, wrt, tuple(at), tuple(at + width))

@@ -690,8 +690,47 @@ def test_failing_grid_search_cells_fit_and_certify(degree, lam):
     assert certify(model, spec.constraints).all_certified
 
 
+def test_stuck_dataset_refines_in_few_rounds():
+    # halving each binding box along every axis on which a binding
+    # coefficient is interior; along the widest axis alone this took 16
+    scaled, spec = eq1_dataset(19)
+    _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
+    assert report.rounds <= 8
+    assert report.optimality_gap <= scpr.GAP_TOL
+
+
+def test_degree_6_fit_on_the_row_budget_keeps_its_gap():
+    # splitting every flagged axis would pass MAX_FIT_ROWS, so the last
+    # rounds halve each box along one flagged axis; stopping there instead
+    # left the gap at 3.88e-3
+    scaled, spec = eq1_dataset(0)
+    _, report = fit_constrained(scaled, SCPRConfig(degree=6, lam=1e-6, alpha=0.0), spec.constraints)
+    assert report.optimality_gap <= 2.42e-3
+
+
+def test_box_is_halved_along_the_narrower_axis_its_binding_coefficient_is_interior_on(monkeypatch):
+    # t = (y - 1/2)**2 + x/2 on [0, 2] x [0, 1] has one negative Bernstein
+    # coefficient, index (0, 1): interior along y only.  Halving x, the
+    # wider side, cannot raise it; halving y admits t itself.
+    x, y = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 9)))
+    d = Dataset("d", {"x": x, "y": y, "t": (y - 0.5) ** 2 + x / 2.0}, "t")
+    cons = [ShapeConstraint({}, Interval(0.0, math.inf), {"x": Interval(0.0, 2.0), "y": Interval(0.0, 1.0)})]
+    sides, split = [], scpr._split
+
+    def record(*args):
+        out = split(*args)
+        sides.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(scpr, "_split", record)
+    model, report = fit_constrained(d, SCPRConfig(degree=2), cons)
+    assert sides == [[[2.0, 0.5], [2.0, 0.5]]]
+    assert report.rounds == 2 and report.train_rmse <= 1e-12
+    assert certify(model, cons).all_certified
+
+
 def test_fit_with_reuse_equals_fit_with_cold_solves(monkeypatch):
-    scaled, spec = eq1_dataset(19)  # stuck: 16 rounds of refinement
+    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds of refinement
     problems = [(scaled, spec.constraints, 3)]
     problems += [(d, cons, degree) for _, d, cons, degree in random_fit_problems()]
     fits = []
@@ -742,7 +781,7 @@ def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(scpr, "solve_elastic_net", probe)
-    scaled, spec = eq1_dataset(19)  # stuck: 16 rounds, an inner and an outer solve each
+    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds, an inner and an outer solve each
     _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(results) > 2
     assert report.iterations == sum(r.iterations for r in results)

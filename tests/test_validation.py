@@ -138,6 +138,22 @@ def test_corpus_records_a_nan_prediction_as_a_failed_dataset(monkeypatch):
     assert (report.score, report.verdict) == (math.inf, "invalid")
 
 
+def test_corpus_rejects_an_unknown_label_before_any_fit(monkeypatch):
+    # "Invalid" is neither label: counted as valid, it made the outlier a
+    # false positive and left three labels, so no ROC curve
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
+    corpus = make_corpus(3, 3, seed=0)
+    corpus[3].label = "Invalid"
+    config = ValidationConfig(
+        threshold=0.05, controlled_variables=["p", "v"], algorithm="scpr",
+        algorithm_config=SCPRConfig(degree=3, lam=1e-6), constraints=list(spec.constraints), target="mu_dyn",
+    )
+    entry = validation.ALGORITHMS["scpr"]
+    monkeypatch.setitem(validation.ALGORITHMS, "scpr", replace(entry, fit=lambda *args: pytest.fail("fitted")))
+    with pytest.raises(SchemaError, match=f"dataset '{corpus[3].name}': label .* got 'Invalid'"):
+        validate_corpus(corpus, config)
+
+
 def test_roc_known_small_case():
     scores = [0.9, 0.8, 0.3, 0.1]
     labels = ["invalid", "invalid", "valid", "valid"]
