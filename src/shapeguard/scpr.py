@@ -38,15 +38,18 @@ solved exactly as least squares with inequalities, reduced to least
 distance programming and NNLS (Lawson & Hanson 1974, ch. 23); the intercept
 is never penalized.  The 1-norm term is linear on each orthant, so orthant
 steps (feature-sign search; Lee, Battle, Raina & Ng, NIPS 2006) solve it with
-the same reduction, and a rank-deficient design gets the minimum-norm
-minimizer.  Every solve ends in a KKT check, and SolverError when it fails.
+the same reduction.  Each monomial the training rows cannot identify, its
+column in the span of the columns kept before it in graded-lex order, is
+fixed at 0, so every solve has full rank.  Every solve ends in a KKT check,
+and SolverError when it fails.
 When the least-distance problem on the rows has no solution, InfeasibleError
 is raised.
 
 A fit reuses what its earlier rounds computed.  Its solves share one scaled
-design and one SVD per set of free columns.  Each round's NNLS starts from
-the rows that bound the round before, and the outer solve from the rows
-that bound the same round's inner one (Bro & De Jong, *J. Chemometrics*
+design, its triangular factor, and one SVD of that factor per set of free
+columns.  Each round's NNLS starts from the rows that bound the round
+before, and the outer solve from the rows that bound the same round's inner
+one (Bro & De Jong, *J. Chemometrics*
 1997).  A box keeps its node values, so a round builds rows only for the
 children of the boxes it split.  All of this lives in the fit and goes when
 it returns.  Only pure matrices are cached across fits, read-only: the
@@ -103,11 +106,13 @@ REFINE_ROUNDS = 20
 MAX_FIT_ROWS = 20000
 SOLVER_TOL = 1e-8
 MAX_ITER = 50000
-# A solve passes its KKT check when its stationarity residual is at most
-# KKT_TOL times the largest term of the gradient.  A design of deficient rank
-# weighs its null directions NULL_WEIGHT times its largest singular value.
+# A solve fixes at 0 each monomial the training rows cannot identify: its
+# unit-norm column's diagonal entry in the R factor of the columns before it
+# is at most RANK_TOL (about sqrt(eps)), so every solve has full rank.  It
+# passes its KKT check when its stationarity residual is at most KKT_TOL
+# times the largest term of the gradient.
+RANK_TOL = 1.5e-8
 KKT_TOL = 1e-9
-NULL_WEIGHT = 1e-5
 
 
 @dataclass
@@ -458,8 +463,9 @@ def _least_distance(
         raise SolverError(f"NNLS did not finish within {max_iter} iterations")
     r = E @ u - f
     # -r[-1] = 1 / (1 + ||z / scale||^2): the rows admit no point within
-    # 1e6 times the distance of the farthest single row
-    if -r[-1] <= 1e-12:
+    # 1e6 times the distance of the farthest single row, or -r[-1] is within
+    # the rounding of the sum it is computed from
+    if -r[-1] <= max(1e-12, 10.0 * np.finfo(float).eps * len(u) * (np.abs(E[-1]) @ u)):
         raise InfeasibleError("the compiled constraint system has no solution")
     mu[~zero] = 2.0 * scale * u / (norms[~zero] * -r[-1])
     return -scale * r[:-1] / r[-1], mu, iterations
@@ -473,61 +479,26 @@ def _factor(E: np.ndarray, f: np.ndarray) -> tuple:
 
 
 def _solve_least_squares(
-    E, f, c, G, h, max_iter, factor, start=None
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """min ||E x - f||^2 + c @ x subject to G x >= h.
+    c, G, h, max_iter, factor, start=None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """min ||E x - f||^2 + c @ x subject to G x >= h, for E of full column rank.
 
     With E = U S V^T, W = V S^-1 and x0 = W (U^T f - W^T c / 2), the
     unconstrained minimizer, the objective is ||z||^2 plus a constant for
     z = S V^T (x - x0), and the rows become G W z >= h - G x0: least
-    distance programming (Lawson & Hanson 1974, ch. 23).  A rank-deficient E
-    has no unique minimizer; its null directions get the singular value
-    NULL_WEIGHT * S[0], a ridge that leads to the minimum-norm one, and the
-    exact minimizer on the rows that bind there (least squares in the null
-    space of those rows, minimum norm again) replaces it when it is feasible
-    and closer to stationary.  ``factor`` is _factor(E, f), and ``start``
-    the rows the least-distance NNLS starts from.
-    Returns (x, the rows' multipliers, NNLS iterations, whether E has full
-    rank).
+    distance programming (Lawson & Hanson 1974, ch. 23).  E has full rank
+    because solve_elastic_net fixes at 0 the columns the rows cannot
+    identify.  ``factor`` is _factor(E, f), and ``start`` the rows the
+    least-distance NNLS starts from.  Returns (x, the rows' multipliers,
+    NNLS iterations).
     """
     Utf, sv, Vt = factor
-    keep = sv > sv[0] * max(E.shape) * np.finfo(float).eps
-    x0 = Vt[keep].T @ (Utf[keep] / sv[keep])
-    W = Vt.T / np.where(keep, sv, NULL_WEIGHT * sv[0])
-    if c.any():
-        x0 = x0 - W @ (W.T @ c) / 2.0
+    W = Vt.T / sv
+    x0 = W @ (Utf - W.T @ c / 2.0)
     if not len(G):
-        return x0, np.zeros(0), 0, bool(keep.all())
+        return x0, np.zeros(0), 0
     z, mu, iterations = _least_distance(G @ W, h - G @ x0, max_iter, start)
-    x = x0 + W @ z
-    if keep.all():
-        return x, mu, iterations, True
-
-    # the exact minimizer on the rows that bind: x = xp + Z q for Z a basis of
-    # their null space and q least squares (minimum norm) in E Z
-    bind = mu > 0.0
-    if not bind.any():
-        return x, mu, iterations, False
-    Ug, sg, Vg = np.linalg.svd(G[bind])
-    rank = int((sg > sg[0] * max(G.shape) * np.finfo(float).eps).sum())
-    xp = Vg[:rank].T @ ((Ug[:, :rank].T @ h[bind]) / sg[:rank])
-    Z = Vg[rank:].T
-    Um, sm, Vm = np.linalg.svd(E @ Z, full_matrices=False)
-    km = sm > sm.max(initial=0.0) * max(E.shape) * np.finfo(float).eps
-    Um, sm, Vm = Um[:, km], sm[km], Vm[km]
-    xp = xp + Z @ (Vm.T @ ((Um.T @ (f - E @ xp) - Vm @ (Z.T @ c) / (2.0 * sm)) / sm))
-    mu_p = np.zeros(len(mu))
-    mu_p[bind], its, _ = _nnls(G[bind].T, 2.0 * E.T @ (E @ xp - f) + c, max_iter - iterations)
-
-    def fault(x, mu):
-        """Row violation and stationarity residual."""
-        return max((h - G @ x).max(), 0.0), np.abs(2.0 * E.T @ (E @ x - f) + c - G.T @ mu).max()
-
-    (v, r), (vp, rp) = fault(x, mu), fault(xp, mu_p)
-    rounding = np.finfo(float).eps * (np.abs(G) @ np.abs(xp) + np.abs(h)).max()
-    if vp <= max(v, rounding) and rp <= r:
-        return xp, mu_p, iterations + its, False
-    return x, mu, iterations + its, False
+    return x0 + W @ z, mu, iterations
 
 
 @dataclass
@@ -535,36 +506,62 @@ class _Reuse:
     """What the solves of one fit share.  fit_constrained makes one and drops
     it when it returns, so nothing in it outlives the fit."""
 
-    scaled: tuple | None = None  # (s, E, f) of the fit's X, y, lam and alpha
+    scaled: tuple | None = None  # _scale of the fit's X, y, lam and alpha
     factors: dict = field(default_factory=dict)  # free-column mask -> _factor
     start: np.ndarray | None = None  # rows of A the next solve's NNLS starts from
     binding: np.ndarray | None = None  # rows of A with mu > 0 in the last solve
 
     def factor(self, free):
-        """_factor of the scaled design's free columns."""
+        """_factor of _scale's small stand-in (R, r), on its free columns."""
         key = free.tobytes()
         if key not in self.factors:
-            _, E, f = self.scaled
-            self.factors[key] = _factor(E[:, free], f)
+            *_, R, r = self.scaled
+            self.factors[key] = _factor(R[:, free], r)
         return self.factors[key]
 
 
 def _scale(X, y, lam, alpha) -> tuple:
-    """Column scales s and the stacked design (E, f) of solve_elastic_net."""
+    """The columns of X that solves keep (``cols``), their scales s, the
+    stacked design (E, f) of solve_elastic_net on them, and (R, r): the same
+    least squares on few rows.
+
+    Columns are scaled to unit norm.  Walking them in graded-lex order, the
+    first column whose diagonal entry in the R factor of [columns, y] is at
+    most RANK_TOL lies in the span of the columns before it on these rows,
+    which therefore cannot identify its monomial.  It is dropped, the kept
+    columns are triangularized again, and the walk goes on (Golub, Klema &
+    Stewart, "Rank degeneracy and least squares problems", 1976).  Lower
+    degrees come first, so the kept model is hierarchical.  R stacks the
+    kept columns' triangular factor on the ridge rows and r is f rotated
+    with it, so ||R x - r||^2 and ||E x - f||^2 differ by a constant.
+    ``cols`` is a slice when every column is kept.  DataError when column 0,
+    the intercept, is zero.
+    """
     n, m = X.shape
     s = np.sqrt((X * X).mean(axis=0))
     s = np.where(s > 1e-12, s, 1.0)
-    E = X / (s * np.sqrt(n))
-    f = y / np.sqrt(n)
+    D = np.column_stack([X / (s * np.sqrt(n)), y / np.sqrt(n)])
+    kept = np.arange(m)
+    R = np.linalg.qr(D, mode="r")
+    while True:
+        diag = np.zeros(len(kept))  # a wide R has no diagonal entry in its last columns
+        diag[: len(R)] = np.abs(np.diagonal(R))[: len(kept)]
+        small = np.flatnonzero(diag <= RANK_TOL)
+        if not len(small):
+            break
+        kept = np.delete(kept, small[0])
+        R = np.linalg.qr(np.delete(R, small[0], axis=1), mode="r")
+    if kept[0] != 0:
+        raise DataError("column 0 of the design, the intercept, is 0")
+    k = len(kept)
+    cols = slice(m) if k == m else kept
+    s, E, f, R, r = s[cols], D[:, cols], D[:, m], R[:k, :k], R[:k, k]
     ridge = lam * (1.0 - alpha)
     if ridge:
-        E = np.vstack([E, np.sqrt(ridge / 2.0) * np.eye(m)[1:] / s])
-        f = np.concatenate([f, np.zeros(m - 1)])
-    if E.shape[0] < m:
-        # zero rows give a wide design's SVD a basis of the whole null space
-        E = np.vstack([E, np.zeros((m - E.shape[0], m))])
-        f = np.concatenate([f, np.zeros(m - len(f))])
-    return s, E, f
+        rows = np.sqrt(ridge / 2.0) * np.eye(k)[1:] / s
+        E, R = np.vstack([E, rows]), np.vstack([R, rows])
+        f, r = np.concatenate([f, np.zeros(k - 1)]), np.concatenate([r, np.zeros(k - 1)])
+    return cols, s, E, f, R, r
 
 
 def solve_elastic_net(
@@ -582,8 +579,10 @@ def solve_elastic_net(
     """Exact elastic-net QP solver.
 
     Column 0 of X (the intercept) is never penalized.  Constraints are
-    A theta >= b; pass A=None for the unconstrained problem.  In columns
-    scaled to unit RMS the objective is ||E phi - f||^2 + sum_j w_j |phi_j|,
+    A theta >= b; pass A=None for the unconstrained problem.  A column the
+    rows of X cannot identify (_scale) is left out, its coefficient fixed at
+    0, so every solve has full rank.  In the kept columns, scaled to unit
+    RMS, the objective is ||E phi - f||^2 + sum_j w_j |phi_j|,
     with E the design stacked with the ridge rows, and every solve is least
     squares with inequalities (_solve_least_squares).  The 1-norm term is
     handled by orthant steps (feature-sign search; Lee, Battle, Raina & Ng,
@@ -597,9 +596,9 @@ def solve_elastic_net(
     1-norm term when the intercept alone cannot meet the rows.  max_iter
     bounds the NNLS iterations of all solves together.
 
-    No result violates a row by more than solver_tol.  A full-rank solve
-    without a 1-norm term is the exact reduction; every other result also
-    passes a KKT check: stationarity within KKT_TOL of the gradient's
+    No result violates a row by more than solver_tol.  A solve without a
+    1-norm term is the exact reduction; one with it also passes a KKT check
+    on the kept columns: stationarity within KKT_TOL of the gradient's
     largest term, every multiplier of the right sign, and a duality gap
     within KKT_TOL of the objective's scale.  SolverError means a check
     failed, NNLS ran out of iterations or the orthant steps came back to a
@@ -609,22 +608,20 @@ def solve_elastic_net(
     design, its factorizations, and the rows NNLS starts from.  Each orthant
     step's NNLS starts from the rows that bound the step before.
     """
-    n, m = X.shape
     if A is None or A.shape[0] == 0:
-        A = np.zeros((0, m))
+        A = np.zeros((0, X.shape[1]))
         b = np.zeros(0)
     k = A.shape[0]
     reuse = _reuse if _reuse is not None else _Reuse()
     if reuse.scaled is None:
         reuse.scaled = _scale(X, y, lam, alpha)
-    s, E, f = reuse.scaled
-    G = A / s
+    cols, s, E, f, _, _ = reuse.scaled
+    m = len(s)  # the kept columns
+    G = A[:, cols] / s
     w = np.zeros(m)
     w[1:] = lam * alpha / s[1:]
     free = np.ones(m, dtype=bool)
-    x, mu, iterations, full_rank = _solve_least_squares(
-        E, f, np.zeros(m), G, b, max_iter, reuse.factor(free), reuse.start
-    )
+    x, mu, iterations = _solve_least_squares(np.zeros(m), G, b, max_iter, reuse.factor(free), reuse.start)
     sign = np.ones(m)
     at_zero = np.zeros(m, dtype=bool)
     if w.any():
@@ -643,8 +640,8 @@ def solve_elastic_net(
             # NNLS starts from the rows that bound the step before
             start = np.concatenate([mu > 0.0, held[free][1:]])
             try:
-                x_free, mu, its, _ = _solve_least_squares(
-                    E[:, free], f, (w * sign)[free], rows,
+                x_free, mu, its = _solve_least_squares(
+                    (w * sign)[free], rows,
                     np.concatenate([b, np.zeros(free.sum() - 1)]), max_iter - iterations,
                     reuse.factor(free), start,
                 )
@@ -669,10 +666,11 @@ def solve_elastic_net(
             free = (free & ~at_zero) | flip | enter
             free[0] = True
     reuse.binding = mu > 0.0
-    theta = x / s
+    theta = np.zeros(X.shape[1])
+    theta[cols] = x / s
     violation = float(max((b - A @ theta).max(initial=-np.inf), 0.0))
     residual = terms = gap = scale = 0.0
-    if w.any() or not full_rank:
+    if w.any():
         # stationarity: each coefficient's multiplier nu for its sign row
         # must be 0, or lie in [0, 2 w_j] for a coefficient at zero
         bind = mu > 0.0

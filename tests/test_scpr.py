@@ -8,6 +8,7 @@ import pytest
 
 import shapeguard.scpr as scpr
 from shapeguard import (
+    DataError,
     Dataset,
     DomainError,
     InfeasibleError,
@@ -15,7 +16,6 @@ from shapeguard import (
     PolyModel,
     SCPRConfig,
     ShapeConstraint,
-    SolverError,
     build_design_matrix,
     certify,
     compile_constraints,
@@ -188,18 +188,29 @@ def test_constrained_elastic_net_meets_kkt(alpha):
     assert at_zero  # premise: coefficients sit at zero
 
 
-def test_rank_deficient_constrained_fit_is_minimum_norm():
-    # Columns 1 and 2 are equal, so the data fix only theta_1 + theta_2, at
-    # the least-squares slope beta.  The row theta_1 - theta_2 >= 1 leaves
-    # that fit open, and the least-norm split that meets it is (beta +- 1) / 2.
+def test_unidentified_column_is_fixed_at_zero():
+    # Columns 1 and 2 are equal, so the data identify only theta_1 + theta_2:
+    # column 2 lies in the span of the columns before it and gets 0.  The
+    # least-squares slope is below 1, so the row theta_1 - theta_2 >= 1 binds
+    # at theta_1 = 1, and the intercept is mean(y) - mean(x).
     rng = np.random.default_rng(12)
     x = rng.uniform(-1.0, 1.0, 30)
     y = 1.0 + 0.3 * x + rng.normal(0.0, 0.1, 30)
-    beta, intercept = np.polyfit(x, y, 1)
     X = np.column_stack([np.ones(30), x, x])
-    res = solve_elastic_net(X, y, 0.0, 0.0, np.array([[0.0, 1.0, -1.0]]), np.array([1.0]))
-    expect = [intercept, (beta + 1.0) / 2.0, (beta - 1.0) / 2.0]
-    np.testing.assert_allclose(res.theta, expect, atol=1e-9)
+    A, b = np.array([[0.0, 1.0, -1.0]]), np.array([1.0])
+    res = solve_elastic_net(X, y, 0.0, 0.0, A, b)
+    assert np.polyfit(x, y, 1)[0] < 1.0  # premise: the row binds
+    assert res.theta[2] == 0.0
+    assert A @ res.theta - b == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(res.theta, [y.mean() - x.mean(), 1.0, 0.0], atol=1e-9)
+
+
+def test_zero_intercept_column_raises_data_error():
+    # column 0 is the unpenalized intercept; the rows cannot identify a zero
+    # column, and fixing the intercept at 0 would penalize column 1 in its place
+    X = np.column_stack([np.zeros(10), np.linspace(0.0, 1.0, 10)])
+    with pytest.raises(DataError, match="column 0"):
+        solve_elastic_net(X, np.ones(10), 0.1, 0.5)
 
 
 def clipped_slope_oracle(x, y, sign):
@@ -369,10 +380,10 @@ def test_fit_splits_boxes_when_one_box_admits_no_fit(monkeypatch):
 
 
 def test_constrained_fit_of_a_wide_design():
-    # 3 rows for 5 coefficients and lam = 0: the minimizer is not unique, so
-    # the minimum-norm rule for a rank-deficient design runs.  Under
-    # d/dx >= 0 the best fit of y = -x is the constant mean, whose RMSE is
-    # the standard deviation of x.
+    # 3 rows for 5 coefficients and lam = 0: the rows identify only 1, x
+    # and x^2, so x^3 and x^4 are fixed at 0.  Under d/dx >= 0 the best fit
+    # of y = -x is the constant mean, whose RMSE is the standard deviation
+    # of x.
     x = np.array([0.1, 0.5, 0.9])
     d = Dataset("d", {"x": x, "y": -x}, "y")
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), {"x": Interval(0.0, 1.0)})]
@@ -494,8 +505,9 @@ def test_corpus_fits_certify_every_eq1_constraint(index):
 )
 def test_corpus_fits_of_rank_deficient_and_one_norm_cells_certify(config, rounds, monkeypatch):
     # seed-0 dataset 000: p and v take 4 levels each, so from degree 4 on the
-    # design is rank-deficient; the second DEFAULT_GRID cell adds a 1-norm
-    # term, and one box per constraint already makes its solve hard.
+    # rows cannot identify every monomial and the fit drops some; the second
+    # DEFAULT_GRID cell adds a 1-norm term, and one box per constraint
+    # already makes its solve hard.
     from importlib import resources
 
     from shapeguard import make_corpus, parse_constraints, scale_unit
@@ -679,11 +691,11 @@ def eq1_dataset(index):
     return scaled, spec
 
 
-@pytest.mark.xfail(strict=True, raises=SolverError, reason="the solve leaves a Bernstein row violated")
 @pytest.mark.parametrize("degree, lam", [(5, 1e-5), (6, 1e-6), (6, 1e-5)])
 def test_failing_grid_search_cells_fit_and_certify(degree, lam):
-    # the three grid-search cells that fail: dataset 000's second fold, which
-    # trains on its first 240 rows, with alpha = 1 on a rank-deficient design
+    # the three grid-search cells that failed while the solver kept the
+    # monomials the rows cannot identify: dataset 000's second fold, which
+    # trains on its first 240 rows (2 of 4 p levels), with alpha = 1
     scaled, spec = eq1_dataset(0)
     train = scaled.select_rows(np.arange(240))
     model, _ = fit_constrained(train, SCPRConfig(degree=degree, lam=lam, alpha=1.0), spec.constraints)
@@ -699,13 +711,53 @@ def test_stuck_dataset_refines_in_few_rounds():
     assert report.optimality_gap <= scpr.GAP_TOL
 
 
-def test_degree_6_fit_on_the_row_budget_keeps_its_gap():
-    # splitting every flagged axis would pass MAX_FIT_ROWS, so the last
-    # rounds halve each box along one flagged axis; stopping there instead
-    # left the gap at 3.88e-3
+def test_degree_6_fit_reaches_the_gap_tolerance():
+    # on the 64 of 84 monomials the rows identify, the fit closes its gap
+    # within MAX_FIT_ROWS; on all 84 it stopped on the row budget at 2.30e-3
     scaled, spec = eq1_dataset(0)
     _, report = fit_constrained(scaled, SCPRConfig(degree=6, lam=1e-6, alpha=0.0), spec.constraints)
-    assert report.optimality_gap <= 2.42e-3
+    assert report.optimality_gap <= scpr.GAP_TOL
+
+
+def test_boxes_past_the_row_budget_are_halved_along_one_axis(monkeypatch):
+    # t = (x - 1/2)**2 + (y - 1/2)**2 on the unit square has one negative
+    # Bernstein coefficient, index (1, 1): interior on both axes.  Halving
+    # both makes 4 boxes of 9 rows; with room for 18 rows the box is halved
+    # along its widest axis only, and the next round would pass the budget.
+    x, y = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)))
+    d = Dataset("d", {"x": x, "y": y, "t": (x - 0.5) ** 2 + (y - 0.5) ** 2}, "t")
+    cons = [ShapeConstraint({}, Interval(0.0, math.inf), {"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)})]
+    masks, split = [], scpr._split
+
+    def record(*args):
+        masks.append(args[3].tolist())
+        return split(*args)
+
+    monkeypatch.setattr(scpr, "_split", record)
+    fit_constrained(d, SCPRConfig(degree=2), cons)
+    assert masks == [[[True, True]]]  # premise: within the budget both axes are halved
+    masks.clear()
+    monkeypatch.setattr(scpr, "MAX_FIT_ROWS", 18)
+    model, report = fit_constrained(d, SCPRConfig(degree=2), cons)
+    assert masks == [[[True, False]]]
+    assert report.rounds == 2
+    assert certify(model, cons).all_certified
+
+
+@pytest.mark.parametrize("index", [0, 19])
+def test_fit_keeps_the_monomials_the_rows_identify(index):
+    # p and v take 4 levels each, so a power above 3 of either is a
+    # combination of lower ones; the first 240 rows hold 2 of the 4 p levels,
+    # which caps p at degree 1
+    scaled, spec = eq1_dataset(index)
+    kept = {}
+    for rows in (scaled, scaled.select_rows(np.arange(240))):
+        for degree in (3, 4, 5, 6):
+            X, y = build_design_matrix(rows, rows.feature_names, rows.target, degree)
+            theta = solve_elastic_net(X, y, 1e-6, 0.0).theta
+            kept[rows.n_rows, degree] = int(np.count_nonzero(theta))
+    assert [kept[480, d] for d in (3, 4, 5, 6)] == [20, 33, 48, 64]
+    assert [kept[240, d] for d in (3, 4, 5, 6)] == [16, 24, 32, 40]
 
 
 def test_box_is_halved_along_the_narrower_axis_its_binding_coefficient_is_interior_on(monkeypatch):
@@ -791,7 +843,7 @@ def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
 def test_fit_unconstrained_is_fit_constrained_without_constraints(case):
     from dataclasses import replace
 
-    if case == "wide":  # the rank-deficient design of test_constrained_fit_of_a_wide_design
+    if case == "wide":  # the design of test_constrained_fit_of_a_wide_design, 2 columns fixed at 0
         x = np.array([0.1, 0.5, 0.9])
         d, config = Dataset("d", {"x": x, "y": -x}, "y"), SCPRConfig(degree=4, lam=0.0)
     else:

@@ -15,6 +15,7 @@ from shapeguard import (
     DegenerateError,
     GAConfig,
     GBTConfig,
+    GridError,
     Interval,
     SCPRConfig,
     SchemaError,
@@ -244,21 +245,29 @@ def test_grid_search_tie_breaks_to_smaller_degree():
     assert best["degree"] == 1
 
 
-def test_grid_search_skips_failing_cells():
-    datasets = [synth_generate("cubic_fig1", s, {"n": 8}) for s in range(2)]
-    # degree 9 on 4-row folds is rank-deficient but the search must survive
-    best, table = grid_search(datasets, "pr", {"degree": [2, 3], "lam": [1e-6]}, folds=2)
-    assert best["degree"] in (2, 3)
+def test_grid_search_skips_failing_cells(monkeypatch):
+    datasets = [synth_generate("cubic_fig1", s, {"sigma": 0.0, "c3": 0.5 + 0.1 * s}) for s in range(2)]
+    grid = {"degree": [2, 3], "lam": [1e-6]}
+    assert grid_search(datasets, "pr", grid, folds=2)[0]["degree"] == 3  # premise: degree 3 wins
+    spy_on_fits(monkeypatch, "pr", fails=lambda config: config.degree == 3)
+    best, table = grid_search(datasets, "pr", grid, folds=2)
+    assert [row["error"] for row in table] == [None, "SolverError: the spied fit fails"]
+    assert best["degree"] == 2
+    with pytest.raises(GridError, match="every grid cell failed"):
+        grid_search(datasets, "pr", {"degree": [3]}, folds=2)
     with pytest.raises(ConfigError):
         grid_search(datasets[:1], "pr", {"degree": [2]}, folds=2)
 
 
-def spy_on_fits(monkeypatch, algorithm):
-    """The list that each fit of ``algorithm`` appends its config to."""
+def spy_on_fits(monkeypatch, algorithm, fails=lambda config: False):
+    """The list that each fit of ``algorithm`` appends its config to; a fit
+    whose config ``fails`` raises SolverError."""
     entry, configs = validation.ALGORITHMS[algorithm], []
 
     def spy(train, config, constraints):
         configs.append(config)
+        if fails(config):
+            raise SolverError("the spied fit fails")
         return entry.fit(train, config, constraints)
 
     monkeypatch.setitem(validation.ALGORITHMS, algorithm, replace(entry, fit=spy))
