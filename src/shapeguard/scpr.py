@@ -21,14 +21,18 @@ them (Garloff 1986; Nataraj & Arounassalame, *Int. J. Automation and
 Computing* 2007).  When those halvings would take the rows past
 MAX_FIT_ROWS, each box is halved along its widest such axis only.  It
 splits them with ``poly._split``, the routine ``certify`` splits with, so
-``certify`` re-reads the coefficients the fit bounded.  Refinement
-stops when the relative gap between the fit's objective and the lower bound
-is at most GAP_TOL, after REFINE_ROUNDS rounds, or when even the single
-halvings would take the rows past MAX_FIT_ROWS.  A round whose solve fails,
-or whose objective rises (so the solves are inexact), also stops it, and the
-fit of the round before is kept.  These limits, SOLVER_TOL and MAX_ITER are
-module constants; SCPRConfig holds only the model: degree, lam and alpha.
-Each solve is of
+``certify`` re-reads the coefficients the fit bounded.  The lower bound is
+the largest in hand: the ridge optimum (the objective without its rows and
+1-norm term) and the outer objective of every round so far.  Every node of a
+box is a node of one of its halves, so outer objectives only rise as boxes
+are halved, and a round whose objective the bound in hand already brings
+within GAP_TOL skips its outer solve.  Refinement stops when the relative
+gap between the fit's objective and that bound is at most GAP_TOL, after
+REFINE_ROUNDS rounds, or when even the single halvings would take the rows
+past MAX_FIT_ROWS.  A round whose solve fails, or whose objective rises (so
+the solves are inexact), also stops it, and the fit of the round before is
+kept.  These limits, SOLVER_TOL and MAX_ITER are module constants;
+SCPRConfig holds only the model: degree, lam and alpha.  Each solve is of
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
@@ -47,12 +51,14 @@ is raised.
 
 A fit reuses what its earlier rounds computed.  Its solves share one scaled
 design, its triangular factor, and one SVD of that factor per set of free
-columns.  Each round's NNLS starts from the rows that bound the round
-before, and the outer solve from the rows that bound the same round's inner
-one (Bro & De Jong, *J. Chemometrics*
-1997).  A box keeps its node values, so a round builds rows only for the
-children of the boxes it split.  All of this lives in the fit and goes when
-it returns.  Only pure matrices are cached across fits, read-only: the
+columns, from which the ridge optimum comes too.  It keeps the largest lower
+bound of its rounds, so each round solves its outer relaxation only when
+that bound leaves the gap above GAP_TOL.  Each round's NNLS starts from the
+rows that bound the round before, and the outer solve from the rows that
+bound the same round's inner one (Bro & De Jong, *J. Chemometrics* 1997).
+A box keeps its node values, so a round builds rows only for the children
+of the boxes it split.  All of this lives in the fit and goes when it
+returns.  Only pure matrices are cached across fits, read-only: the
 node, split and Bernstein matrices, ``poly._bernstein_map`` of the full
 basis (which certify shares) and a constraint's whole-region rows, keyed by
 degree and box.
@@ -134,6 +140,11 @@ class SCPRConfig:
 
 @dataclass
 class FitReport:
+    """What a fit reports.  optimality_gap is (objective_value - bound) /
+    objective_value for the largest lower bound the fit had when it stopped
+    (the ridge optimum or an outer objective); 0 when only corner rows bind
+    or the objective is 0, where the inner optimum is the outer one."""
+
     train_rmse: float
     objective_value: float
     iterations: int
@@ -388,17 +399,21 @@ def _nnls(
     passive = np.zeros(E.shape[1], dtype=bool) if start is None else start.copy()
     tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.abs(E).sum(axis=0).max()
     iterations = 0
+    resid = f
     while passive.any():
         if iterations >= max_iter:
             return u, iterations, False
         iterations += 1
         idx = np.flatnonzero(passive)
-        sol = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
+        Ep = E[:, idx]
+        sol = np.linalg.lstsq(Ep, f, rcond=None)[0]
         if (sol > 0.0).all():
             u[idx] = sol
+            resid = f - Ep @ sol
             break
         passive[idx[sol <= 0.0]] = False
-    w = E.T @ (f - E @ u)
+    # the residual comes from the passive columns alone: u is 0 on the others
+    w = E.T @ resid
     while True:
         j = int(np.argmax(np.where(passive, -np.inf, w)))
         if passive[j] or w[j] <= tol:
@@ -410,11 +425,12 @@ def _nnls(
                 return u, iterations, False
             iterations += 1
             idx = np.flatnonzero(passive)
-            sol = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
+            Ep = E[:, idx]
+            sol = np.linalg.lstsq(Ep, f, rcond=None)[0]
             neg = sol <= 0.0
             if not neg.any():
                 u[idx] = sol
-                w = E.T @ (f - E @ u)
+                w = E.T @ (f - Ep @ sol)
                 break
             if entering and neg[np.searchsorted(idx, j)]:
                 # rounding gives the entering index no descent: skip it
@@ -444,21 +460,27 @@ def _least_distance(
     starts from the rows ``start`` (a mask) guesses will have mu > 0.
     SolverError means NNLS did not finish within max_iter iterations.
     """
-    norms = np.linalg.norm(G, axis=1)
-    zero = norms == 0.0
-    if np.any(h[zero] > 0.0):
-        raise InfeasibleError("a constraint row with zero coefficients requires 0 >= b > 0")
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     mu = np.zeros(len(G))
-    G = G[~zero] / norms[~zero, None]
-    h = h[~zero] / norms[~zero]
+    kept = slice(None)  # the rows with a nonzero coefficient
+    zero = norms == 0.0
+    if zero.any():
+        if np.any(h[zero] > 0.0):
+            raise InfeasibleError("a constraint row with zero coefficients requires 0 >= b > 0")
+        kept = ~zero
+        G, h, norms = G[kept], h[kept], norms[kept]
+    h = h / norms
     # scaled so the farthest single row is at distance 1
     scale = float(h.max(initial=0.0))
     if scale <= 0.0:
         return np.zeros(G.shape[1]), mu, 0
-    E = np.vstack([G.T, h / scale])
+    # E = [G^T; h^T] with unit-norm rows of G, h divided by scale
+    E = np.empty((G.shape[1] + 1, len(G)))
+    np.divide(G.T, norms, out=E[:-1])
+    np.divide(h, scale, out=E[-1])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
-    u, iterations, finished = _nnls(E, f, max_iter, None if start is None else start[~zero])
+    u, iterations, finished = _nnls(E, f, max_iter, None if start is None else start[kept])
     if not finished:
         raise SolverError(f"NNLS did not finish within {max_iter} iterations")
     r = E @ u - f
@@ -467,7 +489,7 @@ def _least_distance(
     # the rounding of the sum it is computed from
     if -r[-1] <= max(1e-12, 10.0 * np.finfo(float).eps * len(u) * (np.abs(E[-1]) @ u)):
         raise InfeasibleError("the compiled constraint system has no solution")
-    mu[~zero] = 2.0 * scale * u / (norms[~zero] * -r[-1])
+    mu[kept] = 2.0 * scale * u / (norms * -r[-1])
     return -scale * r[:-1] / r[-1], mu, iterations
 
 
@@ -518,6 +540,15 @@ class _Reuse:
             *_, R, r = self.scaled
             self.factors[key] = _factor(R[:, free], r)
         return self.factors[key]
+
+    def ridge_optimum(self) -> float:
+        """min ||E x - f||^2 on every kept column, x0 = W U^T f: the objective
+        without its rows and its 1-norm term, so a lower bound on every
+        solve's optimum."""
+        _, s, E, f, _, _ = self.scaled
+        Utf, sv, Vt = self.factor(np.ones(len(s), dtype=bool))
+        resid = E @ (Vt.T @ (Utf / sv)) - f
+        return float(resid @ resid)
 
 
 def _scale(X, y, lam, alpha) -> tuple:
@@ -713,9 +744,11 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     module docstring for the refinement.  An empty constraint list is the
     unconstrained fit.  The report's max_sampled_violation is the largest
     breach of a Bernstein row, an upper bound on the model's breach,
-    optimality_gap is the relative gap to the lower bound when refinement
-    stopped, iterations sums the NNLS iterations of all its solves, and
+    optimality_gap is the relative gap to the largest lower bound in hand
+    when refinement stopped (the ridge optimum or the outer objective of a
+    round), iterations sums the NNLS iterations of all its solves, and
     rounds counts the rounds whose rows it solved (1 when it split no box).
+    A round skips its outer solve when that bound already closes its gap.
     InfeasibleError means the node values alone admit no solution, or the
     rows of every partition tried did not; SolverError means the first solve
     that admitted a fit failed its KKT check; DomainError means the Bernstein
@@ -728,7 +761,7 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     # and whether it is a corner value
     interior = np.concatenate([np.zeros((0, len(variables)), dtype=bool)] + [p.interior for p in parts])
     corner = ~interior.any(axis=1)
-    reuse, solves = _Reuse(), []
+    reuse, solves = _Reuse(_scale(X, y, config.lam, config.alpha)), []
 
     def solve(A, b, start):
         reuse.start = start
@@ -739,35 +772,46 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         ))
         return solves[-1]
 
-    def binding(A, b, theta):
+    def binding(A, absA, b, theta):
         # a row binds when its slack is within SOLVER_TOL, relative to the
         # size of its terms
-        return A @ theta - b <= SOLVER_TOL * (1.0 + np.abs(A) @ np.abs(theta))
+        return A @ theta - b <= SOLVER_TOL * (1.0 + absA @ np.abs(theta))
 
     best = None  # (inner solve, gap) of the round the fit is taken from
+    # The largest lower bound on the optimum in hand: the ridge optimum, once
+    # a round needs a bound, and every outer objective so far.  Halving a box
+    # keeps its nodes, so later outer objectives can only be larger.
+    bound = -math.inf
     # rounds counts the rounds run, this one included
     for rounds in range(1, REFINE_ROUNDS + 2):
         A, V, b, box, coef = _bernstein_system(parts, X.shape[1])
+        absA = np.abs(A)
         try:
             # the previous round's fit meets the children's rows too; start
             # NNLS from those it meets with equality
-            inner = solve(A, b, None if best is None else binding(A, b, best[0].theta))
+            inner = solve(A, b, None if best is None else binding(A, absA, b, best[0].theta))
             if best is not None and inner.objective > best[0].objective * (1.0 + 1e-9):
                 # a finer partition cannot raise the optimum: the solves are
                 # inexact, and refining further cannot close the gap
                 break
             # with only corner rows binding, the inner optimum is the outer one
-            split = ~corner[coef] & binding(A, b, inner.theta)
+            split = ~corner[coef] & binding(A, absA, b, inner.theta)
             gap = 0.0
             if split.any() and inner.objective > 0.0:
-                # V's rows are in A's order, so start from the rows inner bound by
-                outer = solve(V, b, reuse.binding)
-                gap = max(inner.objective - outer.objective, 0.0) / inner.objective
+                if bound == -math.inf:
+                    bound = reuse.ridge_optimum()
+                if inner.objective - bound > GAP_TOL * inner.objective:
+                    # the bound in hand cannot close the gap, so solve the
+                    # outer relaxation; V's rows are in A's order, so start
+                    # from the rows inner bound by
+                    bound = max(bound, solve(V, b, reuse.binding).objective)
+                gap = max(inner.objective - bound, 0.0) / inner.objective
             best = (inner, gap)
             if gap <= GAP_TOL:
                 break
         except InfeasibleError:
-            solve(V, b, None)  # raises when the node values admit no solution
+            # raises when the node values admit no solution
+            bound = max(bound, solve(V, b, None).objective)
             split = ~corner[coef]
         except SolverError:
             if best is None:

@@ -347,6 +347,29 @@ def test_exact_solve_detects_inconsistent_rows():
         solve_elastic_net(X, np.zeros(10), 0.0, 0.0, A, b)
 
 
+def test_zero_rows_of_a_least_distance_problem_drop_out_or_raise():
+    # a row whose nonzeros sit only in columns a fit fixes at 0 reaches
+    # _least_distance as a zero row: 0 >= b holds for b <= 0 and fails for b > 0
+    from shapeguard.scpr import _least_distance
+
+    rng = np.random.default_rng(11)
+    G = rng.normal(size=(12, 5))
+    h = G @ rng.normal(size=5) - rng.exponential(size=12)
+    start = rng.random(12) < 0.5
+    z, mu, _ = _least_distance(G, h, 1000, start)
+    assert mu.any()  # premise: the rows bind, so z is not 0
+    at = [3, 8]
+    Gz, hz = np.insert(G, at, 0.0, axis=0), np.insert(h, at, [-0.5, 0.0])
+    zero = np.isin(np.arange(14), np.array(at) + np.arange(len(at)))
+    z_zero, mu_zero, _ = _least_distance(Gz, hz, 1000, np.insert(start, at, True))
+    np.testing.assert_array_equal(z_zero, z)
+    np.testing.assert_array_equal(mu_zero[~zero], mu)
+    assert (mu_zero[zero] == 0.0).all()
+    hz[at[1] + 1] = 1e-3
+    with pytest.raises(InfeasibleError, match="zero coefficients"):
+        _least_distance(Gz, hz, 1000)
+
+
 def test_fit_without_refinement_rounds_is_certified(monkeypatch):
     # one Bernstein box and no refinement: the degree-5 fit of a non-monotone
     # target is still monotone on the whole region, with no sampling
@@ -819,7 +842,9 @@ def test_probes_of_solve_elastic_net_see_every_solve(monkeypatch):
     scaled, spec = eq1_dataset(19)
     fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(rounds) > 1
-    assert len(calls) == 2 * len(rounds)  # the inner and the outer solve of each round
+    # the inner and the outer solve of each round, but the last round's
+    # outer: the bound the rounds before left in hand settles its gap
+    assert len(calls) == 2 * len(rounds) - 1
     assert all(len(args) == 6 and args[4].shape == (len(args[5]), 20) for args in calls)
 
 
@@ -833,10 +858,75 @@ def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(scpr, "solve_elastic_net", probe)
-    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds, an inner and an outer solve each
+    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds, 6 inner solves and 5 outer ones
     _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(results) > 2
     assert report.iterations == sum(r.iterations for r in results)
+
+
+def spy_on_solves(monkeypatch):
+    """Record each solve of a fit as (outer?, objective): an outer solve's
+    rows are the node values V that _bernstein_system returned for its round."""
+    solves, node_rows = [], []
+    solve, system = scpr.solve_elastic_net, scpr._bernstein_system
+
+    def record_system(*args):
+        out = system(*args)
+        node_rows.append(out[1])
+        return out
+
+    def record_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solves.append((any(args[4] is V for V in node_rows), result.objective))
+        return result
+
+    monkeypatch.setattr(scpr, "_bernstein_system", record_system)
+    monkeypatch.setattr(scpr, "solve_elastic_net", record_solve)
+    return solves
+
+
+def test_outer_objectives_never_fall_as_boxes_are_halved(monkeypatch):
+    # every node of a box is a node of one of its halves, so each round's
+    # outer relaxation has the rows of the one before: what a fit's skipped
+    # outer solves rest on.  With GAP_TOL = 0 every round solves its outer.
+    monkeypatch.setattr(scpr, "GAP_TOL", 0.0)
+    monkeypatch.setattr(scpr, "REFINE_ROUNDS", 3)
+    scaled, spec = eq1_dataset(19)
+    problems = [(scaled, spec.constraints, 3)]
+    problems += [(d, cons, degree) for _, d, cons, degree in random_fit_problems()]
+    solves = spy_on_solves(monkeypatch)
+    sequences = 0
+    for data, cons, degree in problems:
+        solves.clear()
+        fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons)
+        outer = [objective for is_outer, objective in solves if is_outer]
+        sequences += len(outer) > 1
+        for before, after in zip(outer, outer[1:]):
+            assert after >= before * (1.0 - 1e-12), (before, after)
+    assert sequences >= 10  # premise: many fits solve more than one outer relaxation
+
+
+def test_round_skips_the_outer_solve_its_bound_settles(monkeypatch):
+    solves = spy_on_solves(monkeypatch)
+    # stuck dataset 019: round 5's outer objective already closes the gap
+    # of round 6, whose outer solve is the largest of the fit
+    scaled, spec = eq1_dataset(19)
+    _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
+    assert report.rounds == 6
+    assert [is_outer for is_outer, _ in solves] == [False, True] * 5 + [False]
+    objective, bound = solves[-1][1], solves[-2][1]
+    assert report.objective_value == objective
+    assert report.optimality_gap == pytest.approx((objective - bound) / objective, rel=1e-12)
+    assert report.optimality_gap <= scpr.GAP_TOL
+    # dataset 018: the unconstrained ridge optimum closes the first round's gap
+    solves.clear()
+    scaled, spec = eq1_dataset(18)
+    config = SCPRConfig(degree=3, lam=1e-6)
+    _, report = fit_constrained(scaled, config, spec.constraints)
+    assert [is_outer for is_outer, _ in solves] == [False]
+    ridge = fit_unconstrained(scaled, config)[1].objective_value
+    assert report.optimality_gap == pytest.approx((report.objective_value - ridge) / report.objective_value, rel=1e-9)
+    assert 0.0 < report.optimality_gap <= scpr.GAP_TOL
 
 
 @pytest.mark.parametrize("case", ["alpha=0", "alpha=0.5", "wide"])
