@@ -10,7 +10,8 @@ coefficients, run level by level over one array of equal-shaped boxes:
   the bound widened by ``tol`` is closed;
 * a vertex coefficient that breaches the bound by more than ``tol`` names a
   corner; if the polynomial re-evaluated there breaches by more than ``tol``
-  too, the constraint is VIOLATED with that corner as the witness;
+  plus that value's rounding-error bound, the constraint is VIOLATED with
+  that corner as the witness;
 * every other box is halved along its widest axis of nonzero degree by
   ``poly._split``, the de Casteljau step the SCPR fit splits with too.  The
   enclosures converge quadratically in the box width.
@@ -25,10 +26,27 @@ The coefficient array of a box has ``prod(d_i + 1)`` entries, where ``d_i``
 is the derivative's highest exponent of variable ``i``.  The first box's are
 the model's nonzero coefficients times ``poly._bernstein_map`` (which derives
 the rounding count), cached for a full basis and shared with the SCPR fit.
-When they or their bound overflow the verdict is UNDECIDED with enclosure
-(-inf, inf).  A breaching corner is re-evaluated from the model's terms with
-the float operations of ``model.derivative(wrt).evaluate``, without building
-the derivative as a polynomial.
+When a level's coefficients or their bound overflow the verdict is UNDECIDED
+with enclosure (-inf, inf).
+
+A level costs what it decides.  It always takes each box's coefficient
+minimum and maximum; when the level's extremes lie inside the bound it is
+CERTIFIED, which settles most constraints at the first box.  Otherwise the
+boxes are tested one by one, and only a level where some box closed adds
+them to the hull and drops them.  The open boxes' corner coefficients are
+read through flat indices that ``poly._frame`` caches per (degrees, lo, hi),
+with the first box's corner and sides and each corner's end per axis.
+
+A breaching corner is re-evaluated from the model's terms with the float
+operations of ``model.derivative(wrt).evaluate``, without building the
+derivative as a polynomial.  A term's factor rounds at most ``sum(wrt)``
+times, each power at most twice (``pow`` is within an ulp of exact) and its
+product once, and the sum once per term: K = sum(wrt) + 3 n + m for n
+variables and m model terms.  The value is then within gamma_K times the sum
+of the absolute terms of the exact one; the witness bound takes
+gamma_{2K+2} of that sum as computed, which covers rounding it too, as
+``poly._bernstein_map`` does.  So a VIOLATED witness is a point where the
+exact derivative breaches the bound by more than ``tol``.
 """
 
 from __future__ import annotations
@@ -53,11 +71,11 @@ class ConstraintCertificate:
     ``enclosure`` contains the derivative's range over the region for every
     verdict: it is the hull of the closed and the still-open boxes, widened by
     their rounding-error bounds.  For VIOLATED, ``worst_violation`` is the
-    breach of the polynomial re-evaluated at ``worst_point``, a box corner.
-    The true worst breach then lies between ``worst_violation`` and the
-    breach of the enclosure (``bound.lo - enclosure.lo`` or
-    ``enclosure.hi - bound.hi``).  Otherwise ``worst_violation`` is 0.0 and
-    ``worst_point`` is None.
+    breach of the polynomial re-evaluated at ``worst_point``, a box corner,
+    where the exact breach exceeds ``tol``.  The true worst breach then lies
+    between that exact breach and the breach of the enclosure
+    (``bound.lo - enclosure.lo`` or ``enclosure.hi - bound.hi``).
+    Otherwise ``worst_violation`` is 0.0 and ``worst_point`` is None.
     """
 
     constraint: ShapeConstraint
@@ -103,9 +121,7 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
     lo = tuple(c.region[v].lo for v in model.variables)
     hi = tuple(c.region[v].hi for v in model.variables)
     coeffs, err, degrees = _first_box(*terms, wrt, lo, hi)
-    if not (np.isfinite(err[0]) and np.isfinite(coeffs).all()):
-        return ConstraintCertificate(c, "UNDECIDED", Interval.whole(), 0.0, None, 1)
-    corner, side, vertices = _frame(degrees, lo, hi)
+    corner, side, corners, ends = _frame(degrees, lo, hi)
     accept_lo, accept_hi = c.bound.lo - tol, c.bound.hi + tol
     hull_lo, hull_hi = math.inf, -math.inf
     boxes = 1
@@ -114,29 +130,35 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
         flat = coeffs.reshape(len(coeffs), -1)
         low = flat.min(axis=1) - err
         high = flat.max(axis=1) + err
-        closed = (low >= accept_lo) & (high <= accept_hi)
-        if closed.all():
+        least, most = low.min(), high.max()
+        if not (math.isfinite(least) and math.isfinite(most)):
+            # the coefficients or their bound overflowed: they enclose nothing
+            return ConstraintCertificate(c, "UNDECIDED", Interval.whole(), 0.0, None, boxes)
+        # the closed boxes' hull and this level's boxes, for a loop that ends here
+        enclosure = min(hull_lo, least), max(hull_hi, most)
+        if least >= accept_lo and most <= accept_hi:
             verdict = "CERTIFIED"
             break
-        hull_lo = float(np.min(low[closed], initial=hull_lo))
-        hull_hi = float(np.max(high[closed], initial=hull_hi))
-        coeffs, flat, err, low, high, corner, side = (a[~closed] for a in (coeffs, flat, err, low, high, corner, side))
-        vertex = coeffs[np.ix_(range(len(coeffs)), *vertices)]
+        closed = (low >= accept_lo) & (high <= accept_hi)
+        if closed.any():
+            hull_lo, hull_hi = min(hull_lo, low[closed].min()), max(hull_hi, high[closed].max())
+            coeffs, err, corner, side = (a[~closed] for a in (coeffs, err, corner, side))
+            flat = coeffs.reshape(len(coeffs), -1)
+        vertex = flat[:, corners]
         breach = np.maximum(c.bound.lo - vertex, vertex - c.bound.hi)
-        best = np.unravel_index(int(np.argmax(breach)), breach.shape)
-        if breach[best] > tol:
-            ends = np.array([v[i] > 0 for v, i in zip(vertices, best[1:])])
-            point = np.clip(corner[best[0]] + side[best[0]] * ends, lo, hi)
-            xs = [float(x) for x in point]
-            point = dict(zip(model.variables, xs))
-            value = _sum_terms(_derivative_terms(model.coeffs, wrt), xs)
+        box, k = divmod(int(breach.argmax()), len(corners))
+        if breach[box, k] > tol:
+            xs = [float(x) for x in np.clip(corner[box] + side[box] * ends[k], lo, hi)]
+            value, magnitude = _sum_terms(_derivative_terms(model.coeffs, wrt), xs)
             exceed = max(c.bound.lo - value, value - c.bound.hi)
-            # a value that overflowed, though the coefficients did not, shows no breach
-            if exceed > tol and math.isfinite(value):
-                verdict, worst, worst_point = "VIOLATED", exceed, point
+            # the forward error bound of value (module docstring); it is not
+            # finite when value overflowed, so such a value shows no breach
+            error = _gamma(2 * (sum(wrt) + 3 * len(xs) + len(model.coeffs)) + 2) * magnitude
+            if exceed > tol + error:
+                verdict, worst, worst_point = "VIOLATED", exceed, dict(zip(model.variables, xs))
                 break
         # the boxes of a level are equal in shape, so all split along one axis
-        axis = int(np.argmax(side[0]))
+        axis = int(side[0].argmax())
         if side[0, axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
             verdict = "UNDECIDED"
             break
@@ -146,8 +168,7 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
         # max|B|; gamma_{d+2} also covers rounding the bound itself
         err = (err + _gamma(degrees[axis] + 2) * np.abs(flat).max(axis=1))[parent]
         boxes += len(coeffs)
-    enclosure = Interval(float(np.min(low, initial=hull_lo)), float(np.max(high, initial=hull_hi)))
-    return ConstraintCertificate(c, verdict, enclosure, worst, worst_point, boxes)
+    return ConstraintCertificate(c, verdict, Interval(*map(float, enclosure)), worst, worst_point, boxes)
 
 
 def certify(

@@ -82,15 +82,17 @@ def _derivative_terms(coeffs: Mapping, wrt: MultiIndex):
             yield term[1], term[0]
 
 
-def _sum_terms(terms, xs) -> float:
-    """Sum of c * x**alpha over the (alpha, c) terms, in their order, at the point xs."""
-    total = 0.0
+def _sum_terms(terms, xs) -> tuple:
+    """Sum of c * x**alpha over the (alpha, c) terms, in their order, at the
+    point xs, and the sum of the rounded terms' absolute values."""
+    total = magnitude = 0.0
     for alpha, c in terms:
         for x, e in zip(xs, alpha):
             if e:
                 c *= x**e
         total += c
-    return total
+        magnitude += abs(c)
+    return total, magnitude
 
 
 def _json_loads(text: str, what: str):
@@ -200,7 +202,7 @@ class PolyModel:
 
     def evaluate(self, point: Mapping) -> float:
         """Sum of coeff * x**alpha at a single point."""
-        return _sum_terms(self.coeffs.items(), self._require(point))
+        return _sum_terms(self.coeffs.items(), self._require(point))[0]
 
     def evaluate_columns(self, columns: Mapping) -> np.ndarray:
         """Vectorized evaluation over equal-length column arrays."""
@@ -381,11 +383,16 @@ def _split(coeffs: np.ndarray, corner: np.ndarray, side: np.ndarray, axes: np.nd
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
-def _frame(degrees, lo, hi) -> tuple:
+@lru_cache(maxsize=256)
+def _frame(degrees: tuple, lo: tuple, hi: tuple) -> tuple:
     """The first box [lo, hi] as a row of lower corners and one of side lengths
-    (0 on axes of degree 0); per axis, the indices of its corner coefficients."""
+    (0 on axes of degree 0); the flat indices of its corner coefficients, in
+    C order, and per corner whether it lies at the upper end of each axis.
+    Cached, so read-only."""
     side = np.where(np.array(degrees) > 0, np.subtract(hi, lo), 0.0)
-    return np.array(lo, dtype=float)[None], side[None], [[0, d] if d else [0] for d in degrees]
+    index = np.array(list(itertools.product(*([0, d] if d else [0] for d in degrees))))
+    corners = np.ravel_multi_index(index.T, tuple(d + 1 for d in degrees))
+    return tuple(map(_read_only, (np.array(lo, dtype=float)[None], side[None], corners, index > 0)))
 
 
 def _terms(model: PolyModel) -> tuple:

@@ -15,12 +15,14 @@ from shapeguard import (
     PolyModel,
     SCPRConfig,
     ShapeConstraint,
+    ValidationConfig,
     certify,
     fit_unconstrained,
     make_corpus,
     monomial_basis,
     parse_constraints,
     scale_unit,
+    validate_dataset,
 )
 from shapeguard.poly import _bernstein_matrix, _first_box, _frame, _gamma, _split, _terms
 
@@ -93,7 +95,7 @@ def test_split_keeps_boxes_then_halves_picks_along_their_widest_side(seed):
     hi = lo + rng.integers(1, 12, n) / 4.0
     terms = _terms(model)
     coeffs, err, degrees = _first_box(*terms, wrt, tuple(lo), tuple(hi))
-    corner, side, _ = _frame(degrees, tuple(lo), tuple(hi))
+    corner, side, *_ = _frame(degrees, tuple(lo), tuple(hi))
     assert degrees[-1] == 0 and side[0, -1] == 0.0
     for _ in range(5):
         pick = rng.random(len(coeffs)) < 0.6
@@ -139,7 +141,7 @@ def test_split_halves_each_box_along_every_flagged_axis(seed):
     hi = lo + rng.integers(1, 12, n) / 4.0
     terms = _terms(model)
     coeffs, err, degrees = _first_box(*terms, wrt, tuple(lo), tuple(hi))
-    corner, side, _ = _frame(degrees, tuple(lo), tuple(hi))
+    corner, side, *_ = _frame(degrees, tuple(lo), tuple(hi))
     for _ in range(3):
         axes = rng.random(side.shape) < 0.5
         split_coeffs, split_corner, split_side, parent = _split(coeffs, corner, side, axes)
@@ -492,6 +494,43 @@ def test_violated_witness_of_a_rounded_tangent_is_an_exact_breach():
         if entry.verdict == "VIOLATED":
             x = Fraction(entry.worst_point["x"])
             assert 3 * x**2 - 2 * x + Fraction(1.0 / 3.0) < 0
+
+
+@pytest.mark.parametrize("max_boxes", [1, 64])
+def test_breach_within_the_rounding_bound_of_its_witness_is_no_violation(max_boxes):
+    # f = 1.5 x^2 + 0.4 x + fl(-(1.5 * 1.7^2 + 0.4 * 1.7)) is positive on
+    # [1.7, 2.7] in rationals, but its float value at the corner x = 1.7 is
+    # about -8.9e-16: a breach that the value's rounding error explains
+    model = PolyModel(("x",), 2, {(2,): 1.5, (1,): 0.4, (0,): -5.015})
+    a, b, c = (Fraction(model.coeffs[(e,)]) for e in (2, 1, 0))
+    x0 = Fraction(1.7)
+    assert a * x0**2 + b * x0 + c > 0
+    assert a > 0 and 2 * a * x0 + b > 0  # so f increases on the region
+    assert model.evaluate({"x": 1.7}) < 0
+    cons = [ShapeConstraint({}, Interval(0.0, math.inf), region1d(1.7, 2.7))]
+    entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+    assert (entry.verdict, entry.worst_violation, entry.worst_point) == ("UNDECIDED", 0.0, None)
+    assert_entry_sound(model, cons[0], entry, 101)
+
+
+@pytest.mark.parametrize("algorithm, verdicts, boxes", [
+    ("pr", {"CERTIFIED": 257, "VIOLATED": 114, "UNDECIDED": 0}, 431),
+    ("scpr", {"CERTIFIED": 371, "VIOLATED": 0, "UNDECIDED": 0}, 793),
+])
+def test_seed_0_corpus_certificates_are_pinned(algorithm, verdicts, boxes):
+    # the benchmark's configuration; a faster certify must decide the same
+    text = resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    config = ValidationConfig(
+        threshold=0.05, controlled_variables=["p", "v"], algorithm=algorithm,
+        algorithm_config=SCPRConfig(degree=3, lam=1e-6), constraints=parse_constraints(text).constraints,
+        target="mu_dyn",
+    )
+    entries = [
+        e for ds in make_corpus(18, 35, seed=0) for e in validate_dataset(ds, config).certification["constraints"]
+    ]
+    assert len(entries) == 371
+    assert {v: sum(e["verdict"] == v for e in entries) for v in verdicts} == verdicts
+    assert sum(e["boxes_examined"] for e in entries) == boxes
 
 
 @pytest.mark.parametrize("setting", [

@@ -100,6 +100,21 @@ def test_score_segments_rmse():
         score_segments(preds[:2], d, segs)
 
 
+def test_score_segments_are_the_bits_of_numpy_mean():
+    # runs of 1 to 199 rows, residuals over many magnitudes: the sum over
+    # the length rounds as np.mean does, so no score may differ in one bit
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 200, size=40)
+    p = np.repeat(np.arange(len(lengths), dtype=float), lengths)
+    y = rng.normal(size=len(p)) * 10.0 ** rng.integers(-8, 3, size=len(p))
+    d = Dataset("d", {"p": p, "y": y}, "y")
+    segs = segment(d, ["p"])
+    assert sorted({s.end - s.start for s in segs}) == sorted(set(lengths.tolist()))
+    preds = rng.normal(size=len(p))
+    expect = [float(np.sqrt(np.mean((preds[s.start : s.end] - y[s.start : s.end]) ** 2))) for s in segs]
+    assert score_segments(preds, d, segs) == expect
+
+
 def test_classify_strict_threshold():
     assert classify([0.05], 0.05) == "valid"  # strictly greater only
     assert classify([0.050001], 0.05) == "invalid"
