@@ -7,9 +7,9 @@ at the box's corners.  Certification is a branch and bound on these
 coefficients, run level by level over one array of equal-shaped boxes:
 
 * a box whose coefficients, widened by their rounding-error bound, lie inside
-  the bound widened by ``tol`` is closed;
-* a vertex coefficient that breaches the bound by more than ``tol`` names a
-  corner; if the polynomial re-evaluated there breaches by more than ``tol``
+  the bound widened by ``TOL`` is closed;
+* a vertex coefficient that breaches the bound by more than ``TOL`` names a
+  corner; if the polynomial re-evaluated there breaches by more than ``TOL``
   plus that value's rounding-error bound, the constraint is VIOLATED with
   that corner as the witness;
 * every other box is halved along its widest axis of nonzero degree by
@@ -18,9 +18,10 @@ coefficients, run level by level over one array of equal-shaped boxes:
 
 When every box closes the constraint is CERTIFIED.  Each box carries a
 rigorous bound on the floating-point error of its coefficients, so the
-guarantee holds under rounding and does not rest on ``tol``.  When the next
-level would take the number of boxes past ``max_boxes``, or no open box has
-an axis left to split, the verdict is UNDECIDED.
+guarantee holds under rounding and does not rest on ``TOL``.  When the next
+level would take the number of boxes past ``MAX_BOXES``, or no open box has
+an axis left to split, the verdict is UNDECIDED.  ``TOL`` and ``MAX_BOXES``
+are module constants, read when ``certify`` is called.
 
 The coefficient array of a box has ``prod(d_i + 1)`` entries, where ``d_i``
 is the derivative's highest exponent of variable ``i``.  The first box's are
@@ -46,7 +47,7 @@ variables and m model terms.  The value is then within gamma_K times the sum
 of the absolute terms of the exact one; the witness bound takes
 gamma_{2K+2} of that sum as computed, which covers rounding it too, as
 ``poly._bernstein_map`` does.  So a VIOLATED witness is a point where the
-exact derivative breaches the bound by more than ``tol``.
+exact derivative breaches the bound by more than ``TOL``.
 """
 
 from __future__ import annotations
@@ -57,11 +58,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ShapeConstraint
-from .errors import ArityError, ConfigError
+from .errors import ArityError
 from .intervals import Interval
 from .poly import PolyModel, _derivative_terms, _first_box, _frame, _gamma, _split, _sum_terms, _terms
 
 __all__ = ["ConstraintCertificate", "CertificationReport", "certify"]
+
+# A breach of at most TOL is no violation, and a constraint whose next level
+# would take its boxes past MAX_BOXES is UNDECIDED.
+TOL = 1e-9
+MAX_BOXES = 4000
 
 
 @dataclass
@@ -72,7 +78,7 @@ class ConstraintCertificate:
     verdict: it is the hull of the closed and the still-open boxes, widened by
     their rounding-error bounds.  For VIOLATED, ``worst_violation`` is the
     breach of the polynomial re-evaluated at ``worst_point``, a box corner,
-    where the exact breach exceeds ``tol``.  The true worst breach then lies
+    where the exact breach exceeds ``TOL``.  The true worst breach then lies
     between that exact breach and the breach of the enclosure
     (``bound.lo - enclosure.lo`` or ``enclosure.hi - bound.hi``).
     Otherwise ``worst_violation`` is 0.0 and ``worst_point`` is None.
@@ -171,25 +177,15 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
     return ConstraintCertificate(c, verdict, Interval(*map(float, enclosure)), worst, worst_point, boxes)
 
 
-def certify(
-    model: PolyModel,
-    constraints,
-    *,
-    tol: float = 1e-9,
-    max_boxes: int = 4000,
-) -> CertificationReport:
+def certify(model: PolyModel, constraints) -> CertificationReport:
     """Certify each constraint on the model; see module docstring for verdicts.
 
-    Raises ConfigError unless ``tol`` is finite and >= 0 and ``max_boxes`` >= 1.
+    ArityError names the model variables a constraint's region lacks.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"certify tol must be finite and >= 0, got {tol}")
-    if max_boxes < 1:
-        raise ConfigError(f"certify max_boxes must be >= 1, got {max_boxes}")
     report, terms = CertificationReport(), _terms(model)
     for c in constraints:
         missing = [v for v in model.variables if v not in c.region]
         if missing:
             raise ArityError(f"constraint region missing model variables {missing}")
-        report.entries.append(_certify_one(model, c, terms, tol, max_boxes))
+        report.entries.append(_certify_one(model, c, terms, TOL, MAX_BOXES))
     return report

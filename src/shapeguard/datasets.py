@@ -72,8 +72,8 @@ class Dataset:
             fh.write(self.to_csv_text())
 
 
-def load_csv(path, target: str, label: str | None = None, name: str | None = None) -> Dataset:
-    """Load a headered CSV of IEEE doubles.
+def load_csv(path, target: str) -> Dataset:
+    """Load a headered CSV of IEEE doubles, named by its path.
 
     Raises DataError with (row, column) for unparseable or non-finite cells
     and SchemaError for a repeated column name, a missing target or an empty
@@ -113,7 +113,7 @@ def load_csv(path, target: str, label: str | None = None, name: str | None = Non
         raise SchemaError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
     columns = {h: data[:, j] for j, h in enumerate(header)}
-    return Dataset(name=name or str(path), columns=columns, target=target, label=label)
+    return Dataset(name=str(path), columns=columns, target=target)
 
 
 def scale_unit(data: Dataset, columns) -> Dataset:

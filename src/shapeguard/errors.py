@@ -30,7 +30,7 @@ class SolverError(ShapeguardError):
     """The optimizer stopped short of its tolerance.
 
     The solver ran out of its iteration budget, or its result failed the KKT
-    check (rows violated by more than solver_tol, or not stationary); or the
+    check (rows violated by more than scpr.SOLVER_TOL, or not stationary); or the
     symbolic-regression GA ended with no individual that meets the
     constraints.  The message says what stopped and by how much (the KKT
     check gives its violation, stationarity and duality gap); the exception

@@ -173,6 +173,8 @@ class PolyModel:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         nv = len(self.variables)
+        if nv < 1:
+            raise DomainError("a polynomial model needs at least one variable")
         if len(set(self.variables)) != nv:
             raise DomainError("duplicate variable names")
         clean = {}
@@ -210,7 +212,7 @@ class PolyModel:
         if any(c is None for c in cols):
             missing = [v for v, c in zip(self.variables, cols) if c is None]
             raise ArityError(f"columns missing variables {missing}")
-        n = len(cols[0]) if cols else 0
+        n = len(cols[0])
         # power tables: each needed col**e is computed once, not per term
         max_exp = [0] * len(cols)
         for alpha in self.coeffs:

@@ -295,36 +295,41 @@ def _values_at_nodes(coeffs: np.ndarray, degrees) -> np.ndarray:
 def _bernstein_system(parts, m):
     """Rows A theta >= b putting every Bernstein coefficient inside its bound.
 
-    Per coefficient the lower-bound row (M, lo) and the upper-bound row
-    (-M, -hi), where finite.  Also returns V, whose rows with b bound the
-    derivative's value at the matching node of each box (an outer
-    relaxation; corner nodes give the corner coefficients), and per row its
-    box, numbered across the partitions, and its coefficient, numbered
-    across the partitions' ``interior`` tables stacked in order.
+    Per partition, the lower-bound block (M, lo), then the upper-bound block
+    (-M, -hi), where finite; each block is boxes x coefficients in C order,
+    the layout _binding_axes reads.  Also returns V, whose rows with b bound
+    the derivative's value at the matching node of each box (an outer
+    relaxation; corner nodes give the corner coefficients).
     """
     A, V, b = [np.zeros((0, m))], [np.zeros((0, m))], [np.zeros(0)]
-    box, coef = [np.zeros(0, int)], [np.zeros(0, int)]
-    first_box = first_coef = 0
     for part in parts:
         M = part.coeffs.reshape(-1, m)
         values = part.values.reshape(-1, m)
-        ids = np.repeat(np.arange(first_box, first_box + len(part.side)), len(part.interior))
-        coefs = np.tile(np.arange(first_coef, first_coef + len(part.interior)), len(part.side))
         for sign, bound in ((1.0, part.bound.lo), (-1.0, part.bound.hi)):
             if np.isfinite(bound):
                 A.append(sign * M)
                 V.append(sign * values)
                 b.append(np.full(len(M), sign * bound))
-                box.append(ids)
-                coef.append(coefs)
-        first_box += len(part.side)
-        first_coef += len(part.interior)
-    return np.vstack(A), np.vstack(V), np.concatenate(b), np.concatenate(box), np.concatenate(coef)
+    return np.vstack(A), np.vstack(V), np.concatenate(b)
 
 
-def _split_boxes(parts, axes) -> bool:
-    """Halve each box along every axis its row of ``axes`` flags (a boxes x
-    variables mask, parts in order) with ``poly._split``, the routine
+def _binding_axes(parts, rows) -> list:
+    """Per partition, the boxes x variables mask of the axes on which some
+    coefficient whose row ``rows`` (a mask over A's rows) flags is interior;
+    a corner coefficient is interior on none."""
+    masks, start = [], 0
+    for part in parts:
+        stop = start + part.rows_per_box * len(part.side)
+        # the blocks of the bound's sides, each boxes x coefficients
+        flagged = rows[start:stop].reshape(-1, len(part.side), len(part.interior)).any(axis=0)
+        masks.append((flagged[:, :, None] & part.interior).any(axis=1))
+        start = stop
+    return masks
+
+
+def _split_boxes(parts, masks) -> bool:
+    """Halve each box along every axis its row of ``masks`` (boxes x
+    variables, one per partition) flags with ``poly._split``, the routine
     certify splits with.  When that would take the partitions past
     MAX_FIT_ROWS rows, halve each flagged box along its widest flagged axis
     only.
@@ -332,7 +337,6 @@ def _split_boxes(parts, axes) -> bool:
     Returns False, splitting nothing, when no box has a flagged side to
     halve or even the single halvings would pass MAX_FIT_ROWS.
     """
-    masks = np.split(axes, np.cumsum([len(p.side) for p in parts])[:-1])
     masks = [mask & (p.side > 0.0) for p, mask in zip(parts, masks)]
     if not any(mask.any() for mask in masks):
         return False
@@ -525,10 +529,10 @@ def _solve_least_squares(
 
 @dataclass
 class _Reuse:
-    """What the solves of one fit share.  fit_constrained makes one and drops
-    it when it returns, so nothing in it outlives the fit."""
+    """What the solves of one fit share.  fit_constrained (or a lone solve)
+    makes one and drops it when it returns, so nothing in it outlives it."""
 
-    scaled: tuple | None = None  # _scale of the fit's X, y, lam and alpha
+    scaled: tuple  # _scale of the fit's X, y, lam and alpha
     factors: dict = field(default_factory=dict)  # free-column mask -> _factor
     start: np.ndarray | None = None  # rows of A the next solve's NNLS starts from
     binding: np.ndarray | None = None  # rows of A with mu > 0 in the last solve
@@ -603,7 +607,6 @@ def solve_elastic_net(
     A: np.ndarray | None = None,
     b: np.ndarray | None = None,
     *,
-    solver_tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
     _reuse: _Reuse | None = None,
 ) -> SolveResult:
@@ -627,7 +630,7 @@ def solve_elastic_net(
     1-norm term when the intercept alone cannot meet the rows.  max_iter
     bounds the NNLS iterations of all solves together.
 
-    No result violates a row by more than solver_tol.  A solve without a
+    No result violates a row by more than SOLVER_TOL.  A solve without a
     1-norm term is the exact reduction; one with it also passes a KKT check
     on the kept columns: stationarity within KKT_TOL of the gradient's
     largest term, every multiplier of the right sign, and a duality gap
@@ -643,9 +646,7 @@ def solve_elastic_net(
         A = np.zeros((0, X.shape[1]))
         b = np.zeros(0)
     k = A.shape[0]
-    reuse = _reuse if _reuse is not None else _Reuse()
-    if reuse.scaled is None:
-        reuse.scaled = _scale(X, y, lam, alpha)
+    reuse = _reuse if _reuse is not None else _Reuse(_scale(X, y, lam, alpha))
     cols, s, E, f, _, _ = reuse.scaled
     m = len(s)  # the kept columns
     G = A[:, cols] / s
@@ -713,10 +714,10 @@ def solve_elastic_net(
         # with stationarity, sum mu_i * slack_i bounds how far the objective
         # is above its minimum; f @ f is the objective at theta = 0
         gap, scale = float(mb @ np.abs(Gb @ x - bb)), float(f @ f + mb @ np.abs(bb))
-    if violation > solver_tol or residual > KKT_TOL * terms or gap > KKT_TOL * scale:
+    if violation > SOLVER_TOL or residual > KKT_TOL * terms or gap > KKT_TOL * scale:
         raise SolverError(
             f"solve failed its KKT check after {iterations} NNLS iterations: violation "
-            f"{violation:.3e} (solver_tol {solver_tol:.1e}), stationarity {residual:.3e} "
+            f"{violation:.3e} (SOLVER_TOL {SOLVER_TOL:.1e}), stationarity {residual:.3e} "
             f"of {terms:.3e}, duality gap {gap:.3e} of {scale:.3e}"
         )
     return SolveResult(
@@ -757,19 +758,12 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
-    # per coefficient, as _bernstein_system numbers them: its interior axes,
-    # and whether it is a corner value
-    interior = np.concatenate([np.zeros((0, len(variables)), dtype=bool)] + [p.interior for p in parts])
-    corner = ~interior.any(axis=1)
     reuse, solves = _Reuse(_scale(X, y, config.lam, config.alpha)), []
 
     def solve(A, b, start):
         reuse.start = start
         # through the module attribute, so wrappers of solve_elastic_net see every solve
-        solves.append(solve_elastic_net(
-            X, y, config.lam, config.alpha, A, b,
-            solver_tol=SOLVER_TOL, max_iter=MAX_ITER, _reuse=reuse,
-        ))
+        solves.append(solve_elastic_net(X, y, config.lam, config.alpha, A, b, max_iter=MAX_ITER, _reuse=reuse))
         return solves[-1]
 
     def binding(A, absA, b, theta):
@@ -784,7 +778,7 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     bound = -math.inf
     # rounds counts the rounds run, this one included
     for rounds in range(1, REFINE_ROUNDS + 2):
-        A, V, b, box, coef = _bernstein_system(parts, X.shape[1])
+        A, V, b = _bernstein_system(parts, X.shape[1])
         absA = np.abs(A)
         try:
             # the previous round's fit meets the children's rows too; start
@@ -794,10 +788,13 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
                 # a finer partition cannot raise the optimum: the solves are
                 # inexact, and refining further cannot close the gap
                 break
-            # with only corner rows binding, the inner optimum is the outer one
-            split = ~corner[coef] & binding(A, absA, b, inner.theta)
+            # halve each box holding a binding row along every axis on which
+            # its coefficient is interior: on the others a halving keeps it
+            # at an end.  With only corner rows binding, no axis is flagged
+            # and the inner optimum is the outer one.
+            axes = _binding_axes(parts, binding(A, absA, b, inner.theta))
             gap = 0.0
-            if split.any() and inner.objective > 0.0:
+            if any(mask.any() for mask in axes) and inner.objective > 0.0:
                 if bound == -math.inf:
                     bound = reuse.ridge_optimum()
                 if inner.objective - bound > GAP_TOL * inner.objective:
@@ -812,15 +809,11 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         except InfeasibleError:
             # raises when the node values admit no solution
             bound = max(bound, solve(V, b, None).objective)
-            split = ~corner[coef]
+            axes = _binding_axes(parts, np.ones(len(b), dtype=bool))
         except SolverError:
             if best is None:
                 raise
             break  # keep the last round's fit
-        # halve each box holding a split row along every axis on which one of
-        # them is interior: on the others a halving keeps them at an end
-        axes = np.zeros((sum(len(p.side) for p in parts), len(variables)), dtype=bool)
-        np.logical_or.at(axes, box[split], interior[coef[split]])
         if rounds > REFINE_ROUNDS or not _split_boxes(parts, axes):
             break
     if best is None:

@@ -1,5 +1,7 @@
 """Certification: verdict correctness and Bernstein-bound soundness."""
 
+import importlib
+import inspect
 import itertools
 import math
 import warnings
@@ -10,7 +12,6 @@ import numpy as np
 import pytest
 
 from shapeguard import (
-    ConfigError,
     Interval,
     PolyModel,
     SCPRConfig,
@@ -25,6 +26,9 @@ from shapeguard import (
     validate_dataset,
 )
 from shapeguard.poly import _bernstein_matrix, _first_box, _frame, _gamma, _split, _terms
+
+# the module, whose TOL and MAX_BOXES the tests patch; shapeguard.certify is the function
+certify_module = importlib.import_module("shapeguard.certify")
 
 
 def region1d(lo=-1.0, hi=1.0):
@@ -289,7 +293,7 @@ def assert_entry_sound(model, c, entry, per_dim):
         assert entry.worst_violation == 0.0 and entry.worst_point is None
 
 
-def test_random_sweep_enclosures_and_witnesses():
+def test_random_sweep_enclosures_and_witnesses(monkeypatch):
     # every verdict's enclosure holds the sampled range and every VIOLATED
     # witness breaches; the small budget makes many sweeps stop early
     rng = np.random.default_rng(7)
@@ -297,7 +301,8 @@ def test_random_sweep_enclosures_and_witnesses():
     for _ in range(60):
         model, c = random_case(rng, int(rng.integers(1, 3)))
         for max_boxes in (4000, 5):
-            entry = certify(model, [c], max_boxes=max_boxes).entries[0]
+            monkeypatch.setattr(certify_module, "MAX_BOXES", max_boxes)
+            entry = certify(model, [c]).entries[0]
             assert entry.boxes_examined <= max_boxes
             seen.add(entry.verdict)
             assert_entry_sound(model, c, entry, 60)
@@ -454,21 +459,22 @@ def test_overflowing_bernstein_form_is_undecided_without_warnings():
     assert (entry.worst_violation, entry.worst_point, entry.boxes_examined) == (0.0, None, 1)
 
 
-def test_witness_that_overflows_is_no_witness():
+def test_witness_that_overflows_is_no_witness(monkeypatch):
     # f'' = 6e308 x: its coefficient 6e308 overflows, though its Bernstein
     # form on [0, 0.01] and its exact values there (at most 6e306) do not
     model = PolyModel(("x",), 3, {(3,): 1e308})
     c = ShapeConstraint({"x": 2}, Interval(-1.0, 1.0), region1d(0.0, 0.01))
+    monkeypatch.setattr(certify_module, "MAX_BOXES", 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        entry = certify(model, [c], max_boxes=64).entries[0]
+        entry = certify(model, [c]).entries[0]
     assert entry.verdict == "UNDECIDED"
     assert (entry.worst_violation, entry.worst_point) == (0.0, None)
     assert entry.enclosure.lo <= 0.0 and 6e306 <= entry.enclosure.hi < math.inf
 
 
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 64, 501])
-def test_undecided_stays_within_box_budget(max_boxes):
+def test_undecided_stays_within_box_budget(monkeypatch, max_boxes):
     # f = 3x^3 - 3x^2 + x has f' = (3x - 1)^2, which touches 0 at the
     # non-dyadic x = 1/3: with tol 0 no box around it ever closes and no
     # corner breaches
@@ -476,20 +482,24 @@ def test_undecided_stays_within_box_budget(max_boxes):
     exact = {e: Fraction(c) * e for (e,), c in model.coeffs.items()}
     assert (exact[3], exact[2], exact[1]) == (9, -6, 1)  # f' is (3x - 1)^2 in rationals
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
-    entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+    monkeypatch.setattr(certify_module, "TOL", 0.0)
+    monkeypatch.setattr(certify_module, "MAX_BOXES", max_boxes)
+    entry = certify(model, cons).entries[0]
     assert entry.verdict == "UNDECIDED"
     assert 1 <= entry.boxes_examined <= max_boxes
     assert_entry_sound(model, cons[0], entry, 2001)
 
 
-def test_violated_witness_of_a_rounded_tangent_is_an_exact_breach():
+def test_violated_witness_of_a_rounded_tangent_is_an_exact_breach(monkeypatch):
     # f = x^3 - x^2 + fl(1/3) x stores fl(1/3) < 1/3, so f' = 3x^2 - 2x +
     # fl(1/3) dips below 0 near x = 1/3: any VIOLATED witness is a true breach
     model = PolyModel(("x",), 3, {(3,): 1.0, (2,): -1.0, (1,): 1.0 / 3.0})
     assert Fraction(1.0 / 3.0) < Fraction(1, 3)
     cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
+    monkeypatch.setattr(certify_module, "TOL", 0.0)
     for max_boxes in [1, 2, 3, 64, 501, 2000, 20000]:
-        entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+        monkeypatch.setattr(certify_module, "MAX_BOXES", max_boxes)
+        entry = certify(model, cons).entries[0]
         assert entry.verdict in ("UNDECIDED", "VIOLATED")
         if entry.verdict == "VIOLATED":
             x = Fraction(entry.worst_point["x"])
@@ -497,7 +507,7 @@ def test_violated_witness_of_a_rounded_tangent_is_an_exact_breach():
 
 
 @pytest.mark.parametrize("max_boxes", [1, 64])
-def test_breach_within_the_rounding_bound_of_its_witness_is_no_violation(max_boxes):
+def test_breach_within_the_rounding_bound_of_its_witness_is_no_violation(monkeypatch, max_boxes):
     # f = 1.5 x^2 + 0.4 x + fl(-(1.5 * 1.7^2 + 0.4 * 1.7)) is positive on
     # [1.7, 2.7] in rationals, but its float value at the corner x = 1.7 is
     # about -8.9e-16: a breach that the value's rounding error explains
@@ -508,7 +518,9 @@ def test_breach_within_the_rounding_bound_of_its_witness_is_no_violation(max_box
     assert a > 0 and 2 * a * x0 + b > 0  # so f increases on the region
     assert model.evaluate({"x": 1.7}) < 0
     cons = [ShapeConstraint({}, Interval(0.0, math.inf), region1d(1.7, 2.7))]
-    entry = certify(model, cons, tol=0.0, max_boxes=max_boxes).entries[0]
+    monkeypatch.setattr(certify_module, "TOL", 0.0)
+    monkeypatch.setattr(certify_module, "MAX_BOXES", max_boxes)
+    entry = certify(model, cons).entries[0]
     assert (entry.verdict, entry.worst_violation, entry.worst_point) == ("UNDECIDED", 0.0, None)
     assert_entry_sound(model, cons[0], entry, 101)
 
@@ -533,15 +545,21 @@ def test_seed_0_corpus_certificates_are_pinned(algorithm, verdicts, boxes):
     assert sum(e["boxes_examined"] for e in entries) == boxes
 
 
-@pytest.mark.parametrize("setting", [
-    {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_boxes": 0},
-], ids=["tol-negative", "tol-inf", "tol-nan", "max_boxes-0"])
-def test_rejects_a_tolerance_or_box_budget_it_cannot_use(setting):
-    # an infinite tol would certify any bound, a negative one violate all of them
-    model = PolyModel(("x",), 1, {(1,): 1.0})
-    cons = [ShapeConstraint({"x": 1}, Interval(0.0, math.inf), region1d())]
-    with pytest.raises(ConfigError, match=next(iter(setting))):
-        certify(model, cons, **setting)
+def test_limits_are_module_constants_read_at_each_call(monkeypatch):
+    # no argument sets them, so no caller can widen the bound a verdict is judged by
+    assert list(inspect.signature(certify).parameters) == ["model", "constraints"]
+    assert (certify_module.TOL, certify_module.MAX_BOXES) == (1e-9, 4000)
+    model = PolyModel(("x",), 1, {(1,): 1.0, (0,): -1e-3})  # f = x - 0.001 dips below 0 at x = 0
+    cons = [ShapeConstraint({}, Interval(0.0, math.inf), region1d(0.0, 1.0))]
+    assert certify(model, cons).entries[0].verdict == "VIOLATED"
+    monkeypatch.setattr(certify_module, "TOL", 1e-2)
+    assert certify(model, cons).entries[0].verdict == "CERTIFIED"
+    # f = x^2 - x + 0.3 > 0 has the Bernstein coefficient -0.2 on [0, 1]: it takes splits
+    dips = PolyModel(("x",), 2, {(2,): 1.0, (1,): -1.0, (0,): 0.3})
+    assert certify(dips, cons).entries[0].verdict == "CERTIFIED"
+    monkeypatch.setattr(certify_module, "MAX_BOXES", 1)
+    entry = certify(dips, cons).entries[0]
+    assert (entry.verdict, entry.boxes_examined) == ("UNDECIDED", 1)
 
 
 def test_zero_width_axis():

@@ -555,6 +555,15 @@ def test_malformed_model_file_is_a_schema_error(tmp_path, eq1_path):
         assert f"SchemaError: {message}" in proc.stderr
 
 
+def test_model_without_variables_is_an_error_line(tmp_path):
+    model, spec = tmp_path / "model.json", tmp_path / "mono.spec"
+    model.write_text(json.dumps({"variables": [], "degree": 0, "terms": [{"exponents": [], "coeff": -1.0}]}))
+    spec.write_text(MONO_SPEC)
+    proc = run("certify", "--model", str(model), "--constraints", str(spec))
+    assert_error_line(proc, 1)
+    assert "DomainError: a polynomial model needs at least one variable" in proc.stderr
+
+
 def test_manifest_that_is_not_a_json_list_is_a_schema_error(tmp_path, eq1_path):
     corpus_dir = tmp_path / "corpus"
     run("synth", "--kind", "corpus", "--seed", "0", "--out", str(corpus_dir),

@@ -43,7 +43,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     d = make(25, seed=3)
     path = tmp_path / "d.csv"
     d.write_csv(path)
-    back = load_csv(path, target="y", name="d")
+    back = load_csv(path, target="y")
     for c in d.columns:
         np.testing.assert_array_equal(back.columns[c], d.columns[c])
 

@@ -69,6 +69,15 @@ def test_coefficient_validation():
         PolyModel(("x", "x"), 1, {})
 
 
+def test_a_model_without_variables_is_a_domain_error():
+    # certify and interval_bound have no box to work on for such a model
+    with pytest.raises(DomainError, match="at least one variable"):
+        PolyModel((), 0, {(): -1.0})
+    text = '{"variables": [], "degree": 0, "terms": [{"exponents": [], "coeff": -1.0}]}'
+    with pytest.raises(DomainError, match="at least one variable"):
+        PolyModel.from_json(text)
+
+
 def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(2)
     model = random_model(rng, n_vars=2, degree=3)

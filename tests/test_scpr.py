@@ -1,5 +1,6 @@
 """Constrained polynomial least squares: solver oracles and compilation."""
 
+import inspect
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from shapeguard import (
     PolyModel,
     SCPRConfig,
     ShapeConstraint,
+    SolverError,
     build_design_matrix,
     certify,
     compile_constraints,
@@ -345,6 +347,24 @@ def test_exact_solve_detects_inconsistent_rows():
     b = np.array([1.0, 0.0, -0.5])
     with pytest.raises(InfeasibleError):
         solve_elastic_net(X, np.zeros(10), 0.0, 0.0, A, b)
+
+
+def test_nnls_that_runs_out_of_its_budget_raises():
+    # f' >= 0 at 5 points against falling data: the least-distance NNLS takes 3 steps
+    x = np.linspace(-1.0, 1.0, 20)
+    X = np.column_stack([x**k for k in range(4)])
+    pts = np.linspace(-1.0, 1.0, 5)
+    A = np.column_stack([np.zeros(5)] + [k * pts ** (k - 1) for k in range(1, 4)])
+    b = np.zeros(5)
+    y = 0.5 * x - x**3
+    assert solve_elastic_net(X, y, 0.0, 0.0, A, b).iterations == 3
+    for budget in (1, 2):
+        with pytest.raises(SolverError, match=f"NNLS did not finish within {budget} iterations"):
+            solve_elastic_net(X, y, 0.0, 0.0, A, b, max_iter=budget)
+    assert solve_elastic_net(X, y, 0.0, 0.0, A, b, max_iter=3).iterations == 3
+    # the budget is the only limit a caller sets; the tolerance is scpr.SOLVER_TOL
+    keywords = [p.name for p in inspect.signature(solve_elastic_net).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    assert keywords == ["max_iter", "_reuse"]
 
 
 def test_zero_rows_of_a_least_distance_problem_drop_out_or_raise():
@@ -802,6 +822,58 @@ def test_box_is_halved_along_the_narrower_axis_its_binding_coefficient_is_interi
     assert sides == [[[2.0, 0.5], [2.0, 0.5]]]
     assert report.rounds == 2 and report.train_rmse <= 1e-12
     assert certify(model, cons).all_certified
+
+
+def scattered_axes(parts, rows):
+    """The boxes x variables masks of _binding_axes, by scattering each
+    flagged row's interior flags onto its box through per-row box and
+    coefficient numbers, numbered across the partitions."""
+    box, coef, first_box, first_coef = [], [], 0, 0
+    for part in parts:
+        ids = np.repeat(np.arange(first_box, first_box + len(part.side)), len(part.interior))
+        coefs = np.tile(np.arange(first_coef, first_coef + len(part.interior)), len(part.side))
+        for bound in (part.bound.lo, part.bound.hi):
+            if np.isfinite(bound):
+                box.append(ids)
+                coef.append(coefs)
+        first_box += len(part.side)
+        first_coef += len(part.interior)
+    box, coef = np.concatenate(box), np.concatenate(coef)
+    interior = np.concatenate([p.interior for p in parts])
+    axes = np.zeros((first_box, interior.shape[1]), dtype=bool)
+    np.logical_or.at(axes, box[rows], interior[coef[rows]])
+    return np.split(axes, np.cumsum([len(p.side) for p in parts])[:-1])
+
+
+def test_binding_axes_read_the_row_layout_as_a_scatter_does():
+    rng = np.random.default_rng(3)
+    variables = ["x0", "x1", "x2"]
+    cube = {v: Interval(0.0, 1.0) for v in variables}
+    parts = [
+        scpr._whole_region(ShapeConstraint({}, Interval(0.0, math.inf), cube), variables, 3),
+        scpr._whole_region(ShapeConstraint({"x1": 1}, Interval(-math.inf, 2.0), cube), variables, 2),
+        # a two-sided bound on boxes of 8**3 = 512 coefficients, 384 of them
+        # interior along each axis
+        scpr._whole_region(ShapeConstraint({}, Interval(-1.0, 1.0), cube), variables, 7),
+    ]
+    assert len(parts[2].interior) == 512 and parts[2].rows_per_box == 2 * 512
+    assert scpr._split_boxes(parts, [np.ones((1, 3), dtype=bool)] * 2 + [np.array([[True, False, True]])])
+    assert scpr._split_boxes(parts, [rng.random((len(p.side), 3)) < 0.5 for p in parts[:2]] + [np.zeros((4, 3), bool)])
+    assert all(len(p.side) > 1 for p in parts)
+    # the rows of all partitions, were they of one fit
+    n_rows = sum(len(scpr._bernstein_system([p], len(monomial_basis(3, d)))[0]) for p, d in zip(parts, (3, 2, 7)))
+    masks = [rng.random(n_rows) < p for p in (0.0, 0.002, 0.05, 0.5, 1.0)]
+    # 256 lower-bound rows of the last partition's first box whose
+    # coefficients are interior along x1: counted in uint8 they make 0
+    start = n_rows - parts[2].rows_per_box * len(parts[2].side)
+    masks.append(np.isin(np.arange(n_rows), start + np.flatnonzero(parts[2].interior[:, 1])[:256]))
+    for rows in masks:
+        got = scpr._binding_axes(parts, rows)
+        assert len(got) == len(parts)
+        for mask, want in zip(got, scattered_axes(parts, rows)):
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, want)
+    assert scpr._binding_axes(parts, masks[-1])[2][0, 1]
 
 
 def test_fit_with_reuse_equals_fit_with_cold_solves(monkeypatch):
