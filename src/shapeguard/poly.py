@@ -398,11 +398,12 @@ def _frame(degrees: tuple, lo: tuple, hi: tuple) -> tuple:
 
 
 def _terms(model: PolyModel) -> tuple:
-    """Exponents (a support for ``_bernstein_map``) and coefficients of the model's
-    nonzero terms, and whether they are its full basis in basis order, as in most fits."""
+    """Exponents (a support for ``_bernstein_map``), coefficients and their
+    absolute values of the model's nonzero terms, and whether they are its full
+    basis in basis order, as in most fits."""
     support = tuple(alpha for alpha, c in model.coeffs.items() if c != 0.0)
     theta = np.array([model.coeffs[alpha] for alpha in support])
-    return support, theta, support == _basis(len(model.variables), model.degree)
+    return support, theta, np.abs(theta), support == _basis(len(model.variables), model.degree)
 
 
 @lru_cache(maxsize=256)
@@ -438,7 +439,9 @@ def _bernstein_map(support: tuple, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
     return _read_only(matrix + 0.0), _read_only(weights), degrees
 
 
-def _first_box(support: tuple, theta: np.ndarray, shared: bool, wrt: tuple, lo: tuple, hi: tuple) -> tuple:
+def _first_box(
+    support: tuple, theta: np.ndarray, magnitude: np.ndarray, shared: bool, wrt: tuple, lo: tuple, hi: tuple
+) -> tuple:
     """One box of Bernstein coefficients on [lo, hi] of the wrt-derivative of
     sum theta_j x**alpha_j (``_terms``), its error bound and degrees;
     non-finite on overflow.  Only a full basis, which fits share and which
@@ -446,4 +449,4 @@ def _first_box(support: tuple, theta: np.ndarray, shared: bool, wrt: tuple, lo: 
     build = _bernstein_map if shared else _bernstein_map.__wrapped__
     matrix, weights, degrees = build(support, wrt, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (matrix @ theta)[None], np.array([np.abs(theta) @ weights]), degrees
+        return (matrix @ theta)[None], np.array([magnitude @ weights]), degrees

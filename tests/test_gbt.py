@@ -1,5 +1,6 @@
 """Gradient-boosted trees: boosting behaviour and monotone constraints."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -20,7 +21,8 @@ from shapeguard import (
     parse_constraints,
     predict_gbt,
 )
-from shapeguard.gbt import RegTreeNode, _best_splits, _leaf_weight, _node_weight, _predict_tree
+from shapeguard.datasets import scale_unit
+from shapeguard.gbt import ROOT_MEMO, RegTreeNode, _Level, _best_splits, _clamp, _leaf_weight, _predict_tree
 from shapeguard.validation import monotone_from_constraints
 
 
@@ -160,6 +162,28 @@ def test_config_validation():
         GBTConfig(max_depth=0)
 
 
+@pytest.mark.parametrize("direction", [True, False, np.True_, 0.5, math.nan, "1", None])
+def test_config_names_the_feature_of_a_bad_direction(direction):
+    with pytest.raises(ConfigError, match="'a'"):
+        GBTConfig(monotone={"a": direction})
+
+
+@pytest.mark.parametrize("monotone", [[1], None, "a"])
+def test_config_rejects_monotone_that_is_not_a_dict(monotone):
+    with pytest.raises(ConfigError, match="monotone must be a dict"):
+        GBTConfig(monotone=monotone)
+
+
+@pytest.mark.parametrize("direction", [-1, 0, 1, -1.0, 1.0, np.int64(-1), np.int8(1), np.float32(0.0)])
+def test_every_accepted_direction_round_trips_through_json(direction):
+    config = GBTConfig(n_trees=2, max_depth=2, monotone={"a": direction})
+    assert config.monotone == {"a": int(direction)} and type(config.monotone["a"]) is int
+    ensemble = fit_gbt(make_data(60), config)
+    back = GBTEnsemble.from_json(ensemble.to_json())
+    assert back.monotone == {"a": int(direction)}
+    assert back.to_json() == ensemble.to_json()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -286,14 +310,12 @@ def test_split_matches_scalar_reference(seed):
         [np.concatenate([g[np.argsort(x[g], kind="stable")] for g in groups]) for x in X]
         + [np.concatenate(groups)]
     )
-    G = [float(grad[g].sum()) for g in groups]
-    counts = [len(g) for g in groups]
-    weights = [
-        _node_weight(s, float(c), lo, hi, config.lam, config.alpha)
-        for s, c, (lo, hi) in zip(G, counts, bounds)
-    ]
+    G = np.array([float(grad[g].sum()) for g in groups])
+    counts = np.array([len(g) for g in groups])
+    weights = _clamp(_leaf_weight(G, counts, config.lam, config.alpha), *np.transpose(bounds))
     direction = np.array([config.monotone.get(name, 0) for name in cols])
-    splits = _best_splits(X, perm, grad, G, counts, bounds, weights, direction, config)
+    level = _Level(perm, np.take_along_axis(X, perm[:-1], axis=1), counts, direction, config)
+    splits = _best_splits(level, grad, G, np.transpose(bounds), weights, config)
     for k, (g, b) in enumerate(zip(groups, bounds)):
         expect = reference_split(cols, grad, g, b, config)
         got = (list(cols)[splits[k][0]], splits[k][1]) if k in splits else None
@@ -366,6 +388,56 @@ def test_ensemble_matches_recursive_reference(seed):
         monotone={name: int(rng.choice([-1, 0, 1])) for name in cols},
     )
     assert fit_gbt(data, config).to_json() == reference_ensemble(data, config).to_json()
+
+
+@pytest.mark.filterwarnings("ignore:no legal split")
+def test_long_ensembles_match_recursive_reference():
+    # 20-30 trees at depth 2-4, so later trees take an earlier tree's root
+    # split and read its next level from the fit's memo; one case has more
+    # distinct root splits than the memo keeps
+    consecutive, most = 0, 0
+    for seed in range(8):
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(40, 120))
+        cols = random_columns(rng, n)
+        y = rng.normal(size=n) + cols["p"] - 2.0 * cols["v"] ** 2 + np.sin(6 * cols["c"])
+        data = Dataset("d", dict(cols, y=y), "y")
+        config = GBTConfig(
+            n_trees=int(rng.integers(20, 31)),
+            learning_rate=float(rng.choice([0.1, 0.3])),
+            max_depth=int(rng.integers(2, 5)),
+            lam=float(rng.choice([0.0, 1.0])),
+            alpha=float(rng.choice([0.0, 0.3])),
+            min_samples_leaf=int(rng.integers(1, 6)),
+            monotone={name: int(rng.choice([-1, 0, 1])) for name in cols},
+        )
+        ensemble = fit_gbt(data, config)
+        assert ensemble.to_json() == reference_ensemble(data, config).to_json()
+        roots = [(t.variable, t.threshold) for t in ensemble.trees]
+        assert len(set(roots)) < len(roots)
+        consecutive += any(a == b for a, b in zip(roots, roots[1:]))
+        most = max(most, len(set(roots)))
+    assert consecutive and most > ROOT_MEMO
+
+
+# sha256 of fit_gbt(...).to_json() for the datasets that perfbench's
+# validate_gbt times (corpus seed 0), unit-scaled, at the perfbench config
+PINNED_FORESTS = {
+    "000-friction_valid-0": "793af265071ac3ed61d6992406c7956ac6e586a1b732b7ab03ec7ca0f57f497c",
+    "018-friction_outlier-18": "1b79c5b0252ae8df53403c53bb8b2dd07410c75ac852124a684caf0888a6b077",
+    "019-friction_stuck-19": "b506bb34c7d9c2b5a4bc0188ad1cd3354b5a4982b36a9e424e7fff8f318422c2",
+    "020-friction_drift-20": "506fc894bdf5bab908a43015c324800e804249cf810ca9e42ca1b5f44d53f80d",
+    "021-friction_inverted-21": "b2ee212f9e83e386d683fb10d94b0bf2b9281d7cfbea2de50e0c6c3ab06d9808",
+}
+
+
+def test_perfbench_forests_are_pinned():
+    text = resources.files("shapeguard").joinpath("resources", "eq1.spec").read_text()
+    config = GBTConfig(monotone=monotone_from_constraints(parse_constraints(text).constraints))
+    corpus = {data.name: data for data in make_corpus(18, 35, seed=0)}
+    for name, digest in PINNED_FORESTS.items():
+        data = scale_unit(corpus[name], corpus[name].feature_names)
+        assert hashlib.sha256(fit_gbt(data, config).to_json().encode()).hexdigest() == digest, name
 
 
 def test_corpus_fits_emit_no_runtime_warnings():
