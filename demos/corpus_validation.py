@@ -7,19 +7,15 @@ full data, and the worst per-segment RMSE becomes the dataset's score.
 Sweeping the threshold yields a ROC curve; constrained fitting (SCPR)
 separates the classes far better than plain polynomial regression because
 constraint-violating corruptions force a visibly bad constrained fit.
-
-Pass --full for the 18-valid / 35-invalid corpus (a couple of minutes);
-the default is a small corpus that finishes in seconds.
+The corpus is the paper's: 18 valid and 35 invalid datasets.
 """
 
-import sys
 import time
 from importlib import resources
 
 from shapeguard import SCPRConfig, ValidationConfig, make_corpus, parse_constraints, validate_corpus
 
-full = "--full" in sys.argv
-n_valid, n_invalid = (18, 35) if full else (5, 8)
+n_valid, n_invalid = 18, 35
 corpus = make_corpus(n_valid, n_invalid, seed=0)
 spec = parse_constraints(
     resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()

@@ -9,7 +9,6 @@ Exit codes: 0 success / verdict valid, 1 pipeline error, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -83,21 +82,13 @@ def _inputs(args):
     """The spec's constraints, the target column and the --config overrides.
 
     The target is --target, else the spec's target, else None, which
-    _load_data reads as the CSV's last column.
+    load_csv reads as the CSV's last column.
     """
     constraints, target = [], args.target
     if args.constraints:
         spec = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
         constraints, target = spec.constraints, target or spec.target
     return constraints, target, _load_config(args.config)
-
-
-def _load_data(path, target):
-    if target is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = next(csv.reader(fh))
-        target = header[-1].strip()
-    return load_csv(path, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +127,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     constraints, target, overrides = _inputs(args)
-    data = _load_data(args.data, target)
+    data = load_csv(args.data, target)
     config = validation_mod._config_from_settings(args.algo, overrides, "--config")
     entry = ALGORITHMS[args.algo]
     t0 = time.perf_counter()
@@ -180,7 +171,7 @@ def _validation_config(args, constraints, overrides):
 
 def _cmd_validate(args) -> int:
     constraints, target, overrides = _inputs(args)
-    data = _load_data(args.data, target)
+    data = load_csv(args.data, target)
     config = _validation_config(args, constraints, overrides)
     t0 = time.perf_counter()
     report = validation_mod.validate_dataset(data, config)
@@ -211,14 +202,14 @@ def _load_corpus(data_dir, target):
             ):
                 if not ok:
                     raise SchemaError(f'{manifest_path} entry {i} "{key}" must be {want}: {entry[key]!r}')
-            ds = _load_data(data_dir / entry["file"], target)
+            ds = load_csv(data_dir / entry["file"], target)
             ds.name = entry.get("name", entry["file"])
             ds.label = entry.get("label")
             ds.error_kind = entry.get("error_kind")
             datasets.append(ds)
     else:
         for path in sorted(data_dir.glob("*.csv")):
-            datasets.append(_load_data(path, target))
+            datasets.append(load_csv(path, target))
     if not datasets:
         raise SchemaError(f"{data_dir} holds no datasets")
     return datasets
@@ -361,7 +352,8 @@ def main(argv=None) -> int:
     except ShapeguardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an input that cannot be read, or whose bytes are not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

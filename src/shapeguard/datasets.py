@@ -72,12 +72,13 @@ class Dataset:
             fh.write(self.to_csv_text())
 
 
-def load_csv(path, target: str) -> Dataset:
-    """Load a headered CSV of IEEE doubles, named by its path.
+def load_csv(path, target: str | None = None) -> Dataset:
+    """Load a headered CSV of IEEE doubles, named by its path; the target is
+    the header's last column unless ``target`` names one.
 
     Raises DataError with (row, column) for unparseable or non-finite cells
-    and SchemaError for a repeated column name, a missing target or an empty
-    table.
+    and SchemaError for a repeated column name, a missing target, an empty
+    header or an empty table.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -86,6 +87,10 @@ def load_csv(path, target: str) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if not header:
+            raise SchemaError(f"{path}: empty header row")
+        if target is None:
+            target = header[-1]
         repeated = [h for i, h in enumerate(header) if h in header[:i]]
         if repeated:
             raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")

@@ -256,7 +256,7 @@ def _best_splits(level: _Level, grad, G, bounds, weights, config: GBTConfig) -> 
             below, above = level.xsort[feat, at : at + 2].tolist()
             # between adjacent floats the midpoint rounds onto below, which
             # would send below's rows right: take above then
-            mid = 0.5 * (below + above)
+            mid = 0.5 * below + 0.5 * above  # (below + above) can overflow
             splits[node] = (feat, mid if mid > below else above)
     return splits
 

@@ -49,13 +49,14 @@ and SolverError when it fails.
 When the least-distance problem on the rows has no solution, InfeasibleError
 is raised.
 
-A fit reuses what its earlier rounds computed.  Its solves share one scaled
-design, its triangular factor, and one SVD of that factor per set of free
-columns, from which the ridge optimum comes too.  It keeps the largest lower
-bound of its rounds, so each round solves its outer relaxation only when
-that bound leaves the gap above GAP_TOL.  Each round's NNLS starts from the
-rows that bound the round before, and the outer solve from the rows that
-bound the same round's inner one (Bro & De Jong, *J. Chemometrics* 1997).
+A fit reuses what its earlier rounds computed.  Its solves share one
+``_Design``: the scaled design, its triangular factor, and one SVD of that
+factor per set of free columns, from which the ridge optimum comes too.  It
+keeps the largest lower bound of its rounds, so each round solves its outer
+relaxation only when that bound leaves the gap above GAP_TOL.  Each round's
+NNLS starts from the rows that bound the round before, and the outer solve
+from the rows that bound the same round's inner one, which that solve
+returns (Bro & De Jong, *J. Chemometrics* 1997).
 A box keeps its node values, so a round builds rows only for the children
 of the boxes it split.  All of this lives in the fit and goes when it
 returns.  Only pure matrices are cached across fits, read-only: the
@@ -71,7 +72,7 @@ for API callers and for perfbench's probe list.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -373,6 +374,7 @@ class SolveResult:
     iterations: int
     max_violation: float
     objective: float
+    binding: np.ndarray  # mask of the rows of A with multiplier mu > 0
 
 
 def _objective(X, y, theta, lam, alpha):
@@ -497,13 +499,6 @@ def _least_distance(
     return -scale * r[:-1] / r[-1], mu, iterations
 
 
-def _factor(E: np.ndarray, f: np.ndarray) -> tuple:
-    """The SVD of E, with U^T f in place of U: what _solve_least_squares
-    needs of E and f."""
-    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-    return U.T @ f, sv, Vt
-
-
 def _solve_least_squares(
     c, G, h, max_iter, factor, start=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -514,9 +509,9 @@ def _solve_least_squares(
     z = S V^T (x - x0), and the rows become G W z >= h - G x0: least
     distance programming (Lawson & Hanson 1974, ch. 23).  E has full rank
     because solve_elastic_net fixes at 0 the columns the rows cannot
-    identify.  ``factor`` is _factor(E, f), and ``start`` the rows the
-    least-distance NNLS starts from.  Returns (x, the rows' multipliers,
-    NNLS iterations).
+    identify.  ``factor`` is (U^T f, S, V^T), as _Design.factor gives it
+    for the stand-in (R, r), and ``start`` the rows the least-distance NNLS
+    starts from.  Returns (x, the rows' multipliers, NNLS iterations).
     """
     Utf, sv, Vt = factor
     W = Vt.T / sv
@@ -527,38 +522,12 @@ def _solve_least_squares(
     return x0 + W @ z, mu, iterations
 
 
-@dataclass
-class _Reuse:
-    """What the solves of one fit share.  fit_constrained (or a lone solve)
-    makes one and drops it when it returns, so nothing in it outlives it."""
-
-    scaled: tuple  # _scale of the fit's X, y, lam and alpha
-    factors: dict = field(default_factory=dict)  # free-column mask -> _factor
-    start: np.ndarray | None = None  # rows of A the next solve's NNLS starts from
-    binding: np.ndarray | None = None  # rows of A with mu > 0 in the last solve
-
-    def factor(self, free):
-        """_factor of _scale's small stand-in (R, r), on its free columns."""
-        key = free.tobytes()
-        if key not in self.factors:
-            *_, R, r = self.scaled
-            self.factors[key] = _factor(R[:, free], r)
-        return self.factors[key]
-
-    def ridge_optimum(self) -> float:
-        """min ||E x - f||^2 on every kept column, x0 = W U^T f: the objective
-        without its rows and its 1-norm term, so a lower bound on every
-        solve's optimum."""
-        _, s, E, f, _, _ = self.scaled
-        Utf, sv, Vt = self.factor(np.ones(len(s), dtype=bool))
-        resid = E @ (Vt.T @ (Utf / sv)) - f
-        return float(resid @ resid)
-
-
-def _scale(X, y, lam, alpha) -> tuple:
-    """The columns of X that solves keep (``cols``), their scales s, the
-    stacked design (E, f) of solve_elastic_net on them, and (R, r): the same
-    least squares on few rows.
+class _Design:
+    """What the solves of one fit share: the columns of X that solves keep
+    (``cols``), their scales s, the stacked design (E, f) of
+    solve_elastic_net on them, and (R, r): the same least squares on few
+    rows.  fit_constrained (or a lone solve) makes one and drops it when it
+    returns, so nothing in it outlives it.
 
     Columns are scaled to unit norm.  Walking them in graded-lex order, the
     first column whose diagonal entry in the R factor of [columns, y] is at
@@ -572,31 +541,52 @@ def _scale(X, y, lam, alpha) -> tuple:
     ``cols`` is a slice when every column is kept.  DataError when column 0,
     the intercept, is zero.
     """
-    n, m = X.shape
-    s = np.sqrt((X * X).mean(axis=0))
-    s = np.where(s > 1e-12, s, 1.0)
-    D = np.column_stack([X / (s * np.sqrt(n)), y / np.sqrt(n)])
-    kept = np.arange(m)
-    R = np.linalg.qr(D, mode="r")
-    while True:
-        diag = np.zeros(len(kept))  # a wide R has no diagonal entry in its last columns
-        diag[: len(R)] = np.abs(np.diagonal(R))[: len(kept)]
-        small = np.flatnonzero(diag <= RANK_TOL)
-        if not len(small):
-            break
-        kept = np.delete(kept, small[0])
-        R = np.linalg.qr(np.delete(R, small[0], axis=1), mode="r")
-    if kept[0] != 0:
-        raise DataError("column 0 of the design, the intercept, is 0")
-    k = len(kept)
-    cols = slice(m) if k == m else kept
-    s, E, f, R, r = s[cols], D[:, cols], D[:, m], R[:k, :k], R[:k, k]
-    ridge = lam * (1.0 - alpha)
-    if ridge:
-        rows = np.sqrt(ridge / 2.0) * np.eye(k)[1:] / s
-        E, R = np.vstack([E, rows]), np.vstack([R, rows])
-        f, r = np.concatenate([f, np.zeros(k - 1)]), np.concatenate([r, np.zeros(k - 1)])
-    return cols, s, E, f, R, r
+
+    def __init__(self, X, y, lam, alpha):
+        n, m = X.shape
+        s = np.sqrt((X * X).mean(axis=0))
+        s = np.where(s > 1e-12, s, 1.0)
+        D = np.column_stack([X / (s * np.sqrt(n)), y / np.sqrt(n)])
+        kept = np.arange(m)
+        R = np.linalg.qr(D, mode="r")
+        while True:
+            diag = np.zeros(len(kept))  # a wide R has no diagonal entry in its last columns
+            diag[: len(R)] = np.abs(np.diagonal(R))[: len(kept)]
+            small = np.flatnonzero(diag <= RANK_TOL)
+            if not len(small):
+                break
+            kept = np.delete(kept, small[0])
+            R = np.linalg.qr(np.delete(R, small[0], axis=1), mode="r")
+        if kept[0] != 0:
+            raise DataError("column 0 of the design, the intercept, is 0")
+        k = len(kept)
+        cols = slice(m) if k == m else kept
+        s, E, f, R, r = s[cols], D[:, cols], D[:, m], R[:k, :k], R[:k, k]
+        ridge = lam * (1.0 - alpha)
+        if ridge:
+            rows = np.sqrt(ridge / 2.0) * np.eye(k)[1:] / s
+            E, R = np.vstack([E, rows]), np.vstack([R, rows])
+            f, r = np.concatenate([f, np.zeros(k - 1)]), np.concatenate([r, np.zeros(k - 1)])
+        self.cols, self.s, self.E, self.f, self.R, self.r = cols, s, E, f, R, r
+        self.start = None  # rows of A the next solve's NNLS starts from
+        self._factors = {}  # free-column mask -> factor
+
+    def factor(self, free):
+        """The SVD of R on the free columns, with U^T r in place of U: what
+        _solve_least_squares needs of the design."""
+        key = free.tobytes()
+        if key not in self._factors:
+            U, sv, Vt = np.linalg.svd(self.R[:, free], full_matrices=False)
+            self._factors[key] = U.T @ self.r, sv, Vt
+        return self._factors[key]
+
+    def ridge_optimum(self) -> float:
+        """min ||E x - f||^2 on every kept column, x0 = W U^T f: the objective
+        without its rows and its 1-norm term, so a lower bound on every
+        solve's optimum."""
+        Utf, sv, Vt = self.factor(np.ones(len(self.s), dtype=bool))
+        resid = self.E @ (Vt.T @ (Utf / sv)) - self.f
+        return float(resid @ resid)
 
 
 def solve_elastic_net(
@@ -608,13 +598,13 @@ def solve_elastic_net(
     b: np.ndarray | None = None,
     *,
     max_iter: int = MAX_ITER,
-    _reuse: _Reuse | None = None,
+    _reuse: _Design | None = None,
 ) -> SolveResult:
     """Exact elastic-net QP solver.
 
     Column 0 of X (the intercept) is never penalized.  Constraints are
     A theta >= b; pass A=None for the unconstrained problem.  A column the
-    rows of X cannot identify (_scale) is left out, its coefficient fixed at
+    rows of X cannot identify (_Design) is left out, its coefficient fixed at
     0, so every solve has full rank.  In the kept columns, scaled to unit
     RMS, the objective is ||E phi - f||^2 + sum_j w_j |phi_j|,
     with E the design stacked with the ridge rows, and every solve is least
@@ -638,22 +628,24 @@ def solve_elastic_net(
     failed, NNLS ran out of iterations or the orthant steps came back to a
     sign pattern; InfeasibleError means the rows admit no solution.
 
-    ``_reuse`` carries what the solves of one fit share (_Reuse): the scaled
-    design, its factorizations, and the rows NNLS starts from.  Each orthant
-    step's NNLS starts from the rows that bound the step before.
+    ``_reuse`` is the _Design the solves of one fit share: the scaled
+    design, its factorizations, and the rows NNLS starts from, the one field
+    a fit sets.  Each orthant step's NNLS starts from the rows that bound the
+    step before.  The result's ``binding`` masks the rows of A whose
+    multipliers are positive.
     """
     if A is None or A.shape[0] == 0:
         A = np.zeros((0, X.shape[1]))
         b = np.zeros(0)
     k = A.shape[0]
-    reuse = _reuse if _reuse is not None else _Reuse(_scale(X, y, lam, alpha))
-    cols, s, E, f, _, _ = reuse.scaled
+    design = _reuse if _reuse is not None else _Design(X, y, lam, alpha)
+    cols, s, E, f = design.cols, design.s, design.E, design.f
     m = len(s)  # the kept columns
     G = A[:, cols] / s
     w = np.zeros(m)
     w[1:] = lam * alpha / s[1:]
     free = np.ones(m, dtype=bool)
-    x, mu, iterations = _solve_least_squares(np.zeros(m), G, b, max_iter, reuse.factor(free), reuse.start)
+    x, mu, iterations = _solve_least_squares(np.zeros(m), G, b, max_iter, design.factor(free), design.start)
     sign = np.ones(m)
     at_zero = np.zeros(m, dtype=bool)
     if w.any():
@@ -675,7 +667,7 @@ def solve_elastic_net(
                 x_free, mu, its = _solve_least_squares(
                     (w * sign)[free], rows,
                     np.concatenate([b, np.zeros(free.sum() - 1)]), max_iter - iterations,
-                    reuse.factor(free), start,
+                    design.factor(free), start,
                 )
             except InfeasibleError:
                 if free.all():
@@ -697,7 +689,6 @@ def solve_elastic_net(
             sign[flip] = -sign[flip]
             free = (free & ~at_zero) | flip | enter
             free[0] = True
-    reuse.binding = mu > 0.0
     theta = np.zeros(X.shape[1])
     theta[cols] = x / s
     violation = float(max((b - A @ theta).max(initial=-np.inf), 0.0))
@@ -725,6 +716,7 @@ def solve_elastic_net(
         iterations=iterations,
         max_violation=violation,
         objective=_objective(X, y, theta, lam, alpha),
+        binding=mu > 0.0,
     )
 
 
@@ -758,12 +750,12 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)
     parts = [_whole_region(c, variables, config.degree) for c in constraints]
-    reuse, solves = _Reuse(_scale(X, y, config.lam, config.alpha)), []
+    design, solves = _Design(X, y, config.lam, config.alpha), []
 
     def solve(A, b, start):
-        reuse.start = start
+        design.start = start
         # through the module attribute, so wrappers of solve_elastic_net see every solve
-        solves.append(solve_elastic_net(X, y, config.lam, config.alpha, A, b, max_iter=MAX_ITER, _reuse=reuse))
+        solves.append(solve_elastic_net(X, y, config.lam, config.alpha, A, b, max_iter=MAX_ITER, _reuse=design))
         return solves[-1]
 
     def binding(A, absA, b, theta):
@@ -796,12 +788,12 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
             gap = 0.0
             if any(mask.any() for mask in axes) and inner.objective > 0.0:
                 if bound == -math.inf:
-                    bound = reuse.ridge_optimum()
+                    bound = design.ridge_optimum()
                 if inner.objective - bound > GAP_TOL * inner.objective:
                     # the bound in hand cannot close the gap, so solve the
                     # outer relaxation; V's rows are in A's order, so start
                     # from the rows inner bound by
-                    bound = max(bound, solve(V, b, reuse.binding).objective)
+                    bound = max(bound, solve(V, b, inner.binding).objective)
                 gap = max(inner.objective - bound, 0.0) / inner.objective
             best = (inner, gap)
             if gap <= GAP_TOL:

@@ -166,6 +166,34 @@ def test_error_exit_codes(tmp_path):
     assert proc.returncode == 2
 
 
+def test_empty_csv_is_an_error_line_with_or_without_a_target(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    for target in ((), ("--target", "y")):
+        proc = run("fit", "--algo", "pr", "--data", str(empty), *target)
+        assert_error_line(proc, 1)
+        assert f"SchemaError: {empty}: empty file" in proc.stderr
+
+
+def test_input_that_is_not_utf8_is_an_error_line(tmp_path):
+    data, spec, model = tmp_path / "d.csv", tmp_path / "mono.spec", tmp_path / "model.json"
+    data.write_text("x,y\n0.0,0.0\n0.5,0.25\n1.0,1.0\n")
+    spec.write_text(MONO_SPEC)
+    run("fit", "--algo", "pr", "--data", str(data), "--model-out", str(model))
+    bad = tmp_path / "latin1"
+    bad.write_bytes("x,y\n# caf\xe9\n".encode("latin-1"))
+    for args in (
+        ("fit", "--algo", "pr", "--data", str(bad)),
+        ("fit", "--algo", "pr", "--data", str(bad), "--target", "y"),
+        ("fit", "--algo", "pr", "--data", str(data), "--constraints", str(bad)),
+        ("certify", "--model", str(bad), "--constraints", str(spec)),
+        ("certify", "--model", str(model), "--constraints", str(bad)),
+    ):
+        proc = run(*args)
+        assert_error_line(proc, 1)
+        assert "can't decode byte 0xe9" in proc.stderr
+
+
 def test_algo_config_rejects_misspelt_key():
     from shapeguard.errors import ConfigError
     from shapeguard.validation import _config_from_settings

@@ -72,6 +72,16 @@ def test_load_csv_reports_bad_cells(tmp_path):
         load_csv(path, target="y")
 
 
+def test_load_csv_without_a_target_takes_the_last_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a, b \n1.0,2.0\n")
+    assert load_csv(path).target == "b"
+    for text, message in (("", "empty file"), ("\n1.0,2.0\n", "empty header row")):
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path)
+
+
 def test_scale_unit_and_unscale_round_trip():
     d = make(30, seed=5)
     scaled = scale_unit(d, ["a", "b"])

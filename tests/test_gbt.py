@@ -455,21 +455,33 @@ def test_corpus_fits_emit_no_runtime_warnings():
                 fit_gbt(data, config)
 
 
-def test_split_between_adjacent_floats_separates_them():
-    # 0.5 * (1 + nextafter(1, 2)) rounds to 1.0, which as a threshold would
-    # send every row right and leave the left child empty
-    x = np.r_[np.full(5, 1.0), np.full(5, np.nextafter(1.0, 2.0))]
+def assert_one_clean_split(below, above, threshold):
+    # five rows at below with y = 0 and five at above with y = 1: the one
+    # split must fall between them, with finite leaves and no warning
+    x = np.r_[np.full(5, below), np.full(5, above)]
     d = Dataset("d", {"x": x, "y": np.r_[np.zeros(5), np.ones(5)]}, "y")
     config = GBTConfig(n_trees=1, max_depth=1, lam=0.0, min_samples_leaf=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ens = fit_gbt(d, config)
     tree = ens.trees[0]
-    assert tree.threshold == np.nextafter(1.0, 2.0)
+    assert tree.threshold == threshold
     assert np.isfinite([tree.left.weight, tree.right.weight]).all()
     assert "NaN" not in ens.to_json()
     expect = np.r_[np.full(5, 0.45), np.full(5, 0.55)]
     np.testing.assert_allclose(predict_gbt(ens, {"x": x}), expect)
+
+
+def test_split_between_adjacent_floats_separates_them():
+    # 0.5 * (1 + nextafter(1, 2)) rounds to 1.0, which as a threshold would
+    # send every row right and leave the left child empty
+    assert_one_clean_split(1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 2.0))
+
+
+def test_split_between_huge_values_has_a_finite_threshold():
+    # 1.5e308 + 1.7e308 overflows: a threshold of inf would send every row
+    # left and give the empty right leaf the weight 0 / 0 at lam = 0
+    assert_one_clean_split(1.5e308, 1.7e308, 1.6e308)
 
 
 def test_identical_columns_split_on_the_first():
