@@ -22,7 +22,7 @@ from . import synth as synth_mod
 from . import validation as validation_mod
 from .certify import certify as run_certification
 from .constraints import parse_constraints
-from .datasets import load_csv
+from .datasets import _read_text, load_csv
 from .errors import ConfigError, SchemaError, ShapeguardError
 from .poly import PolyModel, _json_loads
 from .validation import ALGORITHMS
@@ -72,7 +72,7 @@ def _parse_json(text: str, flag: str):
 def _load_config(path) -> dict:
     if not path:
         return {}
-    cfg = _parse_json(Path(path).read_text(encoding="utf-8"), f"--config {path}")
+    cfg = _parse_json(_read_text(path), f"--config {path}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -86,7 +86,7 @@ def _inputs(args):
     """
     constraints, target = [], args.target
     if args.constraints:
-        spec = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
+        spec = parse_constraints(_read_text(args.constraints))
         constraints, target = spec.constraints, target or spec.target
     return constraints, target, _load_config(args.config)
 
@@ -148,8 +148,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8")).constraints
-    model = PolyModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    constraints = parse_constraints(_read_text(args.constraints)).constraints
+    model = PolyModel.from_json(_read_text(args.model))
     report = run_certification(model, constraints)
     _write_report(args.out, "certify", report.to_dict())
     for entry in report.entries:
@@ -189,7 +189,7 @@ def _load_corpus(data_dir, target):
     manifest_path = data_dir / "manifest.json"
     datasets = []
     if manifest_path.exists():
-        manifest = _json_loads(manifest_path.read_text(encoding="utf-8"), str(manifest_path))
+        manifest = _json_loads(_read_text(manifest_path), str(manifest_path))
         if not isinstance(manifest, list):
             raise SchemaError(f"{manifest_path} must hold a JSON list of entries")
         for i, entry in enumerate(manifest):
@@ -352,8 +352,7 @@ def main(argv=None) -> int:
     except ShapeguardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        # an input that cannot be read, or whose bytes are not UTF-8
+    except OSError as exc:  # an input that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -72,15 +72,26 @@ class Dataset:
             fh.write(self.to_csv_text())
 
 
+def _read_text(path, newline=None) -> str:
+    """The text of a UTF-8 file, its line ends translated as ``open`` does
+    for ``newline``; DataError naming the file when its bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_csv(path, target: str | None = None) -> Dataset:
     """Load a headered CSV of IEEE doubles, named by its path; the target is
     the header's last column unless ``target`` names one.
 
-    Raises DataError with (row, column) for unparseable or non-finite cells
-    and SchemaError for a repeated column name, a missing target, an empty
-    header or an empty table.
+    Raises DataError naming the file when it is not UTF-8, DataError with
+    (row, column) for unparseable or non-finite cells and SchemaError for a
+    repeated column name, a missing target, an empty header or an empty
+    table.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(_read_text(path, newline=""), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

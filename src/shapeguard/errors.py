@@ -18,7 +18,7 @@ class SchemaError(ShapeguardError):
 
 
 class DataError(ShapeguardError):
-    """A cell could not be parsed or is non-finite."""
+    """A cell could not be parsed or is non-finite, or an input file is not UTF-8."""
 
     def __init__(self, message, row=None, column=None):
         super().__init__(message)

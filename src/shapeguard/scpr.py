@@ -23,16 +23,20 @@ MAX_FIT_ROWS, each box is halved along its widest such axis only.  It
 splits them with ``poly._split``, the routine ``certify`` splits with, so
 ``certify`` re-reads the coefficients the fit bounded.  The lower bound is
 the largest in hand: the ridge optimum (the objective without its rows and
-1-norm term) and the outer objective of every round so far.  Every node of a
-box is a node of one of its halves, so outer objectives only rise as boxes
-are halved, and a round whose objective the bound in hand already brings
-within GAP_TOL skips its outer solve.  Refinement stops when the relative
-gap between the fit's objective and that bound is at most GAP_TOL, after
-REFINE_ROUNDS rounds, or when even the single halvings would take the rows
-past MAX_FIT_ROWS.  A round whose solve fails, or whose objective rises (so
-the solves are inexact), also stops it, and the fit of the round before is
-kept.  These limits, SOLVER_TOL and MAX_ITER are module constants;
-SCPRConfig holds only the model: degree, lam and alpha.  Each solve is of
+1-norm term) and the outer objective of every round that solved one.  Every
+node of a box is a node of one of its halves, so outer objectives only rise
+as boxes are halved.  A round solves its outer relaxation only when the
+bound in hand leaves its gap above GAP_TOL and an upper bound on the outer
+optimum does not: the objective at the farthest point from the round's fit
+toward the last outer solution that the round's node-value rows admit.  The
+first outer solve, which has no such point, always runs.  Refinement stops
+when the relative gap between the fit's objective and that bound is at most
+GAP_TOL, after REFINE_ROUNDS rounds, or when even the single halvings would
+take the rows past MAX_FIT_ROWS.  A round whose solve fails, or whose
+objective rises (so the solves are inexact), also stops it, and the fit of
+the round before is kept.  These limits, SOLVER_TOL and MAX_ITER are module
+constants; SCPRConfig holds only the model: degree, lam and alpha.  Each
+solve is of
 
     min (1/n)||X theta - y||^2
         + lambda * (alpha * ||theta_-0||_1 + (1-alpha)/2 * ||theta_-0||_2^2)
@@ -52,11 +56,11 @@ is raised.
 A fit reuses what its earlier rounds computed.  Its solves share one
 ``_Design``: the scaled design, its triangular factor, and one SVD of that
 factor per set of free columns, from which the ridge optimum comes too.  It
-keeps the largest lower bound of its rounds, so each round solves its outer
-relaxation only when that bound leaves the gap above GAP_TOL.  Each round's
-NNLS starts from the rows that bound the round before, and the outer solve
-from the rows that bound the same round's inner one, which that solve
-returns (Bro & De Jong, *J. Chemometrics* 1997).
+keeps the largest lower bound of its rounds and the last outer solution,
+so a round skips each outer solve that cannot change what the fit does
+next.  Each round's NNLS starts from the rows that bound the round before,
+and the outer solve from the rows that bound the same round's inner one,
+which that solve returns (Bro & De Jong, *J. Chemometrics* 1997).
 A box keeps its node values, so a round builds rows only for the children
 of the boxes it split.  All of this lives in the fit and goes when it
 returns.  Only pure matrices are cached across fits, read-only: the
@@ -741,7 +745,12 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     when refinement stopped (the ridge optimum or the outer objective of a
     round), iterations sums the NNLS iterations of all its solves, and
     rounds counts the rounds whose rows it solved (1 when it split no box).
-    A round skips its outer solve when that bound already closes its gap.
+    A round solves its outer relaxation only when the bound in hand leaves
+    its gap above GAP_TOL and an upper bound on the outer optimum does not:
+    the objective at the farthest point from the round's fit toward the last
+    outer solution that the round's node-value rows admit.  The first outer
+    solve always runs.  A skipped solve could not have closed the gap, so
+    the fit splits as it would have after solving it.
     InfeasibleError means the node values alone admit no solution, or the
     rows of every partition tried did not; SolverError means the first solve
     that admitted a fit failed its KKT check; DomainError means the Bernstein
@@ -763,11 +772,25 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
         # size of its terms
         return A @ theta - b <= SOLVER_TOL * (1.0 + absA @ np.abs(theta))
 
+    def outer_could_close(V, b, inner, outer):
+        # The outer optimum is at most the objective of any point V's rows
+        # admit.  inner.theta meets them: step from it toward the last outer
+        # solution as far as every row admits, each within its binding
+        # tolerance, so that rows binding at both ends cannot stop the step
+        # on rounding alone
+        theta, d = inner.theta, outer.theta - inner.theta
+        step = V @ d
+        slack = V @ theta - b + SOLVER_TOL * (1.0 + np.abs(V) @ np.abs(theta))
+        falls = step < 0.0
+        t = min(1.0, max(0.0, (slack[falls] / -step[falls]).min(initial=1.0)))
+        upper = _objective(X, y, theta + t * d, config.lam, config.alpha)
+        return inner.objective - upper <= GAP_TOL * inner.objective
+
     best = None  # (inner solve, gap) of the round the fit is taken from
     # The largest lower bound on the optimum in hand: the ridge optimum, once
     # a round needs a bound, and every outer objective so far.  Halving a box
     # keeps its nodes, so later outer objectives can only be larger.
-    bound = -math.inf
+    bound, outer = -math.inf, None  # outer: the last outer solve
     # rounds counts the rounds run, this one included
     for rounds in range(1, REFINE_ROUNDS + 2):
         A, V, b = _bernstein_system(parts, X.shape[1])
@@ -789,18 +812,23 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
             if any(mask.any() for mask in axes) and inner.objective > 0.0:
                 if bound == -math.inf:
                     bound = design.ridge_optimum()
-                if inner.objective - bound > GAP_TOL * inner.objective:
-                    # the bound in hand cannot close the gap, so solve the
-                    # outer relaxation; V's rows are in A's order, so start
-                    # from the rows inner bound by
-                    bound = max(bound, solve(V, b, inner.binding).objective)
+                if inner.objective - bound > GAP_TOL * inner.objective and (
+                    outer is None or outer_could_close(V, b, inner, outer)
+                ):
+                    # neither the bound in hand nor a point V's rows admit
+                    # settles the gap, so solve the outer relaxation; V's
+                    # rows are in A's order, so start from the rows inner
+                    # bound by
+                    outer = solve(V, b, inner.binding)
+                    bound = max(bound, outer.objective)
                 gap = max(inner.objective - bound, 0.0) / inner.objective
             best = (inner, gap)
             if gap <= GAP_TOL:
                 break
         except InfeasibleError:
             # raises when the node values admit no solution
-            bound = max(bound, solve(V, b, None).objective)
+            outer = solve(V, b, None)
+            bound = max(bound, outer.objective)
             axes = _binding_axes(parts, np.ones(len(b), dtype=bool))
         except SolverError:
             if best is None:

@@ -194,6 +194,29 @@ def test_input_that_is_not_utf8_is_an_error_line(tmp_path):
         assert "can't decode byte 0xe9" in proc.stderr
 
 
+def test_an_input_that_is_not_utf8_is_named_in_its_error_line(tmp_path):
+    # every file the CLI reads: the CSV, the constraint spec, --config,
+    # certify's --model and a corpus manifest
+    data, spec, bad = tmp_path / "d.csv", tmp_path / "mono.spec", tmp_path / "latin1"
+    data.write_text("x,y\n0.0,0.0\n0.5,0.25\n1.0,1.0\n")
+    spec.write_text(MONO_SPEC)
+    bad.write_bytes("x,y\n# caf\xe9\n".encode("latin-1"))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    manifest = corpus / "manifest.json"
+    manifest.write_bytes('[{"file": "caf\xe9.csv"}]'.encode("latin-1"))
+    for path, args in (
+        (bad, ("fit", "--algo", "pr", "--data", str(bad))),
+        (bad, ("fit", "--algo", "pr", "--data", str(data), "--constraints", str(bad))),
+        (bad, ("fit", "--algo", "pr", "--data", str(data), "--config", str(bad))),
+        (bad, ("certify", "--model", str(bad), "--constraints", str(spec))),
+        (manifest, ("roc", "--algo", "pr", "--data-dir", str(corpus))),
+    ):
+        proc = run(*args)
+        assert_error_line(proc, 1)
+        assert f"DataError: {path}: 'utf-8' codec can't decode byte 0xe9" in proc.stderr, (args, proc.stderr)
+
+
 def test_algo_config_rejects_misspelt_key():
     from shapeguard.errors import ConfigError
     from shapeguard.validation import _config_from_settings

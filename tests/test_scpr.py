@@ -914,9 +914,9 @@ def test_probes_of_solve_elastic_net_see_every_solve(monkeypatch):
     scaled, spec = eq1_dataset(19)
     fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(rounds) > 1
-    # the inner and the outer solve of each round, but the last round's
-    # outer: the bound the rounds before left in hand settles its gap
-    assert len(calls) == 2 * len(rounds) - 1
+    # the inner solve of each round, and the outer solves of rounds 1 and 4
+    # (test_round_skips_the_outer_solve_its_bound_settles)
+    assert len(calls) == len(rounds) + 2
     assert all(len(args) == 6 and args[4].shape == (len(args[5]), 20) for args in calls)
 
 
@@ -930,72 +930,114 @@ def test_report_iterations_sum_every_solve_of_the_fit(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(scpr, "solve_elastic_net", probe)
-    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds, 6 inner solves and 5 outer ones
+    scaled, spec = eq1_dataset(19)  # stuck: 6 rounds, 6 inner solves and 2 outer ones
     _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert len(results) > 2
     assert report.iterations == sum(r.iterations for r in results)
 
 
-def spy_on_solves(monkeypatch):
-    """Record each solve of a fit as (outer?, objective): an outer solve's
-    rows are the node values V that _bernstein_system returned for its round."""
-    solves, node_rows = [], []
+def spy_on_rounds(monkeypatch):
+    """Record each round of a fit as (V, b, solves): the node-value rows
+    _bernstein_system returned for it, and its solves as (outer?, result),
+    where an outer solve's rows are V."""
+    rounds = []
     solve, system = scpr.solve_elastic_net, scpr._bernstein_system
 
     def record_system(*args):
-        out = system(*args)
-        node_rows.append(out[1])
-        return out
+        A, V, b = system(*args)
+        rounds.append((V, b, []))
+        return A, V, b
 
     def record_solve(*args, **kwargs):
         result = solve(*args, **kwargs)
-        solves.append((any(args[4] is V for V in node_rows), result.objective))
+        V, _, solves = rounds[-1]
+        solves.append((args[4] is V, result))
         return result
 
     monkeypatch.setattr(scpr, "_bernstein_system", record_system)
     monkeypatch.setattr(scpr, "solve_elastic_net", record_solve)
-    return solves
+    return rounds
+
+
+def fit_problems():
+    """Stuck dataset 019 and random_fit_problems, as (data, constraints, config)."""
+    scaled, spec = eq1_dataset(19)
+    yield scaled, spec.constraints, SCPRConfig(degree=3, lam=1e-6)
+    for _, d, cons, degree in random_fit_problems():
+        yield d, cons, SCPRConfig(degree=degree, lam=1e-6)
+
+
+def outer_objective(data, config, V, b) -> float:
+    """The optimum of a round's outer relaxation, solved on its own."""
+    X, y = build_design_matrix(data, data.feature_names, data.target, config.degree)
+    return solve_elastic_net(X, y, config.lam, config.alpha, V, b).objective
 
 
 def test_outer_objectives_never_fall_as_boxes_are_halved(monkeypatch):
     # every node of a box is a node of one of its halves, so each round's
     # outer relaxation has the rows of the one before: what a fit's skipped
-    # outer solves rest on.  With GAP_TOL = 0 every round solves its outer.
+    # outer solves rest on.  The fits split the boxes (GAP_TOL = 0 keeps
+    # them refining), and every round's outer relaxation is solved here.
     monkeypatch.setattr(scpr, "GAP_TOL", 0.0)
     monkeypatch.setattr(scpr, "REFINE_ROUNDS", 3)
-    scaled, spec = eq1_dataset(19)
-    problems = [(scaled, spec.constraints, 3)]
-    problems += [(d, cons, degree) for _, d, cons, degree in random_fit_problems()]
-    solves = spy_on_solves(monkeypatch)
+    rounds = spy_on_rounds(monkeypatch)
     sequences = 0
-    for data, cons, degree in problems:
-        solves.clear()
-        fit_constrained(data, SCPRConfig(degree=degree, lam=1e-6), cons)
-        outer = [objective for is_outer, objective in solves if is_outer]
+    for data, cons, config in fit_problems():
+        rounds.clear()
+        fit_constrained(data, config, cons)
+        outer = [outer_objective(data, config, V, b) for V, b, _ in rounds]
         sequences += len(outer) > 1
         for before, after in zip(outer, outer[1:]):
             assert after >= before * (1.0 - 1e-12), (before, after)
-    assert sequences >= 10  # premise: many fits solve more than one outer relaxation
+    assert sequences >= 10  # premise: many fits refine through more than one round
+
+
+def test_a_skipped_outer_solve_could_not_have_closed_its_gap(monkeypatch):
+    # a round skips its outer solve only when a point its node-value rows
+    # admit leaves the gap above GAP_TOL; the skipped solve, run here, must
+    # leave it there too, so the fit splits as it would have after solving
+    rounds = spy_on_rounds(monkeypatch)
+    skipped = 0
+    for data, cons, config in fit_problems():
+        rounds.clear()
+        _, report = fit_constrained(data, config, cons)
+        for i, (V, b, solves) in enumerate(rounds):
+            if not solves or any(is_outer for is_outer, _ in solves):
+                continue
+            inner = solves[0][1]
+            # the last round skipped its outer solve only if the fit kept its
+            # inner one with the gap open; otherwise its bound closed the gap
+            if i == len(rounds) - 1 and not (
+                report.objective_value == inner.objective and report.optimality_gap > scpr.GAP_TOL
+            ):
+                continue
+            skipped += 1
+            outer = outer_objective(data, config, V, b)
+            assert inner.objective - outer > scpr.GAP_TOL * inner.objective, (i, inner.objective, outer)
+    assert skipped >= 30  # premise: the fits skip outer solves
 
 
 def test_round_skips_the_outer_solve_its_bound_settles(monkeypatch):
-    solves = spy_on_solves(monkeypatch)
-    # stuck dataset 019: round 5's outer objective already closes the gap
-    # of round 6, whose outer solve is the largest of the fit
+    rounds = spy_on_rounds(monkeypatch)
+    # stuck dataset 019: rounds 2, 3, 5 and 6 skip their outer solves.  In
+    # rounds 2, 3 and 5 a point the node values admit shows that the outer
+    # optimum leaves the gap open; in round 6 round 4's outer objective
+    # already closes it
     scaled, spec = eq1_dataset(19)
     _, report = fit_constrained(scaled, SCPRConfig(degree=3, lam=1e-6), spec.constraints)
     assert report.rounds == 6
-    assert [is_outer for is_outer, _ in solves] == [False, True] * 5 + [False]
-    objective, bound = solves[-1][1], solves[-2][1]
+    solves = [solve for _, _, round_solves in rounds for solve in round_solves]
+    assert [is_outer for is_outer, _ in solves] == [False, True, False, False, False, True, False, False]
+    objective, bound = solves[-1][1].objective, solves[5][1].objective
     assert report.objective_value == objective
     assert report.optimality_gap == pytest.approx((objective - bound) / objective, rel=1e-12)
     assert report.optimality_gap <= scpr.GAP_TOL
     # dataset 018: the unconstrained ridge optimum closes the first round's gap
-    solves.clear()
+    rounds.clear()
     scaled, spec = eq1_dataset(18)
     config = SCPRConfig(degree=3, lam=1e-6)
     _, report = fit_constrained(scaled, config, spec.constraints)
-    assert [is_outer for is_outer, _ in solves] == [False]
+    assert [is_outer for _, _, round_solves in rounds for is_outer, _ in round_solves] == [False]
     ridge = fit_unconstrained(scaled, config)[1].objective_value
     assert report.optimality_gap == pytest.approx((report.objective_value - ridge) / report.objective_value, rel=1e-9)
     assert 0.0 < report.optimality_gap <= scpr.GAP_TOL
