@@ -16,24 +16,33 @@ ensemble) monotone by construction.
 
 What does not depend on the gradient is built once.  Per fit: each feature's
 stable argsort, and the root level (_Level: the padded rows, the candidates'
-(node, feature, position), flat offsets and child counts), which every tree's
-root shares; and, for the ROOT_MEMO root splits used last, the level after
-each.  Per level of a tree: the next _Level, except for the last level, which
-needs only its rows.  A tree then pays only for the gradient: gathers, one
-cumsum and the gain arithmetic, with each node's gradient sum, weight bounds
-and weight held as arrays.  The floats are those of a per-node search: every
-prefix sum is the same sequential cumsum over the node's sorted rows, every
-weight and gain the same IEEE operations in the same order (_clamp breaks
-ties as Python's min and max do), and what is built once holds only row
-orders, sorted values and counts, which no gradient changes.
+(node, feature, position), flat offsets and child counts plus lam), which
+every tree's root shares; and, for the ROOT_MEMO root splits used last, the
+level after each.  Per level of a tree: the next _Level, except for the last
+level, which needs only its rows.  A tree then pays only for the gradient:
+gathers, one cumsum and the gain arithmetic, with each node's gradient sum,
+weight bounds and weight held as arrays.  The floats are those of a per-node
+search: every prefix sum is the same sequential cumsum over the node's sorted
+rows, every weight and gain the same IEEE operations in the same order (with
+alpha = 0 the 1-norm terms, exactly zero, are skipped, which can only flip
+the sign of a zero gain; _clamp breaks ties as Python's min and max do), and
+what is built once holds only row orders, sorted values and counts, which no
+gradient changes.
 
 Ties go to the earliest candidate: features are taken in column order and
 thresholds in ascending order, and a candidate replaces the best split only
 if its gain exceeds the best by more than 1e-15.  Each node's gradient sum is
 taken over its rows in ascending order, so a tree's floats do not depend on
-the order in which its nodes are grown.  A fit updates its training
-predictions from each leaf's rows; prediction routes arrays of row indices
-down each tree.
+the order in which its nodes are grown.
+
+A fit adds each tree's leaf weights to its training predictions by the rows
+each leaf holds, and keeps the result as the ensemble's train_pred.
+predict_gbt routes arrays of row indices down each tree, a row going left
+where x < threshold, which is where the fit put it (the fit sends x >=
+threshold right, and no value is NaN); it starts from the same base score
+and adds the same leaf weights in the same order, so on the training rows it
+gives train_pred bit for bit, and validation scores those rows with
+train_pred instead.
 """
 
 from __future__ import annotations
@@ -117,15 +126,19 @@ class RegTreeNode:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict, where: str = "tree") -> "RegTreeNode":
-        """Inverse of to_dict; SchemaError names a missing or ill-typed field."""
+    def from_dict(cls, obj: dict, where: str = "tree", features=None) -> "RegTreeNode":
+        """Inverse of to_dict; SchemaError names a missing or ill-typed field,
+        or, given ``features``, a split on a variable that is not one of them."""
         if not isinstance(obj, dict) or "variable" not in obj:
             return cls(weight=_json_float(obj, where, "weight"))
+        variable = _json_field(obj, where, "variable", str)
+        if features is not None and variable not in features:
+            raise SchemaError(f"{where}: splits on {variable!r}, which is not in features {features}")
         return cls(
-            variable=_json_field(obj, where, "variable", str),
+            variable=variable,
             threshold=_json_float(obj, where, "threshold"),
-            left=cls.from_dict(_json_field(obj, where, "left", dict), where + ".left"),
-            right=cls.from_dict(_json_field(obj, where, "right", dict), where + ".right"),
+            left=cls.from_dict(_json_field(obj, where, "left", dict), where + ".left", features),
+            right=cls.from_dict(_json_field(obj, where, "right", dict), where + ".right", features),
         )
 
 
@@ -136,6 +149,9 @@ class GBTEnsemble:
     features: list
     trees: list = field(default_factory=list)
     monotone: dict = field(default_factory=dict)
+    # fit_gbt's predictions on its training rows, which predict_gbt gives
+    # bit for bit; None for a loaded ensemble, and neither written nor compared
+    train_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -150,34 +166,64 @@ class GBTEnsemble:
 
     @classmethod
     def from_json(cls, text: str) -> "GBTEnsemble":
-        """Inverse of to_json; SchemaError names a missing or ill-typed field."""
+        """Inverse of to_json; SchemaError names a missing or ill-typed field.
+
+        Splits and monotone directions must name features, and a direction
+        must be -1, 0 or +1, as GBTConfig and fit_gbt require.
+        """
         obj = _json_loads(text, "model")
+        base_score = _json_float(obj, "model", "base_score")
+        learning_rate = _json_float(obj, "model", "learning_rate")
+        features = list(_json_field(obj, "model", "features", list, str))
+        monotone = dict(_json_field(obj, "model", "monotone", dict, int)) if "monotone" in obj else {}
+        for v, d in monotone.items():
+            if v not in features:
+                raise SchemaError(f"model: monotone direction for {v!r}, which is not in features {features}")
+            if d not in (-1, 0, 1):
+                raise SchemaError(f"model: monotone direction for {v!r} must be -1, 0 or +1, got {d}")
+        trees = _json_field(obj, "model", "trees", list)
         return cls(
-            base_score=_json_float(obj, "model", "base_score"),
-            learning_rate=_json_float(obj, "model", "learning_rate"),
-            features=list(_json_field(obj, "model", "features", list, str)),
-            monotone=dict(_json_field(obj, "model", "monotone", dict, int)) if "monotone" in obj else {},
-            trees=[
-                RegTreeNode.from_dict(t, f"model tree {i}")
-                for i, t in enumerate(_json_field(obj, "model", "trees", list))
-            ],
+            base_score, learning_rate, features, monotone=monotone,
+            trees=[RegTreeNode.from_dict(t, f"model tree {i}", features) for i, t in enumerate(trees)],
         )
 
 
-def _leaf_weight(G, H, lam: float, alpha: float):
-    """XGBoost-style weight: -soft_threshold(G, alpha) / (H + lam), elementwise."""
-    g = np.copysign(np.maximum(np.abs(G) - alpha, 0.0), G)
-    return -g / (H + lam)
+def _leaf_weight(G, HL, alpha: float):
+    """XGBoost-style weight: -soft_threshold(G, alpha) / HL, elementwise, with HL = H + lam.
+
+    With alpha = 0 the soft threshold is G itself, bit for bit, and is skipped.
+    """
+    if alpha:
+        G = np.copysign(np.maximum(np.abs(G) - alpha, 0.0), G)
+    return -G / HL
 
 
-def _objective(G, H, w, lam: float, alpha: float):
-    return G * w + 0.5 * (H + lam) * w * w + alpha * abs(w)
+def _objective(G, half, w, alpha: float):
+    """G w + half w w + alpha |w|, elementwise, with half = 0.5 * (H + lam).
+
+    With alpha = 0 the 1-norm term, exactly zero, is not added: only the sign
+    of a zero objective can differ, and no comparison of gains sees it.
+    """
+    obj = G * w + half * w * w
+    if alpha:
+        obj += alpha * np.abs(w)
+    return obj
 
 
 def _clamp(w, lo, hi):
-    """min(max(w, lo), hi) elementwise; a tie keeps w, as Python's min and max do."""
-    w = np.where(lo > w, lo, w)
-    return np.where(hi < w, hi, w)
+    """min(max(w, lo), hi) elementwise, as Python's min and max give it.
+
+    numpy's maximum and minimum give other values only for a NaN bound, and
+    no bound is NaN: a bound is +-inf or the midpoint of two clamped child
+    weights, each -g / (n + lam) with n >= 1 rows, which are finite while the
+    gradients are.  (A target whose mean overflows makes the weights infinite
+    or NaN before any clamp.)  Equal floats differ at most in the sign of
+    zero.  On a tie numpy returns the second operand on x86, which is why w,
+    and then the inner result, come second: a tie keeps w, as Python's
+    max(w, lo) does.  Elsewhere a tie of opposite zeros may return the
+    bound's zero.
+    """
+    return np.minimum(hi, np.maximum(lo, w))
 
 
 class _Level:
@@ -189,11 +235,15 @@ class _Level:
     rows hold other real rows, and no candidate reads that far.  The
     candidates are the (node, feature, position) triples kfi, in that order,
     where the sorted value changes and both children keep min_samples_leaf
-    rows; off is each one's flat offset in rows, n its left and right child
-    counts and direction its feature's monotone direction.
+    rows; off is each one's flat offset in rows, nl its left and right child
+    counts plus lam, half 0.5 * nl, and direction its feature's monotone
+    direction.  half_counts is 0.5 * (counts + lam).
     """
 
-    __slots__ = ("perm", "xsort", "counts", "start", "flat", "rows", "kfi", "off", "n", "direction")
+    __slots__ = (
+        "perm", "xsort", "counts", "half_counts", "start", "flat", "rows", "kfi", "off", "nl", "half",
+        "direction",
+    )
 
     def __init__(self, perm, xsort, counts, direction, config: GBTConfig):
         m = config.min_samples_leaf
@@ -201,6 +251,7 @@ class _Level:
         width = counts.max()
         start = counts.cumsum() - counts
         self.perm, self.xsort, self.counts, self.start = perm, xsort, counts, start.tolist()
+        self.half_counts = 0.5 * (counts + config.lam)
         # flat[f]: where perm and xsort begin feature f's row (the last row is perm's own)
         self.flat = np.arange(n_feat + 1)[:, None] * size
         pad = (start[:, None, None] + np.arange(width)) + self.flat[:-1]
@@ -211,11 +262,12 @@ class _Level:
         # split between equal values is no split.
         at = np.arange(m - 1, width - m)
         change = xs[:, :, m - 1 : width - m] < xs[:, :, m : width - m + 1]
-        k, f, i = np.nonzero(change & (at < counts[:, None, None] - m))
+        k, f, i = (change & (at < counts[:, None, None] - m)).nonzero()
         i += m - 1
         self.kfi = np.array([k, f, i])
         self.off = (k * n_feat + f) * width + i
-        self.n = np.array([i + 1, counts.take(k) - i - 1])
+        self.nl = np.array([i + 1, counts.take(k) - i - 1]) + config.lam
+        self.half = 0.5 * self.nl
         self.direction = direction.take(f)
 
 
@@ -228,13 +280,13 @@ def _best_splits(level: _Level, grad, G, bounds, weights, config: GBTConfig) -> 
     both children of every candidate are scored at once, as the rows of one
     (2, candidates) array.
     """
-    lam, alpha = config.lam, config.alpha
-    parent = _objective(G, level.counts, weights, lam, alpha)
+    alpha = config.alpha
+    parent = _objective(G, level.half_counts, weights, alpha)
     G_k, lo, hi, parent_k = np.array([G, *bounds, parent]).take(level.kfi[0], axis=1)
-    GL = np.cumsum(grad.take(level.rows), axis=2).take(level.off)
+    GL = grad.take(level.rows).cumsum(axis=2).take(level.off)
     GLR = np.concatenate((GL, G_k - GL)).reshape(2, -1)
-    w = _leaf_weight(GLR, level.n, lam, alpha)
-    obj = _objective(GLR, level.n, _clamp(w, lo, hi), lam, alpha)
+    w = _leaf_weight(GLR, level.nl, alpha)
+    obj = _objective(GLR, level.half, _clamp(w, lo, hi), alpha)
     gain = parent_k - obj[0] - obj[1]
     # an increasing feature forbids wl > wr and a decreasing one wl < wr (checked before clamping)
     gain = np.where(level.direction * (w[0] - w[1]) <= 0, gain, -np.inf)
@@ -244,7 +296,7 @@ def _best_splits(level: _Level, grad, G, bounds, weights, config: GBTConfig) -> 
     padded = np.full(level.rows.shape, -np.inf)
     padded.put(level.off + 1, gain)
     running = np.maximum.accumulate(padded.reshape(len(level.counts), -1), axis=1)
-    record = np.flatnonzero(gain > running.take(level.off))
+    record = (gain > running.take(level.off)).nonzero()[0]
     best = {}
     for node, feat, pos, g in zip(*level.kfi.take(record, axis=1).tolist(), gain.take(record).tolist()):
         if node not in best or g > best[node][0] + 1e-15:
@@ -284,8 +336,8 @@ def _regroup(X, level: _Level, rows, counts, splits: dict, deeper: bool, directi
     sizes = np.bincount(label, minlength=n_labels)[:n_labels]
     kept = sizes.sum()
     if not deeper:
-        return sizes, None, rows.take(np.argsort(row_label.take(rows), kind="stable")[:kept])
-    order = np.argsort(row_label.take(level.perm), axis=1, kind="stable")[:, :kept] + level.flat
+        return sizes, None, rows.take(row_label.take(rows).argsort(kind="stable")[:kept])
+    order = row_label.take(level.perm).argsort(axis=1, kind="stable")[:, :kept] + level.flat
     level = _Level(level.perm.take(order), level.xsort.take(order[:-1]), sizes, direction, config)
     return sizes, level, level.perm[-1]
 
@@ -313,8 +365,8 @@ def _grow_tree(X, root: _Level, grad, direction, names, config: GBTConfig, memo:
     # the frontier: its nodes and, as arrays, their gradient sums, row counts,
     # weights before clamping, and weight bounds (rows lo and hi)
     nodes, level, rows, counts = [tree], root, root.perm[-1], root.counts
-    G = np.array([grad.sum()])
-    raw = _leaf_weight(G, counts, lam, alpha)
+    G = np.array([np.add.reduce(grad)])
+    raw = _leaf_weight(G, counts + lam, alpha)
     bounds = np.array([[-math.inf], [math.inf]])
     for depth in range(config.max_depth + 1):
         weights = _clamp(raw, *bounds)
@@ -342,8 +394,8 @@ def _grow_tree(X, root: _Level, grad, direction, names, config: GBTConfig, memo:
         # each child's gradient sum over its rows in ascending order, as grad[rows].sum()
         g_rows = grad.take(rows)
         ends = itertools.accumulate(counts.tolist())
-        G = np.array([g_rows[e - c : e].sum() for e, c in zip(ends, counts.tolist())])
-        raw = _leaf_weight(G, counts, lam, alpha)
+        G = np.array([np.add.reduce(g_rows[e - c : e]) for e, c in zip(ends, counts.tolist())])
+        raw = _leaf_weight(G, counts + lam, alpha)
         split_nodes = sorted(splits)
         parent = bounds.take([k for k in split_nodes for _ in (0, 1)], axis=1)
         w = _clamp(raw, *parent)
@@ -410,6 +462,7 @@ def fit_gbt(data: Dataset, config: GBTConfig) -> GBTEnsemble:
         pred = pred + config.learning_rate * leaf_w
     if not ensemble.trees and stumped:
         warnings.warn("no legal split at any root; ensemble reduces to the intercept")
+    ensemble.train_pred = pred
     return ensemble
 
 

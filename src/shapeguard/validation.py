@@ -226,7 +226,14 @@ def _fit_gbt(train, config, constraints):
     if not config.monotone and constraints:
         config = dc_replace(config, monotone=monotone_from_constraints(constraints))
     ensemble = gbt_mod.fit_gbt(train, config)
-    return ensemble, partial(gbt_mod.predict_gbt, ensemble), {"n_trees": len(ensemble.trees)}
+
+    def predict(columns):
+        # the training rows' sums are the fit's own: same base, leaves and order
+        if columns is train.columns:
+            return ensemble.train_pred.copy()
+        return gbt_mod.predict_gbt(ensemble, columns)
+
+    return ensemble, predict, {"n_trees": len(ensemble.trees)}
 
 
 def _fit_scsr(train, config, constraints):

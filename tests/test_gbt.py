@@ -1,8 +1,10 @@
 """Gradient-boosted trees: boosting behaviour and monotone constraints."""
 
 import hashlib
+import itertools
 import json
 import math
+import platform
 import warnings
 from importlib import resources
 
@@ -23,7 +25,15 @@ from shapeguard import (
 )
 from shapeguard.datasets import scale_unit
 from shapeguard.gbt import ROOT_MEMO, RegTreeNode, _Level, _best_splits, _clamp, _leaf_weight, _predict_tree
-from shapeguard.validation import monotone_from_constraints
+from shapeguard import gbt as gbt_mod
+from shapeguard.validation import (
+    ALGORITHMS,
+    ValidationConfig,
+    monotone_from_constraints,
+    score_segments,
+    segment,
+    validate_dataset,
+)
 
 
 def make_data(n=300, seed=0, monotone=True):
@@ -49,7 +59,21 @@ def test_leaf_weight_matches_soft_threshold_oracle():
         lam = float(rng.uniform(0, 3))
         alpha = float(rng.uniform(0, 2))
         expect = -soft_threshold(G, alpha) / (H + lam)
-        assert _leaf_weight(G, H, lam, alpha) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        assert _leaf_weight(G, H + lam, alpha) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="ties follow x86's maximum and minimum"
+)
+def test_clamp_is_python_min_max_bit_for_bit():
+    # signed zeros are the only ties whose result can show which operand won
+    values = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf]
+    cases = [(w, lo, hi) for w, lo, hi in itertools.product(values, repeat=3) if lo <= hi]
+    expect = np.array([min(max(w, lo), hi) for w, lo, hi in cases])
+    w, lo, hi = np.array(cases).T
+    assert _clamp(w, lo, hi).tobytes() == expect.tobytes()
+    for k, case in enumerate(cases):
+        assert _clamp(*np.array(case)[:, None]).tobytes() == expect[k : k + 1].tobytes(), case
 
 
 def test_boosting_reduces_training_error():
@@ -141,9 +165,13 @@ ENSEMBLE = {"base_score": 0.5, "learning_rate": 0.1, "features": ["a"], "trees":
          r"model tree 0\.right: field 'weight' is too large"),
         (json.dumps(dict(ENSEMBLE, trees=[dict(ENSEMBLE["trees"][0], left=[])])),
          r"model tree 0: field 'left' has type list"),
+        (json.dumps(dict(ENSEMBLE, monotone={"a": 7})), r"direction for 'a' must be -1, 0 or \+1, got 7"),
+        (json.dumps(dict(ENSEMBLE, monotone={"nope": 1})), r"direction for 'nope', which is not in features"),
+        (json.dumps(dict(ENSEMBLE, trees=[dict(ENSEMBLE["trees"][0], right=dict(ENSEMBLE["trees"][0], variable="q"))])),
+         r"model tree 0\.right: splits on 'q', which is not in features \['a'\]"),
     ],
     ids=["not-json", "not-object", "no-base-score", "str-rate", "int-feature", "str-direction",
-         "no-threshold", "huge-weight", "list-child"],
+         "no-threshold", "huge-weight", "list-child", "direction-7", "unknown-monotone", "unknown-split"],
 )
 def test_from_json_names_the_bad_field(text, field):
     assert GBTEnsemble.from_json(json.dumps(ENSEMBLE)).trees[0].threshold == 0.5
@@ -312,7 +340,7 @@ def test_split_matches_scalar_reference(seed):
     )
     G = np.array([float(grad[g].sum()) for g in groups])
     counts = np.array([len(g) for g in groups])
-    weights = _clamp(_leaf_weight(G, counts, config.lam, config.alpha), *np.transpose(bounds))
+    weights = _clamp(_leaf_weight(G, counts + config.lam, config.alpha), *np.transpose(bounds))
     direction = np.array([config.monotone.get(name, 0) for name in cols])
     level = _Level(perm, np.take_along_axis(X, perm[:-1], axis=1), counts, direction, config)
     splits = _best_splits(level, grad, G, np.transpose(bounds), weights, config)
@@ -429,23 +457,70 @@ PINNED_FORESTS = {
     "020-friction_drift-20": "506fc894bdf5bab908a43015c324800e804249cf810ca9e42ca1b5f44d53f80d",
     "021-friction_inverted-21": "b2ee212f9e83e386d683fb10d94b0bf2b9281d7cfbea2de50e0c6c3ab06d9808",
 }
+# the same datasets with a 1-norm penalty and lam = 0 (ALPHA_CONFIG)
+PINNED_ALPHA_FORESTS = {
+    "000-friction_valid-0": "90711ca43c9bc9f11f0e610a5a5508eaab31f2bc09266efbb40efaaefaec0ec7",
+    "018-friction_outlier-18": "afc97fccb1c36bebe687f37ac032817d1514e252ebd5c8cda0e8837120d9426d",
+    "019-friction_stuck-19": "d214e307a08c6a8edef1ab83db859a158902f5eb03f053941cfc8577a4c19ae2",
+    "020-friction_drift-20": "f51576085a73d848f0b548f35969adcfd0090ca30fce303b693da307230510f0",
+    "021-friction_inverted-21": "60dbcaf1b225f132888f41a84299cf1926e85b18a3c4b361f4d2df23d30986a8",
+}
+ALPHA_CONFIG = {"n_trees": 20, "lam": 0.0, "alpha": 0.01}
+
+
+def eq1_constraints():
+    text = resources.files("shapeguard").joinpath("resources", "eq1.spec").read_text()
+    return parse_constraints(text).constraints
 
 
 def test_perfbench_forests_are_pinned():
-    text = resources.files("shapeguard").joinpath("resources", "eq1.spec").read_text()
-    config = GBTConfig(monotone=monotone_from_constraints(parse_constraints(text).constraints))
     corpus = {data.name: data for data in make_corpus(18, 35, seed=0)}
-    for name, digest in PINNED_FORESTS.items():
-        data = scale_unit(corpus[name], corpus[name].feature_names)
-        assert hashlib.sha256(fit_gbt(data, config).to_json().encode()).hexdigest() == digest, name
+    monotone = monotone_from_constraints(eq1_constraints())
+    for config, pinned in [
+        (GBTConfig(monotone=monotone), PINNED_FORESTS),
+        (GBTConfig(**ALPHA_CONFIG, monotone=monotone), PINNED_ALPHA_FORESTS),
+    ]:
+        for name, digest in pinned.items():
+            data = scale_unit(corpus[name], corpus[name].feature_names)
+            assert hashlib.sha256(fit_gbt(data, config).to_json().encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("settings", [{}, ALPHA_CONFIG], ids=["default", "alpha"])
+def test_validation_scores_the_fit_as_predict_gbt_does(monkeypatch, settings):
+    # validate_dataset takes the training rows' predictions from the fit; its
+    # segment RMSEs must be those of predict_gbt on the same rows, bit for bit
+    constraints = eq1_constraints()
+    config = ValidationConfig(
+        threshold=0.05, controlled_variables=["p", "v"], algorithm="gbt",
+        algorithm_config=GBTConfig(**settings), constraints=list(constraints), target="mu_dyn",
+    )
+    fits, fit = [], gbt_mod.fit_gbt
+
+    def fit_and_keep(train, cfg):
+        fits.append((train, fit(train, cfg)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(gbt_mod, "fit_gbt", fit_and_keep)
+    corpus = {data.name: data for data in make_corpus(18, 35, seed=0)}
+    for name in PINNED_FORESTS:
+        report = validate_dataset(corpus[name], config)
+        train, ensemble = fits[-1]
+        preds = predict_gbt(ensemble, train.columns)
+        y_range = float(train.y.max() - train.y.min())
+        segments = segment(train, config.controlled_variables)
+        expect = [r / y_range for r in score_segments(preds, train, segments)]
+        assert report.segment_rmses == expect, name
+        # the predict that the CLI scores a fit with gives the same bits
+        _, predict, _ = ALGORITHMS["gbt"].fit(train, config.algorithm_config, constraints)
+        assert predict(train.columns).tobytes() == preds.tobytes()
+        assert predict(dict(train.columns)).tobytes() == preds.tobytes()
 
 
 def test_corpus_fits_emit_no_runtime_warnings():
-    text = resources.files("shapeguard").joinpath("resources", "eq1.spec").read_text()
-    monotone = monotone_from_constraints(parse_constraints(text).constraints)
+    monotone = monotone_from_constraints(eq1_constraints())
     configs = [
         GBTConfig(monotone=monotone),
-        GBTConfig(n_trees=20, lam=0.0, alpha=0.01, monotone=monotone),
+        GBTConfig(**ALPHA_CONFIG, monotone=monotone),
     ]
     # one valid dataset and one of each error kind
     with warnings.catch_warnings():
