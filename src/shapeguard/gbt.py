@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 from .poly import _json_field, _json_float, _json_loads
 
 __all__ = ["GBTConfig", "RegTreeNode", "GBTEnsemble", "fit_gbt", "predict_gbt", "monotonicity_audit"]
@@ -216,11 +216,11 @@ def _clamp(w, lo, hi):
     numpy's maximum and minimum give other values only for a NaN bound, and
     no bound is NaN: a bound is +-inf or the midpoint of two clamped child
     weights, each -g / (n + lam) with n >= 1 rows, which are finite while the
-    gradients are.  (A target whose mean overflows makes the weights infinite
-    or NaN before any clamp.)  Equal floats differ at most in the sign of
-    zero.  On a tie numpy returns the second operand on x86, which is why w,
-    and then the inner result, come second: a tie keeps w, as Python's
-    max(w, lo) does.  Elsewhere a tie of opposite zeros may return the
+    gradients are.  (``fit_gbt`` rejects a target whose mean overflows, which
+    would make the weights infinite or NaN.)  Equal floats differ at most in
+    the sign of zero.  On a tie numpy returns the second operand on x86, which
+    is why w, and then the inner result, come second: a tie keeps w, as
+    Python's max(w, lo) does.  Elsewhere a tie of opposite zeros may return the
     bound's zero.
     """
     return np.minimum(hi, np.maximum(lo, w))
@@ -443,7 +443,10 @@ def fit_gbt(data: Dataset, config: GBTConfig) -> GBTEnsemble:
     perm = np.vstack([np.argsort(X, axis=1, kind="stable"), np.arange(data.n_rows)])
     root = _Level(perm, np.take_along_axis(X, perm[:-1], axis=1), np.array([data.n_rows]), direction, config)
     y = data.y
-    base = float(y.mean())
+    with np.errstate(over="ignore"):
+        base = float(y.mean())
+    if not math.isfinite(base):
+        raise DataError(f"target {data.target!r} has a mean that overflows a float", column=data.target)
     pred = np.full(data.n_rows, base)
     ensemble = GBTEnsemble(
         base_score=base,

@@ -13,27 +13,30 @@ and the ``ELITISM`` best trees pass on unchanged.  ``GAConfig`` sets only the
 population, the generation count, the tree-size bound and the seed.
 
 Scoring is a pure function of the tree, so each distinct tree is scored once
-per ``evolve`` call and its result reused by every copy of it; its node count
-is likewise computed once per call.  A tree is scored in three steps: its
-columns are evaluated under one ``np.errstate``; its affine scaling and RMSE
-take each mean as a bare ``np.add.reduce`` over the row count (the bits of
-``ndarray.mean``), against the target's mean and centred copy computed once
-per run; and then the interval check runs on the scaled tree.  ``evolve``
-groups the constraints into a plan once per run: one interval walk per
-differentiated variable and region, at the highest derivative order the
-constraints on it need.  Walks run interval arithmetic on (lo, hi) float
-pairs, rounded to nearest, and a tree's check stops at the first constraint
-that is unbounded or out of bounds (the interval check of Kronberger et al.,
-Evolutionary Computation 30(1), 2022).  A product with the zero interval,
-which most derivative components are, is the zero interval at once.
+per ``evolve`` call.  The population holds int ids: a tree is hashed once,
+when it is made, and its node count and score are kept under its id, so a
+copy is its parent's id.  Each generation's new trees are scored as one
+batch: their columns, evaluated under one ``np.errstate``, are stacked into
+one array, and the affine scaling and RMSE of every tree are row reductions
+(``np.add.reduce`` along each row, which gives the bits of ``ndarray.mean``
+on that row), against the target's mean and centred copy computed once per
+run.  The interval check then runs on each scaled tree.  ``evolve`` groups
+the constraints into a plan once per run: one interval walk per region,
+carrying the value and each constrained variable's derivatives up to the
+highest order the constraints on it need.  Walks run interval arithmetic on
+(lo, hi) float pairs, rounded to nearest, and a tree's check stops at the
+first region whose walk is unbounded or whose constraints are out of bounds
+(the interval check of Kronberger et al., Evolutionary Computation 30(1),
+2022).  A product with the zero interval, which most derivative components
+are, is the zero interval at once.
 
 All randomness comes from one ``random.Random(seed)`` stream, and the draws
 are kept as they are: a run depends only on the seed, and tests pin whole
 runs.  Tournament selection draws each index as ``Random.randrange(n)``
 does, word for word from ``getrandbits``, without its argument handling.  A
 converged population mostly breeds a tree with itself; such a crossover
-returns the parent after drawing its crossover point, so the stream moves as
-if the subtree swap had run.
+returns the parent after drawing its crossover point the same way, so the
+stream moves as if the subtree swap had run.
 
 Trees are immutable nested tuples::
 
@@ -45,6 +48,7 @@ Trees are immutable nested tuples::
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -281,39 +285,66 @@ def _div(x, y):
     return min(q), max(q)
 
 
-def _ieval(t: tuple, region, var: str, order: int):
-    """Enclosures of (value, d/dvar, d2/dvar2)[:order+1] over the region of (lo, hi) pairs."""
+def _walker(region, slots):
+    """What ``_walk`` needs for one region and ``(var, order)`` derivative slots.
+
+    A walk's components are the value, then each slot's derivatives 1..order
+    in slot order; the walker is ``(leaf components per region variable,
+    derivative components of a constant, (offset, order) per slot)``.
+    """
+    layout, offset = [], 1
+    for _, order in slots:
+        layout.append((offset, order))
+        offset += order
+    leaves = {
+        name: (pair,) + tuple(
+            c for var, order in slots for c in ((_ONE if name == var else _ZERO), _ZERO)[:order]
+        )
+        for name, pair in region.items()
+    }
+    return leaves, (_ZERO,) * (offset - 1), tuple(layout)
+
+
+def _walk(t: tuple, walker):
+    """Enclosures over the walker's region of the tree's value and each slot's derivatives.
+
+    Each component comes out of the same float operations as in a walk that
+    carries its variable alone, so slots only share the value and the recursion.
+    """
     kind = t[0]
     if kind == "const":
         c = float(t[1])
-        return ((c, c), _ZERO, _ZERO)[: order + 1]
+        return ((c, c),) + walker[1]
     if kind == "var":
-        name = t[1]
-        if name not in region:
-            raise ArityError(f"region missing variable {name!r}")
-        return (region[name], _ONE if name == var else _ZERO, _ZERO)[: order + 1]
+        leaf = walker[0].get(t[1])
+        if leaf is None:
+            raise ArityError(f"region missing variable {t[1]!r}")
+        return leaf
     if kind == "neg":
-        return [(-hi, -lo) for lo, hi in _ieval(t[1], region, var, order)]
-    a = _ieval(t[1], region, var, order)
-    b = _ieval(t[2], region, var, order)
+        return [(-hi, -lo) for lo, hi in _walk(t[1], walker)]
+    a = _walk(t[1], walker)
+    b = _walk(t[2], walker)
     if kind == "add":
         return list(map(_add, a, b))
     if kind == "sub":
         return list(map(_sub, a, b))
+    a0, b0 = a[0], b[0]
     if kind == "mul":
-        out = [_mul(a[0], b[0])]
-        if order >= 1:
-            out.append(_add(_mul(a[0], b[1]), _mul(a[1], b[0])))
-        if order >= 2:
-            two = _mul(_mul(a[1], b[1]), _TWO)
-            out.append(_add(_add(_mul(a[0], b[2]), two), _mul(a[2], b[0])))
+        out = [_mul(a0, b0)]
+        for j, order in walker[2]:
+            out.append(_add(_mul(a0, b[j]), _mul(a[j], b0)))
+            if order == 2:
+                two = _mul(_mul(a[j], b[j]), _TWO)
+                out.append(_add(_add(_mul(a0, b[j + 1]), two), _mul(a[j + 1], b0)))
         return out
-    out = [_div(a[0], b[0])]
-    if order >= 1:
-        out.append(_div(_sub(a[1], _mul(out[0], b[1])), b[0]))
-    if order >= 2:
-        two = _mul(_mul(out[1], b[1]), _TWO)
-        out.append(_div(_sub(_sub(a[2], _mul(out[0], b[2])), two), b[0]))
+    value = _div(a0, b0)
+    out = [value]
+    for j, order in walker[2]:
+        d1 = _div(_sub(a[j], _mul(value, b[j])), b0)
+        out.append(d1)
+        if order == 2:
+            two = _mul(_mul(d1, b[j]), _TWO)
+            out.append(_div(_sub(_sub(a[j + 1], _mul(value, b[j + 1])), two), b0))
     return out
 
 
@@ -321,12 +352,12 @@ def _pairs(region) -> dict:
     return {name: (iv.lo, iv.hi) for name, iv in region.items()}
 
 
-def _compile(constraints) -> list:
-    """Constraints grouped by (variable, region), value constraints under variable ``""``.
+def _groups(constraints) -> dict:
+    """Constraints grouped by variable and region, value constraints under variable ``""``.
 
-    One ``(var, region pairs, walk order, members)`` per group, in order of
-    first appearance; one member ``(index, bound lo, bound hi, k)`` per
-    constraint on the k-th derivative.
+    ``{(var, region key): (region, members)}`` in order of first appearance;
+    one member ``(index, bound lo, bound hi, k)`` per constraint on the k-th
+    derivative.
     """
     groups = {}
     for i, c in enumerate(constraints):
@@ -335,29 +366,51 @@ def _compile(constraints) -> list:
         (var, k), = c.derivative.items() if c.derivative else (("", 0),)
         key = (var, frozenset(c.region.items()))
         groups.setdefault(key, (c.region, []))[1].append((i, c.bound.lo, c.bound.hi, k))
-    return [
-        (var, _pairs(region), max(m[3] for m in members), members)
-        for (var, _), (region, members) in groups.items()
-    ]
+    return groups
 
 
-def _scaled(walk, k: int, a: float, b: float):
-    """Enclosure of a * (k-th component of the walk) + b, with b only for the value."""
-    return _add(_mul(walk[0], (a, a)), (b, b)) if k == 0 else _mul(walk[k], (a, a))
+def _compile(constraints) -> list:
+    """The plan ``_feasible`` checks: one ``(walker, checks)`` per region, in order of first appearance.
+
+    The walker carries one slot per differentiated variable, at the highest
+    order the region's constraints on it need; one check ``(bound lo, bound
+    hi, k, component)`` per constraint on the k-th derivative.
+    """
+    regions = {}
+    for (var, key), (region, members) in _groups(constraints).items():
+        regions.setdefault(key, (region, []))[1].append((var, members))
+    plan = []
+    for region, groups in regions.values():
+        slots = [(var, max(m[3] for m in members)) for var, members in groups if var]
+        walker = _walker(_pairs(region), slots)
+        first = {var: j - 1 for (var, _), (j, _) in zip(slots, walker[2])}
+        checks = [
+            (lo, hi, k, first[var] + k if k else 0)
+            for var, members in groups
+            for _, lo, hi, k in members
+        ]
+        plan.append((walker, checks))
+    return plan
+
+
+def _scaled(enc, k: int, a: float, b: float):
+    """Enclosure of a * enc + b for the value (k == 0), and of a * enc for a derivative."""
+    return _add(_mul(enc, (a, a)), (b, b)) if k == 0 else _mul(enc, (a, a))
 
 
 def _feasible(t: tuple, plan, scale) -> bool:
     """Whether the scaled tree meets every constraint of the plan; stops at the first failure.
 
-    The verdict of ``check_constraints``: a group whose walk or scaling is
-    unbounded fails all its members.
+    The verdict of ``check_constraints``: a walk there fails every member of
+    its group when any of its components is unbounded, and this one walk
+    per region holds each group's components.
     """
     a, b = float(scale[0]), float(scale[1])
     try:
-        for var, region, order, members in plan:
-            walk = _ieval(t, region, var, order)
-            for _, lo, hi, k in members:
-                enc = _scaled(walk, k, a, b)
+        for walker, checks in plan:
+            walk = _walk(t, walker)
+            for lo, hi, k, j in checks:
+                enc = _scaled(walk[j], k, a, b)
                 if not (lo <= enc[0] and enc[1] <= hi):
                     return False
     except _UnboundedDerivative:
@@ -388,11 +441,12 @@ def check_constraints(t: tuple, constraints, scale=(1.0, 0.0)):
     constraints = list(constraints)
     enclosures = [None] * len(constraints)
     a, b = float(scale[0]), float(scale[1])
-    # a component comes out of the same float operations whatever the walk's order
-    for var, region, order, members in _compile(constraints):
+    for (var, _), (region, members) in _groups(constraints).items():
+        # one slot, so the k-th derivative is component k
+        slots = [(var, max(m[3] for m in members))] if var else []
         try:
-            walk = _ieval(t, region, var, order)
-            encs = [Interval(*_scaled(walk, k, a, b)) for _, _, _, k in members]
+            walk = _walk(t, _walker(_pairs(region), slots))
+            encs = [Interval(*_scaled(walk[k], k, a, b)) for _, _, _, k in members]
         except _UnboundedDerivative:
             encs = [Interval.whole()] * len(members)
         for (i, _, _, _), enc in zip(members, encs):
@@ -500,45 +554,68 @@ def mutate(t: tuple, rng: random.Random, variables) -> tuple:
 # Each mean here is np.add.reduce(x) / n, the same bits as x.mean() without
 # the cost of its Python wrapper.
 def _target(y: np.ndarray):
-    """The target as ``_affine_fit`` and ``_rmse`` take it: (y, y - mean, mean)."""
+    """The target as ``_fit_rows`` takes it: (y, y - mean, mean)."""
     ym = np.add.reduce(y) / len(y)
     return y, y - ym, float(ym)
 
 
-def _affine_fit(out: np.ndarray, target):
-    """Least-squares slope/intercept mapping raw outputs onto the ``_target``;
-    None when an output or their variance is not finite (``evolve`` silences the overflow)."""
-    if not np.logical_and.reduce(np.isfinite(out)):
-        return None
-    _, yc, ym = target
-    n = len(out)
-    om = np.add.reduce(out) / n
-    d = out - om
-    var = float(np.add.reduce(d * d) / n)
-    if not math.isfinite(var):
-        return None
-    if var < 1e-14:
-        return 0.0, ym
-    a = float(np.add.reduce(d * yc) / n / var)
-    return a, float(ym - a * om)
+def _fit_rows(out: np.ndarray, target) -> list:
+    """Per row of raw outputs (one row per tree): (rmse or None, scale or None).
+
+    The scale is the least-squares (slope, intercept) mapping the row onto
+    the ``_target``, ``(0.0, mean)`` for a row of variance below 1e-14, and
+    None when the row or its variance is not finite; the RMSE is that of the
+    scaled row, None when not finite.  Every reduction runs along the rows,
+    and ``np.add.reduce(x, axis=1)`` sums each row with the bits of
+    ``np.add.reduce`` on that row alone, so each row gets the floats of the
+    one-row formulas.  ``out`` is overwritten.
+    """
+    y, yc, ym = target
+    n = out.shape[1]
+    with np.errstate(all="ignore"):  # a rejected row's sums may overflow or be NaN
+        om = np.add.reduce(out, axis=1) / n
+        # the deviations are formed twice so that one buffer holds each product
+        d = out - om[:, None]
+        d *= yc
+        cov = np.add.reduce(d, axis=1) / n
+        np.subtract(out, om[:, None], out=d)
+        d *= d
+        # a row with an inf or NaN entry, or whose sum overflows, has a non-finite variance
+        var = np.add.reduce(d, axis=1) / n
+        del d
+        flat = var < 1e-14
+        a = np.where(flat, 0.0, cov / var)
+        b = np.where(flat, ym, ym - a * om)
+        out *= a[:, None]
+        out += b[:, None]
+        out -= y
+        out *= out
+        err = np.sqrt(np.add.reduce(out, axis=1) / n)
+    return [
+        (e if math.isfinite(e) else None, (slope, shift)) if ok else (None, None)
+        for ok, slope, shift, e in zip(np.isfinite(var).tolist(), a.tolist(), b.tolist(), err.tolist())
+    ]
 
 
-def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
-    r = pred - y
-    return math.sqrt(np.add.reduce(r * r) / len(r))
+def _score(trees, train_cols, target, plan) -> list:
+    """(raw train rmse or None, scale, feasible) per tree under a ``_compile`` plan.
 
-
-def _evaluate(tree, train_cols, target, plan):
-    """Returns (raw train rmse or None, scale, feasible) under a _compile plan."""
-    out = eval_tree_columns(tree, train_cols)
-    scale = _affine_fit(out, target)
-    if scale is None:
-        return None, (1.0, 0.0), False
-    a, b = scale
-    err = _rmse(a * out + b, target[0])
-    if not math.isfinite(err):
-        return None, scale, False
-    return err, scale, _feasible(tree, plan, scale)
+    The trees' outputs are scored as one array; the interval check runs on
+    each tree with a finite RMSE.
+    """
+    out = np.empty((len(trees), len(target[0])))
+    with np.errstate(all="ignore"):  # _fit_rows rejects a tree whose output is not finite
+        for i, t in enumerate(trees):
+            out[i] = _columns(t, train_cols)
+    scores = []
+    for t, (err, scale) in zip(trees, _fit_rows(out, target)):
+        if scale is None:
+            scores.append((None, (1.0, 0.0), False))
+        elif err is None:
+            scores.append((None, scale, False))
+        else:
+            scores.append((err, scale, _feasible(t, plan, scale)))
+    return scores
 
 
 def _tournament(rng: random.Random, fitness, k: int) -> int:
@@ -580,35 +657,45 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     target = _target(train.y)
     plan = _compile(constraints)
 
-    pop = [random_tree(rng, variables, rng.randrange(2, 5)) for _ in range(config.population)]
+    # Each distinct tree gets an id when it is made; the population holds ids,
+    # and a tree's node count and score are kept under its id.  Equal trees
+    # are equal tuples, as the GA builds no NaN or -0.0 constant.
+    ids, trees, sizes, scores = {}, [], [], []
+
+    def intern(t: tuple) -> int:
+        i = ids.get(t)
+        if i is None:
+            i = ids[t] = len(trees)
+            trees.append(t)
+            sizes.append(tree_size(t))
+            scores.append(None)
+        return i
+
+    pop = [intern(random_tree(rng, variables, rng.randrange(2, 5))) for _ in range(config.population)]
     history: list[GenerationRecord] = []
-    # _evaluate is a pure function of the tree here, and the converged
-    # population is mostly repeats, so each distinct tree is scored once and
-    # sized once; every member of pop has its size in sizes
-    scored = {}
-    sizes = {t: tree_size(t) for t in pop}
+    getrandbits = rng.getrandbits
 
     for gen in range(config.max_generations):
-        evals = []
-        with np.errstate(all="ignore"):  # _evaluate rejects a tree that overflows
-            for t in pop:
-                result = scored.get(t)
-                if result is None:
-                    result = scored[t] = _evaluate(t, train_cols, target, plan)
-                evals.append(result)
-        feasible_errs = [e for e, _, ok in evals if ok and e is not None]
+        new = [i for i in dict.fromkeys(pop) if scores[i] is None]
+        for i, result in zip(new, _score([trees[i] for i in new], train_cols, target, plan)):
+            scores[i] = result
+        evals = [scores[i] for i in pop]
+        # a feasible tree has a finite RMSE
+        feasible_errs = [e for e, _, ok in evals if ok]
         worst = max(feasible_errs) if feasible_errs else math.inf
-        fitness = [e if (ok and e is not None) else worst for e, _, ok in evals]
+        fitness = [e if ok else worst for e, _, ok in evals]
 
-        # prefer feasible individuals on equal fitness
-        order = sorted(range(len(pop)), key=lambda i: (fitness[i], not evals[i][2], i))
-        best = order[0]
+        # prefer feasible individuals on equal fitness; nsmallest is sorted()[:n]
+        elite = heapq.nsmallest(
+            ELITISM, range(len(pop)), key=lambda i: (fitness[i], not evals[i][2], i)
+        )
+        best = elite[0]
         history.append(
             GenerationRecord(
                 generation=gen,
                 best_train_rmse=fitness[best],
-                best_tree=pop[best],
-                feasible_fraction=sum(1 for _, _, ok in evals if ok) / len(pop),
+                best_tree=trees[pop[best]],
+                feasible_fraction=len(feasible_errs) / len(pop),
                 best_scale=evals[best][1],
             )
         )
@@ -616,23 +703,25 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
         if gen == config.max_generations - 1:
             break
 
-        new_pop = [pop[i] for i in order[:ELITISM]]
+        new_pop = [pop[i] for i in elite]
         while len(new_pop) < config.population:
             p1 = pop[_tournament(rng, fitness, TOURNAMENT_SIZE)]
-            child = p1
+            child = None  # a new tree, or None while the child is p1
             if rng.random() < CROSSOVER_PROB:
                 p2 = pop[_tournament(rng, fitness, TOURNAMENT_SIZE)]
-                if p1 == p2:  # crossover would return p1; draw its point on the known size
-                    rng.randrange(sizes[p1])
+                if p1 == p2:
+                    # crossover would return p1: draw its point on the known
+                    # size as randrange does (see _tournament)
+                    n = sizes[p1]
+                    bits = n.bit_length()
+                    while getrandbits(bits) >= n:
+                        pass
                 else:
-                    child = crossover(p1, p2, rng)
+                    child = crossover(trees[p1], trees[p2], rng)
             if rng.random() < MUTATION_PROB:
-                child = mutate(child, rng, variables)
-            size = sizes.get(child)
-            if size is None:
-                size = sizes[child] = tree_size(child)
-            new_pop.append(child if size <= config.max_size else p1)
+                child = mutate(trees[p1] if child is None else child, rng, variables)
+            i = p1 if child is None else intern(child)
+            new_pop.append(i if sizes[i] <= config.max_size else p1)
         pop = new_pop
 
     return history
-

@@ -13,6 +13,7 @@ import pytest
 
 from shapeguard import (
     ConfigError,
+    DataError,
     Dataset,
     SchemaError,
     GBTConfig,
@@ -557,6 +558,19 @@ def test_split_between_huge_values_has_a_finite_threshold():
     # 1.5e308 + 1.7e308 overflows: a threshold of inf would send every row
     # left and give the empty right leaf the weight 0 / 0 at lam = 0
     assert_one_clean_split(1.5e308, 1.7e308, 1.6e308)
+
+
+def test_target_whose_mean_overflows_is_rejected():
+    # every value is finite, but their sum overflows: the base score would be
+    # inf and the first leaf NaN
+    x = np.arange(10.0)
+    y = np.r_[np.full(5, 1.7e308), np.full(5, 1.6e308)]
+    data = Dataset("big", {"x": x, "y": y}, "y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match="target 'y'") as info:
+            fit_gbt(data, GBTConfig())
+    assert info.value.column == "y"
 
 
 def test_identical_columns_split_on_the_first():

@@ -1,5 +1,6 @@
 """Symbolic regression: tree evaluation, interval AD, genetic operators."""
 
+import hashlib
 import json
 import math
 import random
@@ -119,7 +120,7 @@ def test_eval_tree_columns_constants_and_errors():
 
 
 def affine_fit_reference(out, y):
-    """Least-squares slope/intercept through np.mean, as _affine_fit was first written."""
+    """Least-squares slope/intercept of one output through np.mean, as scsr first fitted it."""
     if not np.all(np.isfinite(out)):
         return None
     om = out.mean()
@@ -151,19 +152,22 @@ def test_affine_fit_and_rmse_match_np_mean_formulas(n):
         out[rng.integers(n)] = bad
         outputs.append(out)
     outputs.append(np.where(np.arange(n) % 2, math.inf, -math.inf))  # inf - inf in any sum
+    # one mixed batch: the rejected rows must not change the others' bits
+    order = rng.permutation(len(outputs))
+    outputs = [outputs[i] for i in order]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        target = scsr._target(y)
-        for out in outputs:
-            scale = scsr._affine_fit(out, target)
-            assert _hex(scale) == _hex(affine_fit_reference(out, y))
-            if scale is None:
-                assert not np.isfinite(out).all()
-                continue
-            assert all(type(v) is float for v in scale)
-            pred = scale[0] * out + scale[1]
-            assert scsr._rmse(pred, y).hex() == rmse_reference(pred, y).hex()
-    assert sum(scsr._affine_fit(out, target) is None for out in outputs) == 4
+        rows = scsr._fit_rows(np.array(outputs), scsr._target(y))
+    assert len(rows) == len(outputs)
+    for out, (err, scale) in zip(outputs, rows):
+        assert _hex(scale) == _hex(affine_fit_reference(out, y))
+        if scale is None:
+            assert not np.isfinite(out).all() and err is None
+            continue
+        assert all(type(v) is float for v in scale) and type(err) is float
+        pred = scale[0] * out + scale[1]
+        assert err.hex() == rmse_reference(pred, y).hex()
+    assert sum(scale is None for _, scale in rows) == 4
 
 
 def test_tree_whose_output_variance_overflows_is_rejected_without_warnings():
@@ -172,11 +176,10 @@ def test_tree_whose_output_variance_overflows_is_rejected_without_warnings():
     x = np.linspace(1e150, 2e150, 30)
     data = Dataset("big", {"x": x, "y": np.linspace(0.0, 1.0, 30)}, "y")
     square = ("mul", ("var", "x"), ("var", "x"))
-    with np.errstate(all="ignore"):
-        assert scsr._affine_fit(x * x, scsr._target(data.y)) is None
-        assert scsr._evaluate(square, {"x": x}, scsr._target(data.y), []) == (None, (1.0, 0.0), False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert scsr._fit_rows(np.array([x * x]), scsr._target(data.y)) == [(None, None)]
+        assert scsr._score([square], {"x": x}, scsr._target(data.y), []) == [(None, (1.0, 0.0), False)]
         history = evolve(data, GAConfig(population=30, max_generations=5, seed=1))
     assert all(math.isfinite(r.best_train_rmse) for r in history)
 
@@ -385,7 +388,7 @@ def test_evolve_checks_each_distinct_tree_once(monkeypatch):
     train_cols = {"x": tr.columns["x"]}
     plan = scsr._compile(cons)
     for rec in history:
-        err, scale, feasible = scsr._evaluate(rec.best_tree, train_cols, scsr._target(tr.y), plan)
+        (err, scale, feasible), = scsr._score([rec.best_tree], train_cols, scsr._target(tr.y), plan)
         assert feasible == check_constraints(rec.best_tree, cons, scale)[0]
         assert feasible
         assert err == rec.best_train_rmse
@@ -396,7 +399,8 @@ def _same(x, y):
     return (x.lo.hex(), x.hi.hex()) == (y.lo.hex(), y.hi.hex())
 
 
-def test_shared_walks_match_one_walk_per_constraint():
+def _two_region_trees():
+    """eq1 plus a constraint on a second region, and 400 random trees."""
     spec = parse_constraints(
         resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
         + "d1 p <= 0 on p in [0.2, 0.8]\n"
@@ -404,10 +408,14 @@ def test_shared_walks_match_one_walk_per_constraint():
     cons = spec.constraints
     assert cons[-1].region != cons[-2].region
     rng = random.Random(8)
+    return cons, [random_tree(rng, ["p", "v", "T"], 4) for _ in range(400)]
+
+
+def test_shared_walks_match_one_walk_per_constraint():
+    cons, trees = _two_region_trees()
     scale = (-1.7, 0.3)
     unbounded = feasible = 0
-    for _ in range(400):
-        t = random_tree(rng, ["p", "v", "T"], 4)
+    for t in trees:
         ok, encs = check_constraints(t, cons, scale)
         # each constraint checked alone walks at its own order, sharing nothing
         alone = [check_constraints(t, [c], scale) for c in cons]
@@ -417,6 +425,68 @@ def test_shared_walks_match_one_walk_per_constraint():
         unbounded += any(e == Interval.whole() for _, (e,) in alone)
         feasible += ok
     # the cases cover zero-containing denominators and both verdicts
+    assert unbounded > 20 and 0 < feasible < 400
+
+
+def ieval_reference(t, region, var, order):
+    """Enclosures of (value, d/dvar, d2/dvar2)[:order + 1], one variable per walk, as scsr first walked."""
+    add, sub, mul, div, zero = scsr._add, scsr._sub, scsr._mul, scsr._div, (0.0, 0.0)
+    kind = t[0]
+    if kind == "const":
+        return ((t[1], t[1]), zero, zero)[: order + 1]
+    if kind == "var":
+        return (region[t[1]], (1.0, 1.0) if t[1] == var else zero, zero)[: order + 1]
+    if kind == "neg":
+        return [(-hi, -lo) for lo, hi in ieval_reference(t[1], region, var, order)]
+    a = ieval_reference(t[1], region, var, order)
+    b = ieval_reference(t[2], region, var, order)
+    if kind in ("add", "sub"):
+        return list(map(add if kind == "add" else sub, a, b))
+    if kind == "mul":
+        out = [mul(a[0], b[0])]
+        if order >= 1:
+            out.append(add(mul(a[0], b[1]), mul(a[1], b[0])))
+        if order >= 2:
+            two = mul(mul(a[1], b[1]), (2.0, 2.0))
+            out.append(add(add(mul(a[0], b[2]), two), mul(a[2], b[0])))
+        return out
+    out = [div(a[0], b[0])]
+    if order >= 1:
+        out.append(div(sub(a[1], mul(out[0], b[1])), b[0]))
+    if order >= 2:
+        two = mul(mul(out[1], b[1]), (2.0, 2.0))
+        out.append(div(sub(sub(a[2], mul(out[0], b[2])), two), b[0]))
+    return out
+
+
+@pytest.mark.parametrize("scale", [(-1.7, 0.3), (1.0, 0.0)])
+def test_one_walk_per_region_gives_the_verdict_of_check_constraints(scale):
+    cons, trees = _two_region_trees()
+    plan = scsr._compile(cons)
+    assert len(plan) == 2
+    a, b = scale
+    groups = {}  # a walk per variable and region, at the highest order on them
+    for c in cons:
+        (var, k), = c.derivative.items() if c.derivative else (("", 0),)
+        key = (var, tuple(sorted(c.region.items())))
+        groups[key] = max(groups.get(key, 0), k)
+    unbounded = feasible = 0
+    for t in trees:
+        ok, encs = check_constraints(t, cons, scale)
+        assert scsr._feasible(t, plan, scale) is ok
+        # every enclosure has the bits of a walk that carries its variable alone
+        for c, enc in zip(cons, encs):
+            (var, k), = c.derivative.items() if c.derivative else (("", 0),)
+            region = {name: (iv.lo, iv.hi) for name, iv in c.region.items()}
+            try:
+                walk = ieval_reference(t, region, var, groups[var, tuple(sorted(c.region.items()))])
+                ref = scsr._mul(walk[k], (a, a))
+                ref = Interval(*(scsr._add(ref, (b, b)) if k == 0 else ref))
+            except scsr._UnboundedDerivative:
+                ref = Interval.whole()
+            assert _same(enc, ref)
+        unbounded += Interval.whole() in encs
+        feasible += ok
     assert unbounded > 20 and 0 < feasible < 400
 
 
@@ -619,3 +689,33 @@ def test_converged_ga_run_is_pinned(index):
     assert history[-1].best_train_rmse == rmse
     assert history[-1].best_scale == scale
     assert [r.feasible_fraction for r in history] == [n / 150 for n in feasible]
+
+
+# sha256 of every GenerationRecord of the perfbench SCSR config,
+# GAConfig(population=150, max_generations=100, seed=0), on seed-0 corpus
+# datasets, unit-scaled, eq1: one line per record of (generation, best_tree
+# repr, best_train_rmse hex, feasible_fraction, best_scale hex)
+PINNED_HISTORIES = {
+    "000-friction_valid-0": "906bd7cc6888ee303544a0aa38e61c40ee099bc9040fbef317aba6ef91b73ef3",
+    "018-friction_outlier-18": "42544f5cb14715365cc4b01bdef148b2d84739184c3c761f50f0fd5966d9d003",
+    "019-friction_stuck-19": "54c8a304370728b5a6d7847231ea9b816981311afa525a41e4473875f72c30e5",
+    "020-friction_drift-20": "42b3c94897aa7b5c289e0dc88ccf93a48e5eb146ed47bd91b83b1eb8b5aeaa8e",
+    "021-friction_inverted-21": "b75ee03a667a4903a758318e8714ed15d178cd553889c2bf2345549a0a953cbe",
+}
+
+
+def test_whole_ga_histories_are_pinned():
+    corpus = {ds.name: ds for ds in make_corpus(18, 35, seed=0)}
+    spec = parse_constraints(
+        resources.files("shapeguard.resources").joinpath("eq1.spec").read_text()
+    )
+    config = GAConfig(population=150, max_generations=100, seed=0)
+    for name, digest in PINNED_HISTORIES.items():
+        ds = corpus[name]
+        scaled = scale_unit(ds, [c for c in ds.columns if c != "mu_dyn"])
+        text = "".join(
+            f"{r.generation} {r.best_tree!r} {r.best_train_rmse.hex()} {r.feasible_fraction!r} "
+            f"{r.best_scale[0].hex()} {r.best_scale[1].hex()}\n"
+            for r in evolve(scaled, config, spec.constraints)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
