@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ShapeConstraint
-from .errors import ArityError
 from .intervals import Interval
 from .poly import PolyModel, _derivative_terms, _first_box, _frame, _gamma, _split, _sum_terms, _terms
 
@@ -122,13 +121,11 @@ class CertificationReport:
         }
 
 
-def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float, max_boxes: int):
-    wrt = c.derivative_tuple(model.variables)
-    lo = tuple(c.region[v].lo for v in model.variables)
-    hi = tuple(c.region[v].hi for v in model.variables)
+def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple):
+    wrt, lo, hi = c.aligned(model.variables)
     coeffs, err, degrees = _first_box(*terms, wrt, lo, hi)
     corner, side, corners, ends = _frame(degrees, lo, hi)
-    accept_lo, accept_hi = c.bound.lo - tol, c.bound.hi + tol
+    accept_lo, accept_hi = c.bound.lo - TOL, c.bound.hi + TOL
     hull_lo, hull_hi = math.inf, -math.inf
     boxes = 1
     worst, worst_point = 0.0, None
@@ -153,19 +150,19 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
         vertex = flat[:, corners]
         breach = np.maximum(c.bound.lo - vertex, vertex - c.bound.hi)
         box, k = divmod(int(breach.argmax()), len(corners))
-        if breach[box, k] > tol:
+        if breach[box, k] > TOL:
             xs = [float(x) for x in np.clip(corner[box] + side[box] * ends[k], lo, hi)]
             value, magnitude = _sum_terms(_derivative_terms(model.coeffs, wrt), xs)
             exceed = max(c.bound.lo - value, value - c.bound.hi)
             # the forward error bound of value (module docstring); it is not
             # finite when value overflowed, so such a value shows no breach
             error = _gamma(2 * (sum(wrt) + 3 * len(xs) + len(model.coeffs)) + 2) * magnitude
-            if exceed > tol + error:
+            if exceed > TOL + error:
                 verdict, worst, worst_point = "VIOLATED", exceed, dict(zip(model.variables, xs))
                 break
         # the boxes of a level are equal in shape, so all split along one axis
         axis = int(side[0].argmax())
-        if side[0, axis] == 0.0 or boxes + 2 * len(coeffs) > max_boxes:
+        if side[0, axis] == 0.0 or boxes + 2 * len(coeffs) > MAX_BOXES:
             verdict = "UNDECIDED"
             break
         widest = np.broadcast_to(np.arange(side.shape[1]) == axis, side.shape)
@@ -180,12 +177,11 @@ def _certify_one(model: PolyModel, c: ShapeConstraint, terms: tuple, tol: float,
 def certify(model: PolyModel, constraints) -> CertificationReport:
     """Certify each constraint on the model; see module docstring for verdicts.
 
-    ArityError names the model variables a constraint's region lacks.
+    Each constraint is read through ``ShapeConstraint.aligned`` on the
+    model's variables: ArityError names the variables its region lacks, and
+    DomainError a derivative on a variable the model does not have.
     """
     report, terms = CertificationReport(), _terms(model)
     for c in constraints:
-        missing = [v for v in model.variables if v not in c.region]
-        if missing:
-            raise ArityError(f"constraint region missing model variables {missing}")
-        report.entries.append(_certify_one(model, c, terms, TOL, MAX_BOXES))
+        report.entries.append(_certify_one(model, c, terms))
     return report

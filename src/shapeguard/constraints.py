@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError
+from .errors import ArityError, DomainError, ParseError
 from .intervals import INF, Interval
 
 __all__ = ["ShapeConstraint", "ConstraintSpec", "parse_constraints"]
@@ -63,6 +63,18 @@ class ShapeConstraint:
         if unknown:
             raise DomainError(f"constraint differentiates unknown variables {sorted(unknown)}")
         return tuple(self.derivative.get(v, 0) for v in variables)
+
+    def aligned(self, variables) -> tuple:
+        """``(derivative_tuple, lower corner, upper corner)`` of the region, in variable order.
+
+        ArityError names the variables the region lacks; DomainError (from
+        ``derivative_tuple``) follows for a derivative on a non-variable.
+        """
+        missing = [v for v in variables if v not in self.region]
+        if missing:
+            raise ArityError(f"constraint region missing model variables {missing}")
+        box = [self.region[v] for v in variables]
+        return self.derivative_tuple(variables), tuple(iv.lo for iv in box), tuple(iv.hi for iv in box)
 
     def describe(self) -> str:
         if self.label:

@@ -202,10 +202,8 @@ def compile_constraints(
     rows, rhs = [np.zeros((0, len(basis)))], [np.zeros(0)]
     total = 0
     for c in constraints:
-        axes = []
-        for v in variables:
-            iv = c.region[v]
-            axes.append(np.linspace(iv.lo, iv.hi, 1 if iv.lo == iv.hi else grid_points_per_dim))
+        dtuple, lo, hi = c.aligned(variables)
+        axes = [np.linspace(a, b, 1 if a == b else grid_points_per_dim) for a, b in zip(lo, hi)]
         sides = [(sign, sign * r) for sign, r in ((1.0, c.bound.lo), (-1.0, c.bound.hi)) if np.isfinite(r)]
         total += int(np.prod([len(a) for a in axes])) * len(sides)
         if total > MAX_COMPILED_ROWS:
@@ -215,7 +213,6 @@ def compile_constraints(
             )
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(variables))
         M = np.zeros((len(points), len(basis)))
-        dtuple = c.derivative_tuple(variables)
         for j, alpha in enumerate(basis):
             term = _monomial_derivative(alpha, dtuple)
             if term is not None:
@@ -254,9 +251,8 @@ class _Partition:
 def _whole_region(constraint, variables, degree: int) -> _Partition:
     """One box, the constraint's region; degrees and coefficients as in
     certify.  DomainError when the coefficients overflow there."""
-    lo = tuple(constraint.region[v].lo for v in variables)
-    hi = tuple(constraint.region[v].hi for v in variables)
-    rows = _region_rows(constraint.derivative_tuple(variables), lo, hi, degree)
+    dtuple, lo, hi = constraint.aligned(variables)
+    rows = _region_rows(dtuple, lo, hi, degree)
     if rows is None:
         box = ", ".join(f"{v} in [{a}, {b}]" for v, a, b in zip(variables, lo, hi))
         raise DomainError(f"constraint {constraint.describe()!r}: its Bernstein coefficients overflow on {box}")
@@ -754,7 +750,8 @@ def fit_constrained(data: Dataset, config: SCPRConfig, constraints) -> tuple[Pol
     InfeasibleError means the node values alone admit no solution, or the
     rows of every partition tried did not; SolverError means the first solve
     that admitted a fit failed its KKT check; DomainError means the Bernstein
-    coefficients overflow on a constraint's region.
+    coefficients overflow on a constraint's region.  Each constraint is read
+    through ``ShapeConstraint.aligned`` on the features first.
     """
     variables = data.feature_names
     X, y = build_design_matrix(data, variables, data.target, config.degree)

@@ -646,6 +646,10 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     The model is the last record's best individual: the elite carries the
     run's best training fitness to the last generation.
     A record's best is feasible unless its ``feasible_fraction`` is 0.
+    Before generation 0 each constraint is read through
+    ``ShapeConstraint.aligned`` on the features, so a region that lacks one
+    (ArityError) or a derivative on a non-feature (DomainError) fails the
+    run as it fails ``scpr.fit_constrained``.
     """
     if train.n_rows == 0:
         raise ConfigError("empty training set")
@@ -655,6 +659,9 @@ def evolve(train: Dataset, config: GAConfig, constraints=()) -> list[GenerationR
     variables = train.feature_names
     train_cols = {v: train.columns[v] for v in variables}
     target = _target(train.y)
+    constraints = list(constraints)
+    for c in constraints:
+        c.aligned(variables)
     plan = _compile(constraints)
 
     # Each distinct tree gets an id when it is made; the population holds ids,

@@ -36,6 +36,7 @@ __all__ = [
     "classify",
     "roc",
     "grid_search",
+    "validate_dataset",
     "validate_corpus",
     "monotone_from_constraints",
     "Algorithm",
@@ -248,19 +249,26 @@ def _fit_scsr(train, config, constraints):
     return tree, partial(scsr_mod.eval_tree_columns, tree), {"train_rmse": best.best_train_rmse}
 
 
+def _certify_poly(model, constraints) -> dict:
+    # through the module attribute, so wrappers of run_certification see every call
+    return run_certification(model, constraints).to_dict()
+
+
 @dataclass(frozen=True)
 class Algorithm:
     """``fit(train, config, constraints)`` returns ``(model, predict, info)``.
 
     ``fit`` models ``train.target`` on ``train.feature_names``.  It is given
     no test rows, so only training rows can shape the model.
+    ``certify(model, constraints)`` returns the model's certification as a
+    dict; it is None for an algorithm whose models have no certifier.
     """
 
     config: type
     fit: Callable
     to_json: Callable
     grid: dict  # default grid-search cells; empty means none
-    certifiable: bool  # the model is a PolyModel that certify() accepts
+    certify: Callable | None
 
 
 DEFAULT_GRID = {
@@ -270,10 +278,10 @@ DEFAULT_GRID = {
 }
 
 ALGORITHMS = {
-    "pr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(False), PolyModel.to_json, DEFAULT_GRID, True),
-    "scpr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(True), PolyModel.to_json, DEFAULT_GRID, True),
-    "scsr": Algorithm(scsr_mod.GAConfig, _fit_scsr, scsr_mod.tree_to_json, {}, False),
-    "gbt": Algorithm(gbt_mod.GBTConfig, _fit_gbt, gbt_mod.GBTEnsemble.to_json, {}, False),
+    "pr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(False), PolyModel.to_json, DEFAULT_GRID, _certify_poly),
+    "scpr": Algorithm(scpr_mod.SCPRConfig, _fit_poly(True), PolyModel.to_json, DEFAULT_GRID, _certify_poly),
+    "scsr": Algorithm(scsr_mod.GAConfig, _fit_scsr, scsr_mod.tree_to_json, {}, None),
+    "gbt": Algorithm(gbt_mod.GBTConfig, _fit_gbt, gbt_mod.GBTEnsemble.to_json, {}, None),
 }
 
 
@@ -419,8 +427,8 @@ def validate_dataset(data: Dataset, config: ValidationConfig) -> ValidationRepor
     verdict = classify(rmses, config.threshold)
 
     certification = None
-    if entry.certifiable and config.constraints:
-        certification = run_certification(model, config.constraints).to_dict()
+    if entry.certify and config.constraints:
+        certification = entry.certify(model, config.constraints)
 
     return ValidationReport(
         dataset=data.name,

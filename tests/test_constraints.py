@@ -1,10 +1,13 @@
 """Constraint DSL: parsing and validation."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 from shapeguard import (
+    ArityError,
     DomainError,
     Interval,
     ParseError,
@@ -73,6 +76,21 @@ def test_derivative_tuple_alignment():
     assert c.order == 2
     with pytest.raises(DomainError):
         c.derivative_tuple(("a", "c"))
+
+
+def test_aligned_reads_the_region_in_variable_order():
+    region = {"a": Interval(0, 1), "b": Interval(2, 3), "q": Interval(4, 5)}
+    c = ShapeConstraint({"b": 1}, Interval(0, math.inf), region)
+    assert c.aligned(("b", "a")) == ((1, 0), (2, 0), (3, 1))
+
+
+def test_aligned_names_missing_variables_before_an_unknown_derivative():
+    c = ShapeConstraint({"q": 1}, Interval(0, math.inf), {"q": Interval(0, 1)})
+    with pytest.raises(ArityError, match=re.escape("constraint region missing model variables ['x', 'z']")):
+        c.aligned(("x", "z"))
+    c = replace(c, region={"x": Interval(0, 1), "q": Interval(0, 1)})
+    with pytest.raises(DomainError, match=re.escape("constraint differentiates unknown variables ['q']")):
+        c.aligned(("x",))
 
 
 def test_describe_is_stable():

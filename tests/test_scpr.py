@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import shapeguard.scpr as scpr
 from shapeguard import (
+    ArityError,
     DataError,
     Dataset,
     DomainError,
@@ -24,6 +26,7 @@ from shapeguard import (
     fit_constrained,
     fit_unconstrained,
     monomial_basis,
+    parse_constraints,
     solve_elastic_net,
 )
 
@@ -277,6 +280,28 @@ def test_compiled_rows_encode_derivative_values():
         system.rows, [[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 2.0], [-1.0, -2.0]]
     )
     np.testing.assert_array_equal(system.rhs, [-1.0, -2.0] * 3)
+
+
+# specs that do not match the features x and z: what every fit must raise
+SPEC_MISMATCHES = [
+    ("box x in [0, 1]\nd1 x >= 0", ArityError, "constraint region missing model variables ['z']"),
+    (
+        "box x in [0, 1]\nbox z in [0, 1]\nbox q in [0, 1]\nd1 q >= 0",
+        DomainError,
+        "constraint differentiates unknown variables ['q']",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, error, message", SPEC_MISMATCHES)
+def test_fit_and_compilation_name_what_a_spec_lacks(spec, error, message):
+    x = np.linspace(0.0, 1.0, 12)
+    data = Dataset("d", {"x": x, "z": x[::-1].copy(), "y": x**2}, "y")
+    constraints = parse_constraints("target y\n" + spec).constraints
+    with pytest.raises(error, match=re.escape(message)):
+        fit_constrained(data, SCPRConfig(degree=2), constraints)
+    with pytest.raises(error, match=re.escape(message)):
+        compile_constraints(constraints, data.feature_names, 2)
 
 
 @pytest.mark.parametrize("lam, alpha", [(0.0, 0.0), (0.1, 0.5)])

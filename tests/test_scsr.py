@@ -15,11 +15,13 @@ from shapeguard import (
     Dataset,
     GAConfig,
     Interval,
+    SCPRConfig,
     ShapeConstraint,
     check_constraints,
     eval_tree,
     eval_tree_columns,
     evolve,
+    fit_constrained,
     make_corpus,
     parse_constraints,
     scale_unit,
@@ -285,6 +287,34 @@ def test_mixed_derivative_constraint_raises_config_error():
     data = Dataset("d", {"p": [0.0, 0.5, 1.0], "v": [1.0, 0.5, 0.0], "y": [0.0, 0.25, 0.0]}, "y")
     with pytest.raises(ConfigError, match=re.escape(c.describe())):
         evolve(data, GAConfig(population=4, max_generations=1), constraints=[c])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "box x in [0, 1]\nd1 x >= 0",  # the region lacks the feature z
+        "box x in [0, 1]\nbox z in [0, 1]\nbox q in [0, 1]\nd1 q >= 0",  # q is no feature
+    ],
+)
+def test_evolve_rejects_a_spec_as_fit_constrained_does_before_scoring_any_tree(monkeypatch, spec):
+    x = np.linspace(0.0, 1.0, 12)
+    data = Dataset("d", {"x": x, "z": x[::-1].copy(), "y": x**2}, "y")
+    constraints = parse_constraints("target y\n" + spec).constraints
+    with pytest.raises(Exception) as expected:
+        fit_constrained(data, SCPRConfig(degree=2), constraints)
+    scored = []
+    original = scsr._score
+
+    def spy(trees, *args):
+        scored.extend(trees)
+        return original(trees, *args)
+
+    monkeypatch.setattr(scsr, "_score", spy)
+    # a one-shot iterator: evolve reads the constraints twice
+    with pytest.raises(type(expected.value)) as raised:
+        evolve(data, GAConfig(population=40, max_generations=5), iter(constraints))
+    assert str(raised.value) == str(expected.value)
+    assert scored == []
 
 
 def test_crossover_and_mutation_produce_valid_trees():

@@ -27,6 +27,7 @@ from shapeguard import (
     make_corpus,
     parse_constraints,
     roc,
+    certify,
     score_segments,
     segment,
     synth_generate,
@@ -152,6 +153,59 @@ def test_corpus_records_a_nan_prediction_as_a_failed_dataset(monkeypatch):
     (report,), _, _ = validate_corpus([synth_generate("friction_valid", 1)], config)
     assert report.error.startswith("DataError")
     assert (report.score, report.verdict) == (math.inf, "invalid")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "box x in [0, 1]\nd1 x >= 0",  # the region lacks the feature z
+        "box x in [0, 1]\nbox z in [0, 1]\nbox q in [0, 1]\nd1 q >= 0",  # q is no feature
+    ],
+)
+def test_corpus_records_one_error_for_a_spec_that_misses_the_features(spec):
+    # pr fits without reading the regions, so its certification must raise
+    # what the scpr and scsr fits raise
+    x = np.linspace(0.0, 1.0, 12)
+    data = Dataset("d", {"x": x, "z": np.repeat([0.0, 1.0], 6), "y": x**2}, "y", label="valid")
+    constraints = parse_constraints("target y\n" + spec).constraints
+    errors = {}
+    for algorithm, settings in [("pr", {"degree": 2}), ("scpr", {"degree": 2}), ("scsr", SMALL_CONFIGS["scsr"])]:
+        config = ValidationConfig(
+            threshold=0.05, controlled_variables=["z"], algorithm=algorithm,
+            algorithm_config=settings, constraints=constraints,
+        )
+        (report,), _, _ = validate_corpus([data], config)
+        errors[algorithm] = report.error
+    assert len(set(errors.values())) == 1, errors
+    assert errors["pr"].startswith(("ArityError: ", "DomainError: "))
+
+
+def test_certification_calls_run_certification_at_call_time(monkeypatch):
+    # perfbench counts certificates by wrapping validation.run_certification
+    spec = parse_constraints(resources.files("shapeguard.resources").joinpath("eq1.spec").read_text())
+    corpus = make_corpus(2, 1, seed=0)
+    calls = []
+
+    def spy(model, constraints):
+        calls.append((model, constraints))
+        return certify(model, constraints)
+
+    monkeypatch.setattr(validation, "run_certification", spy)
+    for algorithm in ("pr", "scpr", "gbt", "scsr"):
+        config = ValidationConfig(
+            threshold=0.05, controlled_variables=["p", "v"], algorithm=algorithm,
+            algorithm_config=SMALL_CONFIGS.get(algorithm, {"degree": 3}),
+            constraints=list(spec.constraints), target="mu_dyn",
+        )
+        for ds in corpus:
+            calls.clear()
+            report = validate_dataset(ds, config)
+            if algorithm in ("pr", "scpr"):
+                (model, constraints), = calls
+                assert constraints == spec.constraints
+                assert report.certification == certify(model, constraints).to_dict()
+            else:
+                assert calls == [] and report.certification is None
 
 
 def test_corpus_rejects_an_unknown_label_before_any_fit(monkeypatch):
